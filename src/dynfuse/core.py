@@ -20,6 +20,18 @@ TIE_BREAK_LOWEST_INDEX = "lowest-index"
 TIE_BREAK_SMALLEST_SUBSET = "smallest-subset-then-lexicographic"
 TIE_BREAKS = (TIE_BREAK_LOWEST_INDEX, TIE_BREAK_SMALLEST_SUBSET)
 
+# JSON value types accepted per FusionConfig field. A bool is never a
+# number here, although Python counts it as an int.
+_CONFIG_FIELD_TYPES = {
+    "r_window": (int, "an integer"),
+    "frame_separation_f": (int, "an integer"),
+    "min_subset_size": (int, "an integer"),
+    "max_subset_size": ((int, type(None)), "an integer or null"),
+    "epsilon": ((int, float), "a number"),
+    "rng_seed": (int, "an integer"),
+    "tie_break": (str, "a string"),
+}
+
 
 @dataclass(frozen=True)
 class TechniqueId:
@@ -159,10 +171,21 @@ class FusionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FusionConfig":
+        """Build a config from parsed JSON, rejecting unknown keys and values
+        of the wrong type with ConfigError; ranges are checked by validate."""
+        if not isinstance(d, dict):
+            raise ConfigError("must be a JSON object", field="config")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
+        for name, value in d.items():
+            types, expected = _CONFIG_FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(
+                    f"must be {expected}, got {type(value).__name__} {value!r}",
+                    field=name,
+                )
         return cls(**d)
 
 

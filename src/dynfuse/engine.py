@@ -176,11 +176,23 @@ def run_dyn_mpf(
                 member_norm = normalized
             else:
                 member_norm = np.zeros((n, d))
+                usable = 0
                 for m in subset:
                     raw = tensor.data[m, q]
                     if raw.max() == raw.min():
                         continue  # degenerate here: stays zero, weight falls to 0
                     member_norm[m] = minmax_normalize(raw)
+                    usable += 1
+                if usable < config.min_subset_size:
+                    # the rule a calibration query applies to all techniques
+                    records.append(SelectionRecord(
+                        query=q, subset=subset, weights={}, ratio_score=None,
+                        match_index=-1, valid=False, techniques_touched=touched,
+                        error=f"TooFewTechniquesError: {usable} non-degenerate "
+                              f"techniques remain in the cached subset, need at "
+                              f"least {config.min_subset_size}",
+                    ))
+                    continue
             try:
                 if calibrating:
                     subset_ratio = calib_score

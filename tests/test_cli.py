@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from dynfuse.cli import main
 from dynfuse.ingest import write_matrix
@@ -100,6 +101,48 @@ class TestRunCommand:
         assert code == 2
         assert out["error"] == "ConfigError"
         assert out["field"] == "ground_truth"
+
+    @pytest.mark.parametrize("field, value", [
+        ("r_window", "2"),
+        ("r_window", 2.5),
+        ("r_window", True),
+        ("frame_separation_f", "3"),
+        ("min_subset_size", 2.0),
+        ("max_subset_size", "4"),
+        ("rng_seed", False),
+        ("epsilon", "1e-12"),
+        ("epsilon", None),
+        ("epsilon", True),
+        ("tie_break", 1),
+    ])
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys,
+                                                   field, value):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["config"] = {field: value}
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["error"] == "ConfigError"
+        assert out["field"] == field
+
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["config"] = 5
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["field"] == "config"
 
     def test_strategy_flag_adds_strategy(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)

@@ -88,6 +88,18 @@ class TestDynMpf:
             assert rec.valid
             assert 2 not in rec.subset
 
+    def test_constant_cached_members_make_query_invalid(self, rng):
+        data = random_tensor_data(rng, 3, 4, 20)
+        data[:, 1, :] = 0.7  # every technique constant on an in-between query
+        tensor = make_tensor(data)
+        res = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=4))
+        rec = res.records[1]
+        assert not rec.valid
+        assert rec.match_index == -1
+        assert rec.error.startswith("TooFewTechniquesError: 0 non-degenerate")
+        assert rec.techniques_touched == rec.subset == res.records[0].subset
+        assert all(r.valid for r in res.records if r.query != 1)
+
     def test_complementary_benchmark_beats_singles(self, complementary,
                                                    fixture_config):
         tensor, gt = complementary

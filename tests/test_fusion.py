@@ -1,9 +1,13 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynfuse.core import FusionConfig, TIE_BREAK_LOWEST_INDEX
+from dynfuse import fusion
+from dynfuse.core import FusionConfig, TIE_BREAK_LOWEST_INDEX, TIE_BREAKS
 from dynfuse.errors import TooFewTechniquesError, WindowCoversAllError
 from dynfuse.fusion import (
     enumerate_subsets,
@@ -173,6 +177,90 @@ class TestSelectBestSubset:
         with pytest.raises(TooFewTechniquesError):
             select_best_subset(normalized, FusionConfig(r_window=0),
                                degenerate={0, 1})
+
+
+def column_chunks(n_available, d):
+    """Column chunk edges the subset search uses for a full-range search."""
+    rows = max(comb(n_available, k) + comb(n_available, k - 1)
+               for k in range(2, n_available + 1))
+    return fusion._column_edges(d, rows)
+
+
+class TestSearchParity:
+    """The batched search against the naive oracle, compared with ==."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("n, d, r_window, min_size, max_size, n_constant", [
+        (10, 1000, 2, 2, None, 0),
+        (7, 3000, 3, 2, None, 0),
+        (7, 3000, 800, 2, None, 0),  # windows wider than a chunk
+        (8, 1200, 1, 3, 5, 0),
+        (9, 2000, 2, 2, None, 2),
+    ])
+    def test_chunked_search_matches_naive(self, tie_break, n, d, r_window,
+                                          min_size, max_size, n_constant):
+        rng = np.random.default_rng(n * d + r_window)
+        edges = column_chunks(n - n_constant, d)
+        assert len(edges) > 3, "case must cross two chunk boundaries"
+        # quantized values, so scores tie
+        raw = np.floor(rng.random((n, d)) * 6) / 6
+        # Half the techniques peak on both sides of edge a: argmax ties
+        # cross the edge and the window around a - 1 reaches right into
+        # the next chunk, where the runner-up sits just outside it. The
+        # other half peak just right of edge b, with the window reaching
+        # left. Which site wins depends on the subset.
+        half = n // 2
+        a, b = edges[1], edges[-2]
+        raw[:, a] = raw[:, a - 1]
+        raw[:half, a - 1:a + 1] = 2.0
+        raw[:half, a + r_window] = 1.5
+        raw[half:, b:b + 2] = 2.0
+        raw[half:, b - r_window - 1] = 1.5
+        raw[rng.choice(n, n_constant, replace=False)] = 0.5
+        normalized, degenerate = normalize_query_slices(raw)
+        assert len(degenerate) == n_constant
+        config = FusionConfig(r_window=r_window, min_subset_size=min_size,
+                              max_subset_size=max_size, tie_break=tie_break)
+        expected = naive_best_subset(
+            [list(row) for row in normalized], r_window, 1e-12, min_size,
+            config.resolved_max_subset_size(n), degenerate, tie_break,
+        )
+        got = select_best_subset(normalized, config, degenerate)
+        assert (got.subset, got.score) == expected
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_small_database_with_wide_window(self, tie_break):
+        rng = np.random.default_rng(7)
+        for trial in range(100):
+            n = int(rng.integers(2, 6))
+            d = int(rng.integers(3, 8))
+            r_window = int(rng.integers(1, d))
+            raw = np.floor(rng.random((n, d)) * 3)
+            normalized, degenerate = normalize_query_slices(raw)
+            if n - len(degenerate) < 2:
+                continue
+            config = FusionConfig(r_window=r_window, tie_break=tie_break)
+            expected = naive_best_subset(
+                [list(row) for row in normalized], r_window, 1e-12, 2, n,
+                degenerate, tie_break,
+            )
+            if expected is None:
+                with pytest.raises(WindowCoversAllError):
+                    select_best_subset(normalized, config, degenerate)
+            else:
+                got = select_best_subset(normalized, config, degenerate)
+                assert (got.subset, got.score) == expected, f"trial {trial}"
+
+    def test_scratch_memory_is_bounded(self, rng):
+        normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
+        config = FusionConfig(r_window=2)
+        tracemalloc.start()
+        try:
+            select_best_subset(normalized, config, degenerate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestTechniqueWeights:
