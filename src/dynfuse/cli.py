@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, evaluate, ingest, synth
-from .core import FusionConfig, GroundTruth
+from .core import FusionConfig, GroundTruth, check_json_type
 from .errors import ConfigError, DynfuseError
 
 log = logging.getLogger("dynfuse.cli")
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# The histogram allocates and writes one row per bin; beyond this a bin
+# count is a typo, not a request.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass
@@ -47,6 +51,8 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
+        """Build a manifest from parsed JSON, rejecting unknown keys and
+        values of the wrong type or range with ConfigError."""
         if not isinstance(raw, dict):
             raise ConfigError("manifest must be a JSON object")
         known = set(cls.__dataclass_fields__)
@@ -57,38 +63,55 @@ class RunManifest:
         if not techniques or not isinstance(techniques, list):
             raise ConfigError("must be a non-empty list", field="techniques")
         for i, entry in enumerate(techniques):
+            where = f"techniques[{i}]"
+            check_json_type(entry, dict, "an object", where)
             if "name" not in entry:
-                raise ConfigError("missing 'name'", field=f"techniques[{i}]")
+                raise ConfigError("missing 'name'", field=where)
+            check_json_type(entry["name"], str, "a string", f"{where}.name")
             has_sim = "similarity" in entry
             has_desc = "query" in entry and "database" in entry
             if not (has_sim or has_desc):
                 raise ConfigError(
                     "needs either 'similarity' or 'query'+'database' paths",
-                    field=f"techniques[{i}]",
+                    field=where,
+                )
+            for key in ("similarity", "query", "database"):
+                if key in entry:
+                    _check_path(entry[key], f"{where}.{key}")
+            if entry.get("metric", ingest.METRICS[0]) not in ingest.METRICS:
+                raise ConfigError(
+                    f"must be one of {list(ingest.METRICS)}", field=f"{where}.metric"
                 )
         if "ground_truth" not in raw:
             raise ConfigError("missing required path", field="ground_truth")
+        _check_path(raw["ground_truth"], "ground_truth")
         config = FusionConfig.from_dict(raw.get("config", {}))
         strategies = raw.get("strategies", {})
         if isinstance(strategies, list):
+            for i, name in enumerate(strategies):
+                check_json_type(name, str, "a strategy name", f"strategies[{i}]")
             strategies = {name: {} for name in strategies}
         if not isinstance(strategies, dict):
             raise ConfigError(
                 "must be a list of names or a name->params object",
                 field="strategies",
             )
-        for name in strategies:
+        for name, params in strategies.items():
             if name not in engine.STRATEGIES:
                 raise ConfigError(
                     f"unknown strategy {name!r}; choose from {list(engine.STRATEGIES)}",
                     field="strategies",
                 )
-        recall_k = [int(k) for k in raw.get("recall_k", [1, 5])]
-        if any(k < 1 for k in recall_k):
-            raise ConfigError("entries must be positive", field="recall_k")
-        bins = int(raw.get("histogram_bins", 10))
-        if bins < 1:
-            raise ConfigError("must be >= 1", field="histogram_bins")
+            _check_strategy_params(name, params)
+        recall_k = _check_list(raw.get("recall_k", [1, 5]), int, "integers", "recall_k")
+        if not recall_k or any(k < 1 for k in recall_k):
+            raise ConfigError("must be a non-empty list of positive integers",
+                              field="recall_k")
+        bins = check_json_type(raw.get("histogram_bins", 10), int, "an integer",
+                               "histogram_bins")
+        if not 1 <= bins <= MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"must lie in [1, {MAX_HISTOGRAM_BINS}]",
+                              field="histogram_bins")
         return cls(
             techniques=techniques,
             ground_truth=raw["ground_truth"],
@@ -96,8 +119,40 @@ class RunManifest:
             strategies=strategies,
             recall_k=recall_k,
             histogram_bins=bins,
-            out_dir=raw.get("out_dir", "out"),
+            out_dir=_check_path(raw.get("out_dir", "out"), "out_dir"),
         )
+
+
+def _check_path(value, field: str) -> str:
+    check_json_type(value, str, "a path string", field)
+    if not value or "\x00" in value:
+        raise ConfigError("must be a non-empty path without NUL characters",
+                          field=field)
+    return value
+
+
+def _check_list(value, item_types, expected: str, field: str) -> list:
+    check_json_type(value, list, f"a list of {expected}", field)
+    for i, item in enumerate(value):
+        check_json_type(item, item_types, f"a list of {expected}", f"{field}[{i}]")
+    return value
+
+
+def _check_strategy_params(name: str, params) -> None:
+    """Type-check the strategy parameters that _run_strategy reads."""
+    field = f"strategies.{name}"
+    check_json_type(params, (dict, type(None)), "an object or null", field)
+    params = params or {}
+    if name == engine.STRATEGY_HIER_MPF:
+        if params.get("tiers") is not None:
+            tiers = _check_list(params["tiers"], list, "lists", f"{field}.tiers")
+            for i, tier in enumerate(tiers):
+                _check_list(tier, str, "technique names", f"{field}.tiers[{i}]")
+        if params.get("shortlist_fractions") is not None:
+            _check_list(params["shortlist_fractions"], (int, float), "numbers",
+                        f"{field}.shortlist_fractions")
+    if name == engine.STRATEGY_STATIC_SUBSET and params.get("subset") is not None:
+        _check_list(params["subset"], str, "technique names", f"{field}.subset")
 
 
 def _load_manifest(path: str) -> RunManifest:
@@ -162,14 +217,15 @@ def _resolve_paths(manifest: RunManifest, base: Path) -> None:
 def _check_inputs_exist(manifest: RunManifest) -> None:
     for i, entry in enumerate(manifest.techniques):
         for key in ("similarity", "query", "database"):
-            if key in entry and not Path(entry[key]).exists():
+            if key in entry and not Path(entry[key]).is_file():
                 raise ConfigError(
-                    f"path {entry[key]} does not exist",
+                    f"path {entry[key]} does not exist or is not a file",
                     field=f"techniques[{i}].{key}",
                 )
-    if not Path(manifest.ground_truth).exists():
+    if not Path(manifest.ground_truth).is_file():
         raise ConfigError(
-            f"path {manifest.ground_truth} does not exist", field="ground_truth"
+            f"path {manifest.ground_truth} does not exist or is not a file",
+            field="ground_truth",
         )
 
 
@@ -203,6 +259,22 @@ def _build_tensor(manifest: RunManifest):
             ))
         names.append(name)
     return ingest.assemble_tensor(matrices, names)
+
+
+def _load_ground_truth(path: str, tensor) -> GroundTruth:
+    """Load ground truth that must cover every query of ``tensor``."""
+    try:
+        gt = GroundTruth.from_json(path, tensor.database_size)
+    except json.JSONDecodeError:
+        raise  # not JSON at all: main reports it as an I/O error
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field="ground_truth") from exc
+    if gt.queries != tensor.queries:
+        raise ConfigError(
+            f"ground truth covers {gt.queries} queries, tensor has {tensor.queries}",
+            field="ground_truth",
+        )
+    return gt
 
 
 def _run_strategy(name, params, tensor, config, gt, workers):
@@ -268,12 +340,13 @@ def cmd_run(args) -> int:
         tensor.n_techniques, tensor.database_size,
         require_subsets=engine.STRATEGY_DYN_MPF in manifest.strategies,
     )
-    gt = GroundTruth.from_json(manifest.ground_truth, tensor.database_size)
-    if gt.queries != tensor.queries:
+    if max(manifest.recall_k) > tensor.database_size:
         raise ConfigError(
-            f"ground truth covers {gt.queries} queries, tensor has {tensor.queries}",
-            field="ground_truth",
+            f"K={max(manifest.recall_k)} exceeds the database size "
+            f"({tensor.database_size})",
+            field="recall_k",
         )
+    gt = _load_ground_truth(manifest.ground_truth, tensor)
 
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,12 +414,7 @@ def cmd_sweep(args) -> int:
 
     tensor = _build_tensor(manifest)
     manifest.config.validate(tensor.n_techniques, tensor.database_size)
-    gt = GroundTruth.from_json(manifest.ground_truth, tensor.database_size)
-    if gt.queries != tensor.queries:
-        raise ConfigError(
-            f"ground truth covers {gt.queries} queries, tensor has {tensor.queries}",
-            field="ground_truth",
-        )
+    gt = _load_ground_truth(manifest.ground_truth, tensor)
 
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -441,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides manifest)")
         p.add_argument("--workers", type=int,
                        default=os.cpu_count() or 1,
-                       help="worker count (default: available parallelism)")
+                       help="accepted for compatibility; runs are single-threaded "
+                            "and output does not depend on it")
         p.add_argument("--seed", type=int, help="override config rng_seed")
         p.add_argument("--strategy", action="append",
                        help="strategy to run (repeatable)")

@@ -9,6 +9,7 @@ unrelated techniques become comparable before they are summed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +21,7 @@ TIE_BREAK_LOWEST_INDEX = "lowest-index"
 TIE_BREAK_SMALLEST_SUBSET = "smallest-subset-then-lexicographic"
 TIE_BREAKS = (TIE_BREAK_LOWEST_INDEX, TIE_BREAK_SMALLEST_SUBSET)
 
-# JSON value types accepted per FusionConfig field. A bool is never a
-# number here, although Python counts it as an int.
+# JSON value types accepted per FusionConfig field (see check_json_type).
 _CONFIG_FIELD_TYPES = {
     "r_window": (int, "an integer"),
     "frame_separation_f": (int, "an integer"),
@@ -31,6 +31,20 @@ _CONFIG_FIELD_TYPES = {
     "rng_seed": (int, "an integer"),
     "tie_break": (str, "a string"),
 }
+
+
+def check_json_type(value, types, expected: str, field: str):
+    """Return ``value`` if it is an instance of ``types``, else raise
+    ConfigError naming ``field``. A bool passes only when ``types`` names
+    bool itself: JSON true is never a number, although Python counts it as
+    an int."""
+    types = types if isinstance(types, tuple) else (types,)
+    if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
+        raise ConfigError(
+            f"must be {expected}, got {type(value).__name__} {value!r}",
+            field=field,
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,13 @@ class FusionConfig:
                 f"got [{self.min_subset_size}, {max_size}]",
                 field="max_subset_size",
             )
-        if self.epsilon <= 0:
-            raise ConfigError("must be positive", field="epsilon")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ConfigError("must be positive and finite", field="epsilon")
         if self.tie_break not in TIE_BREAKS:
             raise ConfigError(f"must be one of {TIE_BREAKS}", field="tie_break")
+        if self.rng_seed < 0:
+            # numpy's generators take only non-negative seeds
+            raise ConfigError("must be non-negative", field="rng_seed")
 
     def to_dict(self) -> dict:
         return {
@@ -180,12 +197,7 @@ class FusionConfig:
         if unknown:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
         for name, value in d.items():
-            types, expected = _CONFIG_FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(
-                    f"must be {expected}, got {type(value).__name__} {value!r}",
-                    field=name,
-                )
+            check_json_type(value, *_CONFIG_FIELD_TYPES[name], field=name)
         return cls(**d)
 
 

@@ -5,17 +5,17 @@ per query plus a Q x D score array whose per-row ordering is the strategy's
 database ranking for that query (used downstream for Recall@K). A failure
 on one query flags that record invalid instead of aborting the run.
 
-Parallelism contract: distinct queries are independent for every baseline;
-for dynamic fusion with frame separation F > 1, the traverse is segmented
-into [calibration, next calibration) blocks, blocks run in parallel, and
-results are merged in query order, so worker count never changes output.
+Parallelism contract: every runner is single-threaded and walks its
+queries (for dynamic fusion, its [calibration, next calibration) blocks) in
+query order. The ``workers`` parameter is accepted for compatibility and
+changes nothing, so output never depends on it. Threads measured slower than
+one loop here: the per-query work is short numpy calls that hold the GIL.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -100,20 +100,6 @@ def _normalized_tensor(tensor: SimilarityTensor) -> np.ndarray:
     return out
 
 
-def _query_chunks(queries: int, workers: int) -> list[tuple[int, int]]:
-    if queries == 0:
-        return []
-    step = max(1, math.ceil(queries / max(1, workers * 4)))
-    return [(s, min(s + step, queries)) for s in range(0, queries, step)]
-
-
-def _map_blocks(fn, blocks, workers: int):
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
-
-
 def _try_ratio(fused: np.ndarray, config: FusionConfig) -> float | None:
     try:
         return ratio_score(fused, config.r_window, config.epsilon)
@@ -144,12 +130,10 @@ def run_dyn_mpf(
     config.validate(n, d)
     f = config.frame_separation_f
     all_touched = tuple(range(n))
-    blocks = [(s, min(s + f, queries)) for s in range(0, queries, f)]
-
-    def do_block(block):
-        start, stop = block
-        records = []
-        rows = np.full((stop - start, d), np.nan)
+    records: list[SelectionRecord] = []
+    rows = np.full((queries, d), np.nan)
+    for start in range(0, queries, f):
+        stop = min(start + f, queries)
         subset: tuple[int, ...] | None = None
         calib_score: float | None = None
         block_error: str | None = None
@@ -214,60 +198,47 @@ def run_dyn_mpf(
             fused, match, mean, std = weighted_fuse_and_match(
                 member_norm, subset, weights
             )
-            rows[q - start] = fused
+            rows[q] = fused
             records.append(SelectionRecord(
                 query=q, subset=subset, weights=weights,
                 ratio_score=subset_ratio, match_index=match,
                 fused_mean=mean, fused_std=std,
                 techniques_touched=touched,
             ))
-        return records, rows
-
-    outputs = _map_blocks(do_block, blocks, workers)
-    records = [rec for recs, _ in outputs for rec in recs]
-    fused = np.vstack([rows for _, rows in outputs]) if outputs else np.zeros((0, d))
     return StrategyResult(
-        strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=fused,
+        strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
         params={"uniform_weights": uniform_weights},
     )
 
 
-def _simple_sum_runner(tensor, config, subsets_per_query, strategy, params, workers):
+def _simple_sum_runner(tensor, config, subsets_per_query, strategy, params):
     """Shared runner for baselines that sum a fixed or per-query subset."""
     n, queries, d = tensor.data.shape
     normalized = _normalized_tensor(tensor)
-
-    def do_chunk(chunk):
-        start, stop = chunk
-        records = []
-        rows = np.full((stop - start, d), np.nan)
-        for q in range(start, stop):
-            subset = subsets_per_query(q)
-            if subset is None:
-                records.append(SelectionRecord(
-                    query=q, subset=(), weights={}, ratio_score=None,
-                    match_index=-1, valid=False, techniques_touched=(),
-                    error="TooFewTechniquesError: fewer than 2 usable techniques",
-                ))
-                continue
-            fused = normalized[list(subset), q, :].sum(axis=0)
-            rows[q - start] = fused
+    records: list[SelectionRecord] = []
+    rows = np.full((queries, d), np.nan)
+    for q in range(queries):
+        subset = subsets_per_query(q)
+        if subset is None:
             records.append(SelectionRecord(
-                query=q, subset=tuple(subset),
-                weights={int(m): 1.0 for m in subset},
-                ratio_score=_try_ratio(fused, config),
-                match_index=argmax_lowest_index(fused),
-                fused_mean=float(fused.mean()),
-                fused_std=float(fused.std(ddof=1)),
-                techniques_touched=tuple(subset),
+                query=q, subset=(), weights={}, ratio_score=None,
+                match_index=-1, valid=False, techniques_touched=(),
+                error="TooFewTechniquesError: fewer than 2 usable techniques",
             ))
-        return records, rows
-
-    outputs = _map_blocks(do_chunk, _query_chunks(queries, workers), workers)
-    records = [rec for recs, _ in outputs for rec in recs]
-    fused = np.vstack([rows for _, rows in outputs]) if outputs else np.zeros((0, d))
+            continue
+        fused = normalized[list(subset), q, :].sum(axis=0)
+        rows[q] = fused
+        records.append(SelectionRecord(
+            query=q, subset=tuple(subset),
+            weights={int(m): 1.0 for m in subset},
+            ratio_score=_try_ratio(fused, config),
+            match_index=argmax_lowest_index(fused),
+            fused_mean=float(fused.mean()),
+            fused_std=float(fused.std(ddof=1)),
+            techniques_touched=tuple(subset),
+        ))
     return StrategyResult(
-        strategy=strategy, records=records, config=config, fused=fused, params=params,
+        strategy=strategy, records=records, config=config, fused=rows, params=params,
     )
 
 
@@ -279,7 +250,7 @@ def run_full_mpf(
     config.validate(n, d, require_subsets=False)
     full = tuple(range(n))
     return _simple_sum_runner(
-        tensor, config, lambda q: full, STRATEGY_FULL_MPF, {}, workers
+        tensor, config, lambda q: full, STRATEGY_FULL_MPF, {}
     )
 
 
@@ -299,7 +270,7 @@ def run_static_subset(
     names = [tensor.names[i] for i in subset]
     return _simple_sum_runner(
         tensor, config, lambda q: subset, STRATEGY_STATIC_SUBSET,
-        {"subset": names}, workers,
+        {"subset": names},
     )
 
 
@@ -309,7 +280,7 @@ def run_random_pair(
     """Fuse a uniformly drawn pair of usable techniques per query.
 
     The pair sequence is drawn up front from the seeded generator, so the
-    same seed always yields the same pairs regardless of worker count.
+    same seed always yields the same pairs.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
@@ -328,7 +299,7 @@ def run_random_pair(
         pairs.append(tuple(sorted(pair)))
     return _simple_sum_runner(
         tensor, config, lambda q: pairs[q], STRATEGY_RANDOM_PAIR,
-        {"rng_seed": config.rng_seed}, workers,
+        {"rng_seed": config.rng_seed},
     )
 
 
@@ -390,61 +361,50 @@ def run_hier_mpf(
             return np.zeros_like(raw)
         return (raw - lo) / (hi - lo)
 
-    def do_chunk(chunk):
-        start, stop = chunk
-        records = []
-        rows = np.full((stop - start, d), np.nan)
-        for q in range(start, stop):
-            survivors = np.arange(d)
-            scores = np.zeros(d)
-            tier1_fused = None
-            placed: list[tuple[np.ndarray, np.ndarray]] = []  # eliminated (idx, score)
-            for t, tier in enumerate(tiers):
-                fused_t = np.zeros(survivors.size)
-                for m in tier:
-                    fused_t += normalize_restricted(tensor.data[m, q, survivors])
-                scores = scores + fused_t
-                if t == 0:
-                    tier1_fused = scores.copy()
-                if t < len(tiers) - 1:
-                    keep = max(1, math.ceil(fractions[t] * survivors.size))
-                    order = np.argsort(-scores, kind="stable")
-                    dropped = order[keep:]
-                    placed.append((survivors[dropped], scores[dropped]))
-                    kept = np.sort(order[:keep])
-                    survivors = survivors[kept]
-                    scores = scores[kept]
-            match = int(survivors[argmax_lowest_index(scores)])
-            # Full-database ranking: final survivors by score, then the
-            # tiers' eliminations, deepest tier first.
-            rank_scores = np.empty(d)
-            position = 0
-            order = np.argsort(-scores, kind="stable")
-            for i in order:
-                rank_scores[survivors[i]] = d - position
-                position += 1
-            for idx, sc in reversed(placed):
-                order = np.argsort(-sc, kind="stable")
-                for i in order:
-                    rank_scores[idx[i]] = d - position
-                    position += 1
-            rows[q - start] = rank_scores
-            records.append(SelectionRecord(
-                query=q, subset=tuple(range(n)),
-                weights={int(m): 1.0 for m in range(n)},
-                ratio_score=_try_ratio(tier1_fused, config),
-                match_index=match,
-                fused_mean=float(tier1_fused.mean()),
-                fused_std=float(tier1_fused.std(ddof=1)),
-                techniques_touched=tuple(range(n)),
-            ))
-        return records, rows
+    records: list[SelectionRecord] = []
+    rows = np.full((queries, d), np.nan)
+    rank_values = np.arange(d, 0, -1, dtype=np.float64)
+    for q in range(queries):
+        survivors = np.arange(d)
+        scores = np.zeros(d)
+        tier1_fused = None
+        # Each tier's eliminations, already in (-score, index) order: the
+        # stable argsort keeps equal scores in position order, and survivors
+        # stay sorted by database index.
+        dropped: list[np.ndarray] = []
+        for t, tier in enumerate(tiers):
+            fused_t = np.zeros(survivors.size)
+            for m in tier:
+                fused_t += normalize_restricted(tensor.data[m, q, survivors])
+            scores = scores + fused_t
+            if t == 0:
+                tier1_fused = scores.copy()
+            if t < len(tiers) - 1:
+                keep = max(1, math.ceil(fractions[t] * survivors.size))
+                order = np.argsort(-scores, kind="stable")
+                dropped.append(survivors[order[keep:]])
+                kept = np.sort(order[:keep])
+                survivors = survivors[kept]
+                scores = scores[kept]
+        match = int(survivors[argmax_lowest_index(scores)])
+        # Full-database ranking: final survivors by score, then the tiers'
+        # eliminations, deepest tier first; rank i scores d - i.
+        ranked = np.concatenate(
+            [survivors[np.argsort(-scores, kind="stable")], *reversed(dropped)]
+        )
+        rows[q, ranked] = rank_values
+        records.append(SelectionRecord(
+            query=q, subset=tuple(range(n)),
+            weights={int(m): 1.0 for m in range(n)},
+            ratio_score=_try_ratio(tier1_fused, config),
+            match_index=match,
+            fused_mean=float(tier1_fused.mean()),
+            fused_std=float(tier1_fused.std(ddof=1)),
+            techniques_touched=tuple(range(n)),
+        ))
 
-    outputs = _map_blocks(do_chunk, _query_chunks(queries, workers), workers)
-    records = [rec for recs, _ in outputs for rec in recs]
-    fused = np.vstack([rows for _, rows in outputs]) if outputs else np.zeros((0, d))
     return StrategyResult(
-        strategy=STRATEGY_HIER_MPF, records=records, config=config, fused=fused,
+        strategy=STRATEGY_HIER_MPF, records=records, config=config, fused=rows,
         params={
             "tiers": [[tensor.names[i] for i in tier] for tier in tiers],
             "shortlist_fractions": fractions,

@@ -1,9 +1,8 @@
 """Recall@K evaluation, aliasing histograms, and calibration-period sweeps.
 
-Aggregation is pure and single-threaded; records may arrive from parallel
-engine workers in any order and are sorted by query index before use.
-Queries count toward recall only when their record is valid and their
-ground-truth acceptable set is non-empty.
+Aggregation is pure and single-threaded; records are sorted by query index
+before use. Queries count toward recall only when their record is valid and
+their ground-truth acceptable set is non-empty.
 """
 
 from __future__ import annotations
@@ -93,6 +92,40 @@ def _evaluated_queries(result: StrategyResult, gt: GroundTruth) -> list[int]:
     return [r.query for r in records if r.valid and gt.evaluable(r.query)]
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k largest scores, ties to the lowest index.
+
+    Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``, which
+    rows holding a non-finite value, and any k >= D, still use. Other rows
+    find their k-th largest value with a partition, keep the entries above
+    it plus the lowest-indexed entries equal to it, and sort only those.
+    """
+    d = scores.shape[1]
+    finite = np.isfinite(scores).all(axis=1)
+    if k >= d or not finite.any():
+        return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    if not finite.all():
+        top = np.empty((scores.shape[0], k), dtype=np.intp)
+        top[finite] = _top_k(scores[finite], k)
+        top[~finite] = _top_k(scores[~finite], k)
+        return top
+    kth = np.partition(scores, d - k, axis=1)[:, d - k, None]
+    chosen = scores >= kth
+    # Ties at the k-th value can admit more than k entries; keep the
+    # lowest-indexed of the tied ones, as a stable sort would.
+    excess = np.flatnonzero(chosen.sum(axis=1) > k)
+    if excess.size:
+        above = scores[excess] > kth[excess]
+        tied = scores[excess] == kth[excess]
+        room = k - above.sum(axis=1, keepdims=True)
+        chosen[excess] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending index per row
+    order = np.argsort(
+        -np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable"
+    )
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def recall_at_k(
     result: StrategyResult,
     fused_or_rankings,
@@ -124,19 +157,18 @@ def recall_at_k(
             raise MissingRankingError(
                 f"rankings only reach depth {arr.shape[1]}, need {max_k}"
             )
-        top = arr[:, :max_k]
+        top = arr[evaluated, :max_k]
     else:
         if max_k > arr.shape[1]:
             raise MissingRankingError(
                 f"scores cover {arr.shape[1]} database entries, K={max_k} requested"
             )
-        # stable sort on negated scores: ties resolve to the lowest index
-        top = np.argsort(-arr, axis=1, kind="stable")[:, :max_k]
+        top = _top_k(arr[evaluated], max_k)
 
     correct_at: dict[int, list[bool]] = {k: [] for k in ks}
-    for q in evaluated:
+    for q, row in zip(evaluated, top):
         acceptable = gt.acceptable[q]
-        prefix_hit = [int(idx) in acceptable for idx in top[q]]
+        prefix_hit = [int(idx) in acceptable for idx in row]
         for k in ks:
             correct_at[k].append(any(prefix_hit[:k]))
     recall = {
@@ -207,7 +239,10 @@ def frame_separation_sweep(
     f_values,
     workers: int = 1,
 ) -> dict[int, RecallReport]:
-    """Recall@1 of the dynamic strategy at each calibration period F."""
+    """Recall@1 of the dynamic strategy at each calibration period F.
+
+    ``workers`` is accepted for compatibility and changes nothing.
+    """
     reports: dict[int, RecallReport] = {}
     for f in f_values:
         f = int(f)

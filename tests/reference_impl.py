@@ -2,10 +2,16 @@
 
 Everything here is plain-Python loop code kept separate from the library so
 the two sides cannot share a bug: no imports from dynfuse beyond exceptions
-for signaling, no numpy vectorization tricks.
+for signaling, no numpy vectorization tricks. The one exception is
+``argsort_top_k``: the library's former Recall@K ranking, kept verbatim
+because it defines the order the partition-based top-K must reproduce,
+NaN placement included.
 """
 
+import math
 from itertools import combinations
+
+import numpy as np
 
 
 def naive_minmax(vec):
@@ -89,3 +95,51 @@ def naive_topk(vec, k):
     """Indices of the k largest values, ties to the lowest index."""
     order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
     return order[:k]
+
+
+def argsort_top_k(scores, k):
+    """Row-wise top-k by a stable sort on negated scores: ties go to the
+    lowest index, NaN sorts after every number."""
+    return np.argsort(-np.asarray(scores), axis=1, kind="stable")[:, :k]
+
+
+def naive_hier_rank_scores(vectors, tiers, fractions):
+    """One query of hierarchical fusion, returning its ranking scores.
+
+    ``vectors`` holds one raw similarity list per technique. Each tier adds
+    its members' vectors, min-max normalized over the current survivors, to
+    the running scores, then keeps the top ceil(f * survivors) (at least
+    one), ties to the lower database index. The ranking lists the final
+    survivors by score, then each tier's eliminations, deepest tier first;
+    the entry at rank i scores d - i.
+    """
+    d = len(vectors[0])
+    survivors = list(range(d))
+    scores = [0.0] * d
+    placed = []
+    for t, tier in enumerate(tiers):
+        fused = [0.0] * len(survivors)
+        for m in tier:
+            normed = naive_minmax([vectors[m][i] for i in survivors])
+            for j in range(len(survivors)):
+                fused[j] += normed[j]
+        scores = [scores[j] + fused[j] for j in range(len(survivors))]
+        if t < len(tiers) - 1:
+            keep = max(1, math.ceil(fractions[t] * len(survivors)))
+            order = sorted(range(len(survivors)), key=lambda j: (-scores[j], j))
+            placed.append(
+                ([survivors[j] for j in order[keep:]], [scores[j] for j in order[keep:]])
+            )
+            kept = sorted(order[:keep])
+            survivors = [survivors[j] for j in kept]
+            scores = [scores[j] for j in kept]
+    rank_scores = [None] * d
+    position = 0
+    for j in sorted(range(len(survivors)), key=lambda j: (-scores[j], j)):
+        rank_scores[survivors[j]] = float(d - position)
+        position += 1
+    for idx, sc in reversed(placed):
+        for j in sorted(range(len(idx)), key=lambda j: (-sc[j], j)):
+            rank_scores[idx[j]] = float(d - position)
+            position += 1
+    return rank_scores

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynfuse.cli import main
 from dynfuse.ingest import write_matrix
@@ -17,6 +23,16 @@ def tiny_spec_dict(**overrides):
     )
     spec.update(overrides)
     return spec
+
+
+ALL_STRATEGIES = {
+    "best-single-oracle": {},
+    "dyn-mpf": {},
+    "full-mpf": {},
+    "hier-mpf": {},
+    "random-pair": {},
+    "static-subset": {"subset": ["tech-00", "tech-01"]},
+}
 
 
 def write_benchmark(tmp_path, **overrides):
@@ -131,6 +147,118 @@ class TestRunCommand:
         assert out["error"] == "ConfigError"
         assert out["field"] == field
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("recall_k", ["a"], "recall_k[0]"),
+        ("recall_k", [True], "recall_k[0]"),
+        ("recall_k", [1.7], "recall_k[0]"),
+        ("recall_k", ["1"], "recall_k[0]"),
+        ("recall_k", 5, "recall_k"),
+        ("recall_k", [], "recall_k"),
+        ("recall_k", [0], "recall_k"),
+        ("recall_k", [41], "recall_k"),  # deeper than the 40-entry database
+        ("histogram_bins", "x", "histogram_bins"),
+        ("histogram_bins", 2.0, "histogram_bins"),
+        ("histogram_bins", False, "histogram_bins"),
+        ("histogram_bins", 2**62, "histogram_bins"),
+        ("out_dir", 3, "out_dir"),
+        ("out_dir", "", "out_dir"),
+        ("ground_truth", None, "ground_truth"),
+        ("ground_truth", ".", "ground_truth"),
+        ("techniques", [5], "techniques[0]"),
+        ("techniques", [{"name": 1, "similarity": "tech-00.f32"}],
+         "techniques[0].name"),
+        ("techniques", [{"name": "t", "similarity": ["tech-00.f32"]}],
+         "techniques[0].similarity"),
+        ("techniques", [{"name": "t", "similarity": "."}],
+         "techniques[0].similarity"),
+        ("techniques", [{"name": "t", "query": "q", "database": "d",
+                         "metric": "l1"}], "techniques[0].metric"),
+        ("strategies", ["dyn-mpf", ["full-mpf"]], "strategies[1]"),
+        ("strategies", {"dyn-mpf": 5}, "strategies.dyn-mpf"),
+        ("strategies", {"static-subset": {"subset": "tech-00"}},
+         "strategies.static-subset.subset"),
+        ("strategies", {"hier-mpf": {"tiers": [["tech-00"], "tech-01"]}},
+         "strategies.hier-mpf.tiers[1]"),
+        ("strategies", {"hier-mpf": {"shortlist_fractions": ["0.5"]}},
+         "strategies.hier-mpf.shortlist_fractions[0]"),
+    ])
+    def test_mistyped_manifest_value_is_config_error(self, tmp_path, capsys,
+                                                     key, value, field):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest[key] = value
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["error"] == "ConfigError"
+        assert out["field"] == field
+
+    @pytest.mark.parametrize("content", [
+        '{"a": 1}', '[[0], 5]', '[[0], [null]]', '[[0], [99]]', '[[0]]',
+    ])
+    def test_malformed_ground_truth_is_config_error(self, tmp_path, capsys,
+                                                    content):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        (data_dir / "ground_truth.json").write_text(content)
+        for command in ("run", "sweep"):
+            code = main([command, "--config", str(data_dir / "manifest.json")])
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert code == 2
+            assert len(lines) == 1
+            assert json.loads(lines[0])["field"] == "ground_truth"
+
+    @pytest.mark.parametrize("strategy", ["random-pair", "hier-mpf"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, strategy):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["config"]["rng_seed"] = -1
+        manifest["strategies"] = {strategy: {}}
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        for argv in (["--config", str(path)],
+                     ["--config", str(data_dir / "manifest.json"),
+                      "--strategy", strategy, "--seed", "-1"]):
+            code = main(["run", *argv])
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert code == 2
+            assert len(lines) == 1
+            assert json.loads(lines[0])["field"] == "rng_seed"
+
+    def test_every_strategy_runs_without_threads(self, tmp_path, capsys,
+                                                 monkeypatch):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["strategies"] = ALL_STRATEGIES
+        manifest["config"]["frame_separation_f"] = 3
+        path = data_dir / "all.json"
+        path.write_text(json.dumps(manifest))
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code = main(["run", "--config", str(path), "--workers", "8"])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert json.loads(lines[-1])["status"] == "ok"
+        summary = json.loads(
+            (data_dir / "results" / "run_summary.json").read_text()
+        )
+        assert summary["workers"] == 8
+        assert sorted(summary["strategies"]) == sorted(ALL_STRATEGIES)
+        code = main(["sweep", "--config", str(path), "--f-values", "1,4",
+                     "--workers", "8"])
+        capsys.readouterr()
+        assert code == 0
+
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)
         capsys.readouterr()
@@ -219,6 +347,75 @@ class TestRunCommand:
             (data_dir / "results" / "result_static-subset.json").read_text()
         )
         assert payload["params"]["subset"] == ["tech-00", "tech-02"]
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 1000)
+    | st.sampled_from([2**31, 2**63, -(2**63), 10**30]) | st.floats()
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Where a value may be swapped in; a missing last key is added.
+MANIFEST_PATHS = [
+    ("techniques",), ("techniques", 0), ("techniques", 1, "name"),
+    ("techniques", 2, "similarity"), ("ground_truth",), ("config",),
+    ("config", "r_window"), ("config", "frame_separation_f"),
+    ("config", "max_subset_size"), ("config", "epsilon"),
+    ("config", "rng_seed"), ("config", "tie_break"), ("strategies",),
+    ("strategies", "dyn-mpf"), ("strategies", "dyn-mpf", "uniform_weights"),
+    ("strategies", "hier-mpf", "tiers"),
+    ("strategies", "hier-mpf", "shortlist_fractions"),
+    ("strategies", "static-subset", "subset"), ("recall_k",),
+    ("recall_k", 0), ("histogram_bins",), ("out_dir",),
+]
+
+
+def swap_value(doc, path, value):
+    """Set ``value`` at ``path`` when every container on the way exists."""
+    node = doc
+    for key in path[:-1]:
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+            node = node[key]
+        else:
+            return
+    last = path[-1]
+    if isinstance(node, dict) or (
+        isinstance(node, list) and isinstance(last, int) and last < len(node)
+    ):
+        node[last] = value
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(MANIFEST_PATHS), JSON_VALUES),
+                min_size=1, max_size=2))
+def test_fuzzed_manifest_ends_in_one_json_line(tmp_path, mutations):
+    """Any mutated manifest ends with exit 0, 2 or 3 and one JSON object on
+    stdout; an uncaught exception fails the test."""
+    data_dir = tmp_path / "data"
+    if not data_dir.exists():
+        write_benchmark(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest["strategies"] = copy.deepcopy(ALL_STRATEGIES)
+    for path, value in mutations:
+        swap_value(manifest, path, value)
+    path = data_dir / "fuzz.json"
+    path.write_text(json.dumps(manifest))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--workers", "1"])
+    lines = stdout.getvalue().splitlines()
+    assert code in (0, 2, 3), lines
+    assert len(lines) == 1, lines
+    assert isinstance(json.loads(lines[0]), dict)
 
 
 class TestSweepCommand:

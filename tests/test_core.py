@@ -145,6 +145,17 @@ class TestFusionConfig:
         with pytest.raises(ConfigError):
             FusionConfig(tie_break="coin-flip").validate(4, 50)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-12, float("nan"), float("inf")])
+    def test_epsilon_positive_and_finite(self, epsilon):
+        with pytest.raises(ConfigError):
+            FusionConfig(epsilon=epsilon).validate(4, 50)
+
+    def test_negative_rng_seed_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            FusionConfig(rng_seed=-1).validate(4, 50, require_subsets=False)
+        assert info.value.field == "rng_seed"
+        FusionConfig(rng_seed=2**64).validate(4, 50)
+
     def test_round_trips_through_dict(self):
         cfg = FusionConfig(r_window=3, rng_seed=99)
         assert FusionConfig.from_dict(cfg.to_dict()) == cfg

@@ -17,7 +17,7 @@ from dynfuse.engine import (
 from dynfuse.errors import ConfigError, TooFewTechniquesError
 from dynfuse.evaluate import recall_at_k
 from conftest import random_tensor_data
-from reference_impl import naive_recall_at_1
+from reference_impl import naive_hier_rank_scores, naive_recall_at_1
 
 
 def make_tensor(data):
@@ -235,6 +235,28 @@ class TestHierMpf:
             order = np.argsort(-res.fused[q], kind="stable")
             assert sorted(order.tolist()) == list(range(12))
             assert int(order[0]) == res.records[q].match_index
+
+
+    @pytest.mark.parametrize("levels, fractions, tiers", [
+        (3, (0.1, 0.1), None),
+        (2, (0.5, 0.3), None),
+        (4, (0.01, 1.0), None),
+        (3, (0.25,), [[0, 2], [1, 3]]),
+        (5, (), [[0, 1, 2, 3]]),
+    ])
+    def test_ranking_matches_loop_reference(self, rng, levels, fractions, tiers):
+        # few distinct values: many tied scores at every shortlist cut
+        data = rng.integers(0, levels, size=(4, 9, 37)) / (levels - 1)
+        data[1, 2] = 0.5  # one constant vector
+        tensor = make_tensor(data)
+        res = run_hier_mpf(tensor, FusionConfig(r_window=1, rng_seed=3),
+                           tiers=tiers, shortlist_fractions=fractions)
+        used = tiers or default_tiers(4, 3)
+        for q in range(9):
+            expected = naive_hier_rank_scores(
+                [data[m, q].tolist() for m in range(4)], used, fractions
+            )
+            assert res.fused[q].tolist() == expected
 
 
 class TestStaticSubset:

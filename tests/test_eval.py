@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynfuse.core import FusionConfig, GroundTruth, SelectionRecord
 from dynfuse.engine import StrategyResult, run_dyn_mpf, run_full_mpf
 from dynfuse.errors import ConfigError, MissingRankingError
 from dynfuse.evaluate import (
+    _top_k,
     aliasing_histogram,
     frame_separation_sweep,
     recall_at_k,
@@ -16,6 +19,7 @@ from dynfuse.evaluate import (
     write_recall_outputs,
 )
 from conftest import random_tensor_data
+from reference_impl import argsort_top_k
 from test_engine import make_tensor
 
 
@@ -142,6 +146,63 @@ class TestRecallAtK:
             r1 = recall_at_k(base, base.fused, gt, [1, 5]).recall_at
             r2 = recall_at_k(moved, moved.fused, gt_perm, [1, 5]).recall_at
             assert r1 == r2
+
+
+# Few distinct values, so ties straddle the K-th place; -0.0 equals 0.0.
+QUANTIZED = [-1.0, -0.0, 0.0, 0.25, 0.5, 1.0]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def score_rows(draw, non_finite=False):
+    rows = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 24))
+    values = st.sampled_from(QUANTIZED + (NON_FINITE if non_finite else []))
+    flat = draw(st.lists(values, min_size=rows * d, max_size=rows * d))
+    k = draw(st.integers(1, d))
+    return np.array(flat, dtype=np.float64).reshape(rows, d), k
+
+
+class TestTopK:
+    """The partition-based top-K equals the stable argsort prefix exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(score_rows())
+    def test_matches_stable_argsort_on_ties(self, case):
+        scores, k = case
+        np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(score_rows(non_finite=True))
+    def test_matches_stable_argsort_with_non_finite(self, case):
+        scores, k = case
+        np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
+
+    @pytest.mark.parametrize("k", [1, 7, 39, 40])
+    def test_continuous_scores_k_one_through_d(self, rng, k):
+        scores = rng.random((30, 40))
+        np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
+
+    def test_nan_rows(self):
+        scores = np.array([
+            [np.nan, np.nan, np.nan, np.nan],
+            [0.5, np.nan, 0.5, 1.0],
+            [0.5, 0.25, 0.5, 1.0],
+        ])
+        for k in (1, 2, 3, 4):
+            np.testing.assert_array_equal(
+                _top_k(scores, k), argsort_top_k(scores, k)
+            )
+        assert _top_k(scores, 2).tolist() == [[0, 1], [3, 0], [3, 0]]
+
+    def test_recall_ranks_nan_rows_like_argsort(self):
+        fused = np.array([[np.nan, 0.2, 0.2, 0.1], [0.3, 0.3, 0.3, 0.9]])
+        result = make_result([1, 3], fused)
+        gt = GroundTruth.from_lists([[0], [1]], 4)
+        report = recall_at_k(result, fused, gt, [1, 2, 3])
+        # row 0 ranks [1, 2, 3, nan]; row 1 ranks [3, 0, 1, 2]
+        assert report.correct_at == {1: [False, False], 2: [False, False],
+                                     3: [False, True]}
 
 
 class TestAliasingHistogram:
