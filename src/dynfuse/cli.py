@@ -138,20 +138,36 @@ def _check_list(value, item_types, expected: str, field: str) -> list:
     return value
 
 
+# The parameters each strategy reads; any other key is an error, so a
+# misspelled key cannot fall back to a default unnoticed.
+STRATEGY_PARAMS = {
+    engine.STRATEGY_DYN_MPF: ("uniform_weights",),
+    engine.STRATEGY_HIER_MPF: ("tiers", "shortlist_fractions"),
+    engine.STRATEGY_STATIC_SUBSET: ("subset",),
+}
+
+
 def _check_strategy_params(name: str, params) -> None:
-    """Type-check the strategy parameters that _run_strategy reads."""
+    """Reject unknown keys and type-check the parameters _run_strategy reads."""
     field = f"strategies.{name}"
     check_json_type(params, (dict, type(None)), "an object or null", field)
     params = params or {}
-    if name == engine.STRATEGY_HIER_MPF:
-        if params.get("tiers") is not None:
-            tiers = _check_list(params["tiers"], list, "lists", f"{field}.tiers")
-            for i, tier in enumerate(tiers):
-                _check_list(tier, str, "technique names", f"{field}.tiers[{i}]")
-        if params.get("shortlist_fractions") is not None:
-            _check_list(params["shortlist_fractions"], (int, float), "numbers",
-                        f"{field}.shortlist_fractions")
-    if name == engine.STRATEGY_STATIC_SUBSET and params.get("subset") is not None:
+    for key in params:
+        if key not in STRATEGY_PARAMS.get(name, ()):
+            raise ConfigError(f"unknown parameter; {name} takes "
+                              f"{list(STRATEGY_PARAMS.get(name, ()))}",
+                              field=f"{field}.{key}")
+    if params.get("uniform_weights") is not None:
+        check_json_type(params["uniform_weights"], bool, "true or false",
+                        f"{field}.uniform_weights")
+    if params.get("tiers") is not None:
+        tiers = _check_list(params["tiers"], list, "lists", f"{field}.tiers")
+        for i, tier in enumerate(tiers):
+            _check_list(tier, str, "technique names", f"{field}.tiers[{i}]")
+    if params.get("shortlist_fractions") is not None:
+        _check_list(params["shortlist_fractions"], (int, float), "numbers",
+                    f"{field}.shortlist_fractions")
+    if params.get("subset") is not None:
         _check_list(params["subset"], str, "technique names", f"{field}.subset")
 
 
@@ -229,36 +245,26 @@ def _check_inputs_exist(manifest: RunManifest) -> None:
         )
 
 
+def _load(path, role: str):
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return ingest.load_csv_matrix(path)
+    return ingest.load_matrix(path, expected_meta={"role": role})[0]
+
+
 def _build_tensor(manifest: RunManifest):
     matrices = []
-    names = []
     for entry in manifest.techniques:
-        name = entry["name"]
         if "similarity" in entry:
-            path = Path(entry["similarity"])
-            if path.suffix.lower() == ".csv":
-                matrices.append(ingest.load_csv_matrix(path))
-            else:
-                arr, _ = ingest.load_matrix(path, expected_meta={"role": "similarity"})
-                matrices.append(arr)
+            matrices.append(_load(entry["similarity"], "similarity"))
         else:
-            def load(path, role):
-                path = Path(path)
-                if path.suffix.lower() == ".csv":
-                    return ingest.load_csv_matrix(path)
-                arr, _ = ingest.load_matrix(path, expected_meta={"role": role})
-                return arr
-
-            qarr = load(entry["query"], "query")
-            darr = load(entry["database"], "database")
-            metric = entry.get("metric", "cosine")
             matrices.append(ingest.compute_similarity(
-                ingest.DescriptorMatrix(qarr, role="query"),
-                ingest.DescriptorMatrix(darr, role="database"),
-                metric=metric,
+                ingest.DescriptorMatrix(_load(entry["query"], "query"), role="query"),
+                ingest.DescriptorMatrix(_load(entry["database"], "database"),
+                                        role="database"),
+                metric=entry.get("metric", "cosine"),
             ))
-        names.append(name)
-    return ingest.assemble_tensor(matrices, names)
+    return ingest.assemble_tensor(matrices, [e["name"] for e in manifest.techniques])
 
 
 def _load_ground_truth(path: str, tensor) -> GroundTruth:
@@ -281,7 +287,7 @@ def _run_strategy(name, params, tensor, config, gt, workers):
     if name == engine.STRATEGY_DYN_MPF:
         return engine.run_dyn_mpf(
             tensor, config, workers=workers,
-            uniform_weights=bool(params.get("uniform_weights", False)),
+            uniform_weights=params.get("uniform_weights") or False,
         )
     if name == engine.STRATEGY_FULL_MPF:
         return engine.run_full_mpf(tensor, config, workers=workers)

@@ -77,6 +77,17 @@ def is_constant(v: np.ndarray) -> bool:
     return bool(v.max() == v.min())
 
 
+def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-max normalize every vector along the last axis of ``data`` (see
+    minmax_normalize). Returns the result and a mask of the constant vectors,
+    which become all zeros. Every strategy normalizes with this function."""
+    lo = data.min(axis=-1, keepdims=True)
+    span = data.max(axis=-1, keepdims=True) - lo
+    out = data - lo  # a constant vector is already all zeros here
+    np.divide(out, span, out=out, where=span != 0.0)
+    return out, span[..., 0] == 0.0
+
+
 def minmax_normalize(v) -> np.ndarray:
     """Rescale ``v`` so its minimum is exactly 0 and its maximum exactly 1.
 
@@ -84,12 +95,20 @@ def minmax_normalize(v) -> np.ndarray:
     all-zeros vector and the caller should treat the technique as degenerate
     for this query (see :func:`is_constant`).
     """
-    arr = as_similarity_vector(v)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+    return minmax_rows(as_similarity_vector(v))[0]
+
+
+def zscore_rows(data: np.ndarray):
+    """Standardize every row of a finite 2-D array (see zscore_normalize);
+    returns (standardized rows, row means, row sample stds)."""
+    mean = data.mean(axis=1)
+    std = data.std(axis=1, ddof=1)
+    # std underflows to 0 for constant input and for spreads below ~1e-162;
+    # both carry no usable contrast, so the row passes through unchanged
+    flat = std == 0.0
+    out = (data - mean[:, None]) / np.where(flat, 1.0, std)[:, None]
+    out[flat] = data[flat]
+    return out, mean, std
 
 
 def zscore_normalize(v) -> np.ndarray:
@@ -101,13 +120,7 @@ def zscore_normalize(v) -> np.ndarray:
     take it before standardizing. A constant input is returned unchanged
     (its argmax is already degenerate).
     """
-    arr = as_similarity_vector(v)
-    std = arr.std(ddof=1)
-    # std underflows to 0 for constant input and for spreads below ~1e-162;
-    # both carry no usable contrast, so the vector passes through unchanged
-    if std == 0.0:
-        return arr.copy()
-    return (arr - arr.mean()) / std
+    return zscore_rows(as_similarity_vector(v)[None])[0][0]
 
 
 def argmax_lowest_index(v) -> int:
@@ -276,6 +289,12 @@ class GroundTruth:
 
     @classmethod
     def from_lists(cls, lists, database_size: int) -> "GroundTruth":
+        """One list of database indices per query; a non-integer entry (a
+        float or a bool too) is a ValueError."""
+        for q, entry in enumerate(lists):
+            for i in entry:
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"ground truth entry {i!r} for query {q} is not an integer")
         return cls(
             acceptable=tuple(frozenset(int(i) for i in entry) for entry in lists),
             database_size=database_size,

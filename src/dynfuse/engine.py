@@ -5,6 +5,12 @@ per query plus a Q x D score array whose per-row ordering is the strategy's
 database ranking for that query (used downstream for Recall@K). A failure
 on one query flags that record invalid instead of aborting the run.
 
+Every runner min-max normalizes with ``core.minmax_rows``. Dynamic fusion
+batches each calibration block: the cached subset's vectors of all its
+queries are normalized as one (members, queries, D) slab, and ratios,
+weights, sums and matches are computed for them at once; only the records
+are built per query. The results equal a query-by-query run bit for bit.
+
 Parallelism contract: every runner is single-threaded and walks its
 queries (for dynamic fusion, its [calibration, next calibration) blocks) in
 query order. The ``workers`` parameter is accepted for compatibility and
@@ -28,17 +34,21 @@ from .core import (
     SelectionRecord,
     SimilarityTensor,
     argmax_lowest_index,
-    minmax_normalize,
+    minmax_rows,
 )
 from .errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
 from .fusion import (
-    fuse_subset,
     normalize_query_slices,
+    ratio_rows,
     ratio_score,
     select_best_subset,
-    technique_weights,
-    weighted_fuse_and_match,
+    weighted_match_rows,
+    window_error,
 )
+# Not called here any more, but perfbench/tracing.py hooks these names in
+# this module; with them present, its per-layer metrics read 0, not absent.
+from .core import minmax_normalize  # noqa: F401
+from .fusion import fuse_subset, technique_weights, weighted_fuse_and_match  # noqa: F401
 
 STRATEGY_DYN_MPF = "dyn-mpf"
 STRATEGY_FULL_MPF = "full-mpf"
@@ -82,29 +92,16 @@ def write_result_json(result: StrategyResult, names: list[str], path) -> None:
     Path(path).write_text(payload + "\n")
 
 
-def _degenerate_mask(tensor: SimilarityTensor) -> np.ndarray:
-    """Boolean (N, Q): True where a technique's vector is constant."""
-    return tensor.data.max(axis=2) == tensor.data.min(axis=2)
-
-
-def _normalized_tensor(tensor: SimilarityTensor) -> np.ndarray:
-    """Min-max normalize every (technique, query) slice; constants go to 0."""
-    data = tensor.data
-    lo = data.min(axis=2, keepdims=True)
-    hi = data.max(axis=2, keepdims=True)
-    span = hi - lo
-    degenerate = span == 0.0
-    span = np.where(degenerate, 1.0, span)
-    out = (data - lo) / span
-    out[degenerate[:, :, 0]] = 0.0
-    return out
-
-
 def _try_ratio(fused: np.ndarray, config: FusionConfig) -> float | None:
     try:
         return ratio_score(fused, config.r_window, config.epsilon)
     except WindowCoversAllError:
         return None
+
+
+# Bytes of the largest (members, queries, D) float64 slab dyn-mpf batches;
+# longer blocks go in query chunks, so memory does not grow with F.
+_BLOCK_BYTES = 1 << 20
 
 
 def run_dyn_mpf(
@@ -122,6 +119,9 @@ def run_dyn_mpf(
     on every query; ``uniform_weights`` forces all weights to 1, which
     reduces the pipeline to plain summation over the selected subset.
 
+    Each block is fused as one batch (_fuse_block), in query chunks of at
+    most _BLOCK_BYTES of member vectors.
+
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
     rather than aborting the run.
@@ -129,81 +129,29 @@ def run_dyn_mpf(
     n, queries, d = tensor.data.shape
     config.validate(n, d)
     f = config.frame_separation_f
-    all_touched = tuple(range(n))
     records: list[SelectionRecord] = []
     rows = np.full((queries, d), np.nan)
     for start in range(0, queries, f):
         stop = min(start + f, queries)
-        subset: tuple[int, ...] | None = None
-        calib_score: float | None = None
-        block_error: str | None = None
-
         normalized, degenerate = normalize_query_slices(tensor.query_slices(start))
         try:
             best = select_best_subset(normalized, config, degenerate)
-            subset = best.subset
-            calib_score = best.score
         except (WindowCoversAllError, TooFewTechniquesError) as exc:
-            block_error = f"{type(exc).__name__}: {exc}"
-
-        for q in range(start, stop):
-            calibrating = q == start
-            touched = all_touched if calibrating else (subset or ())
-            if subset is None:
-                records.append(SelectionRecord(
+            error = f"{type(exc).__name__}: {exc}"
+            records.extend(
+                SelectionRecord(
                     query=q, subset=(), weights={}, ratio_score=None,
-                    match_index=-1, valid=False,
-                    techniques_touched=touched, error=block_error,
-                ))
-                continue
-            if calibrating:
-                member_norm = normalized
-            else:
-                member_norm = np.zeros((n, d))
-                usable = 0
-                for m in subset:
-                    raw = tensor.data[m, q]
-                    if raw.max() == raw.min():
-                        continue  # degenerate here: stays zero, weight falls to 0
-                    member_norm[m] = minmax_normalize(raw)
-                    usable += 1
-                if usable < config.min_subset_size:
-                    # the rule a calibration query applies to all techniques
-                    records.append(SelectionRecord(
-                        query=q, subset=subset, weights={}, ratio_score=None,
-                        match_index=-1, valid=False, techniques_touched=touched,
-                        error=f"TooFewTechniquesError: {usable} non-degenerate "
-                              f"techniques remain in the cached subset, need at "
-                              f"least {config.min_subset_size}",
-                    ))
-                    continue
-            try:
-                if calibrating:
-                    subset_ratio = calib_score
-                else:
-                    subset_ratio = ratio_score(
-                        fuse_subset(member_norm, subset), config.r_window, config.epsilon
-                    )
-                if uniform_weights:
-                    weights = {int(m): 1.0 for m in subset}
-                else:
-                    weights = technique_weights(member_norm, subset, config)
-            except WindowCoversAllError as exc:
-                records.append(SelectionRecord(
-                    query=q, subset=subset, weights={}, ratio_score=None,
-                    match_index=-1, valid=False, techniques_touched=touched,
-                    error=f"WindowCoversAllError: {exc}",
-                ))
-                continue
-            fused, match, mean, std = weighted_fuse_and_match(
-                member_norm, subset, weights
+                    match_index=-1, valid=False, error=error,
+                    techniques_touched=tuple(range(n)) if q == start else (),
+                )
+                for q in range(start, stop)
             )
-            rows[q] = fused
-            records.append(SelectionRecord(
-                query=q, subset=subset, weights=weights,
-                ratio_score=subset_ratio, match_index=match,
-                fused_mean=mean, fused_std=std,
-                techniques_touched=touched,
+            continue
+        chunk = max(1, _BLOCK_BYTES // (8 * len(best.subset) * d))
+        for at in range(start, stop, chunk):
+            records.extend(_fuse_block(
+                tensor, config, best, start, range(at, min(at + chunk, stop)),
+                rows, uniform_weights,
             ))
     return StrategyResult(
         strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
@@ -211,10 +159,72 @@ def run_dyn_mpf(
     )
 
 
-def _simple_sum_runner(tensor, config, subsets_per_query, strategy, params):
-    """Shared runner for baselines that sum a fixed or per-query subset."""
-    n, queries, d = tensor.data.shape
-    normalized = _normalized_tensor(tensor)
+def _fuse_block(tensor, config, best, calibration, qs, rows, uniform_weights):
+    """Records for the queries ``qs`` of the block that ``calibration``
+    started with subset ``best``, computed as one batch; writes their
+    standardized sums to ``rows``.
+
+    Per query the checks run in the order a single query would meet them:
+    too few non-constant members, the fused ratio's window, then each
+    member's window in subset order. The calibration query skips the first
+    two; its fused ratio is the search's score.
+    """
+    subset = best.subset
+    r, eps, low = config.r_window, config.epsilon, config.min_subset_size
+    members, constant = minmax_rows(tensor.data[list(subset), qs.start:qs.stop])
+    d = members.shape[2]
+    fused = members[0] + members[1]
+    for row in members[2:]:
+        fused += row  # left to right, as fuse_subset adds
+    ratios, fused_best, fused_covered = ratio_rows(fused, r, eps)
+    weights, member_best, member_covered = (
+        a.reshape(constant.shape) for a in ratio_rows(members.reshape(-1, d), r, eps)
+    )
+    if uniform_weights:
+        weights, member_covered = np.ones(constant.shape), np.zeros(constant.shape, bool)
+    usable = len(subset) - constant.sum(axis=0)
+    in_between = np.arange(qs.start, qs.stop) != calibration
+    too_few = in_between & (usable < low)
+    fused_bad = in_between & fused_covered & ~too_few
+    valid = ~(too_few | fused_bad | member_covered.any(axis=0))
+    # an invalid query's weights may be meaningless; zero keeps its unused
+    # sum finite
+    z, match, mean, std = weighted_match_rows(members, np.where(valid, weights, 0.0))
+    rows[qs.start:qs.stop][valid] = z[valid]
+
+    def error(i: int) -> str:
+        if too_few[i]:
+            return (f"TooFewTechniquesError: {usable[i]} non-degenerate techniques "
+                    f"remain in the cached subset, need at least {low}")
+        at = fused_best[i] if fused_bad[i] else \
+            member_best[member_covered[:, i].argmax(), i]  # first in subset order
+        return f"WindowCoversAllError: {window_error(r, int(at), d)}"
+
+    records = []
+    columns = zip(qs, valid.tolist(), ratios.tolist(), weights.T.tolist(),
+                  match.tolist(), mean.tolist(), std.tolist())
+    for i, (q, ok, ratio, w, m, mu, sigma) in enumerate(columns):
+        touched = tuple(range(len(tensor.data))) if q == calibration else subset
+        if not ok:
+            records.append(SelectionRecord(
+                query=q, subset=subset, weights={}, ratio_score=None,
+                match_index=-1, valid=False, techniques_touched=touched,
+                error=error(i),
+            ))
+            continue
+        records.append(SelectionRecord(
+            query=q, subset=subset, weights=dict(zip(subset, w)),
+            ratio_score=best.score if q == calibration else ratio,
+            match_index=m, fused_mean=mu, fused_std=sigma,
+            techniques_touched=touched,
+        ))
+    return records
+
+
+def _simple_sum_runner(normalized, config, subsets_per_query, strategy, params):
+    """Shared runner for baselines that sum a fixed or per-query subset of
+    the normalized (N, Q, D) tensor."""
+    n, queries, d = normalized.shape
     records: list[SelectionRecord] = []
     rows = np.full((queries, d), np.nan)
     for q in range(queries):
@@ -250,7 +260,7 @@ def run_full_mpf(
     config.validate(n, d, require_subsets=False)
     full = tuple(range(n))
     return _simple_sum_runner(
-        tensor, config, lambda q: full, STRATEGY_FULL_MPF, {}
+        minmax_rows(tensor.data)[0], config, lambda q: full, STRATEGY_FULL_MPF, {}
     )
 
 
@@ -269,7 +279,7 @@ def run_static_subset(
         raise ConfigError(f"subset indices must lie in [0, {n})", field="subset")
     names = [tensor.names[i] for i in subset]
     return _simple_sum_runner(
-        tensor, config, lambda q: subset, STRATEGY_STATIC_SUBSET,
+        minmax_rows(tensor.data)[0], config, lambda q: subset, STRATEGY_STATIC_SUBSET,
         {"subset": names},
     )
 
@@ -286,7 +296,7 @@ def run_random_pair(
     config.validate(n, d, require_subsets=False)
     if n < 2:
         raise TooFewTechniquesError(f"random pair needs >= 2 techniques, have {n}")
-    degenerate = _degenerate_mask(tensor)
+    normalized, degenerate = minmax_rows(tensor.data)
     rng = np.random.default_rng(config.rng_seed)
     pairs: list[tuple[int, int] | None] = []
     for q in range(queries):
@@ -298,7 +308,7 @@ def run_random_pair(
         pair = (int(avail[picked[0]]), int(avail[picked[1]]))
         pairs.append(tuple(sorted(pair)))
     return _simple_sum_runner(
-        tensor, config, lambda q: pairs[q], STRATEGY_RANDOM_PAIR,
+        normalized, config, lambda q: pairs[q], STRATEGY_RANDOM_PAIR,
         {"rng_seed": config.rng_seed},
     )
 
@@ -355,12 +365,6 @@ def run_hier_mpf(
     if any(not (0.0 < f <= 1.0) for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]", field="shortlist_fractions")
 
-    def normalize_restricted(raw: np.ndarray) -> np.ndarray:
-        lo, hi = raw.min(), raw.max()
-        if hi == lo:
-            return np.zeros_like(raw)
-        return (raw - lo) / (hi - lo)
-
     records: list[SelectionRecord] = []
     rows = np.full((queries, d), np.nan)
     rank_values = np.arange(d, 0, -1, dtype=np.float64)
@@ -374,8 +378,8 @@ def run_hier_mpf(
         dropped: list[np.ndarray] = []
         for t, tier in enumerate(tiers):
             fused_t = np.zeros(survivors.size)
-            for m in tier:
-                fused_t += normalize_restricted(tensor.data[m, q, survivors])
+            for row in minmax_rows(tensor.data[tier, q][:, survivors])[0]:
+                fused_t += row
             scores = scores + fused_t
             if t == 0:
                 tier1_fused = scores.copy()
@@ -450,7 +454,7 @@ def oracle_best_static_subset(
     evaluable = [q for q in range(tensor.queries) if gt.evaluable(q)]
     if not evaluable:
         raise ValueError("ground truth has no evaluable queries")
-    normalized = _normalized_tensor(tensor)
+    normalized = minmax_rows(tensor.data)[0]
     best_subset = None
     best_recall = -1.0
     for subset in combinations(range(n), size):

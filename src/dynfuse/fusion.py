@@ -21,10 +21,8 @@ import numpy as np
 from .core import (
     TIE_BREAK_SMALLEST_SUBSET,
     FusionConfig,
-    argmax_lowest_index,
-    is_constant,
-    minmax_normalize,
-    zscore_normalize,
+    minmax_rows,
+    zscore_rows,
 )
 from .errors import TooFewTechniquesError, WindowCoversAllError
 
@@ -35,6 +33,27 @@ class SubsetScore:
 
     subset: tuple[int, ...]
     score: float
+
+
+def window_error(r_window: int, best: int, size: int) -> WindowCoversAllError:
+    """The error for a vector whose window around ``best`` covers all of it."""
+    return WindowCoversAllError(
+        f"exclusion window +/-{r_window} around index {best} covers all "
+        f"{size} entries"
+    )
+
+
+def ratio_rows(block: np.ndarray, r_window: int, epsilon: float):
+    """ratio_score of every row of a (rows, D) block: returns
+    (ratios, argmax per row, mask of rows whose window covers all D entries).
+    A covered row's ratio is meaningless; callers report window_error."""
+    d = block.shape[1]
+    best = block.argmax(axis=1)
+    lo = np.maximum(best - r_window, 0)
+    hi = np.minimum(best + r_window + 1, d)
+    peak = block[np.arange(best.size), best]
+    ratios = peak / np.maximum(_max_outside(block, lo, hi), epsilon)
+    return ratios, best, (lo == 0) & (hi == d)
 
 
 def ratio_score(v, r_window: int, epsilon: float = 1e-12) -> float:
@@ -51,20 +70,10 @@ def ratio_score(v, r_window: int, epsilon: float = 1e-12) -> float:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("ratio_score needs a 1-D vector of length >= 2")
-    best = argmax_lowest_index(arr)
-    lo = max(0, best - r_window)
-    hi = min(arr.size, best + r_window + 1)
-    if lo == 0 and hi == arr.size:
-        raise WindowCoversAllError(
-            f"exclusion window +/-{r_window} around index {best} covers all "
-            f"{arr.size} entries"
-        )
-    outside_max = -np.inf
-    if lo > 0:
-        outside_max = arr[:lo].max()
-    if hi < arr.size:
-        outside_max = max(outside_max, arr[hi:].max())
-    return float(arr[best]) / max(float(outside_max), epsilon)
+    ratios, best, covered = ratio_rows(arr[None], r_window, epsilon)
+    if covered[0]:
+        raise window_error(r_window, int(best[0]), arr.size)
+    return float(ratios[0])
 
 
 def _available_techniques(
@@ -119,15 +128,11 @@ def normalize_query_slices(raw_slices: np.ndarray):
     indices). Constant vectors become all-zeros and are flagged degenerate.
     """
     raw_slices = np.asarray(raw_slices, dtype=np.float64)
-    normalized = np.empty_like(raw_slices)
-    degenerate = set()
-    for i in range(raw_slices.shape[0]):
-        if is_constant(raw_slices[i]):
-            normalized[i] = 0.0
-            degenerate.add(i)
-        else:
-            normalized[i] = minmax_normalize(raw_slices[i])
-    return normalized, frozenset(degenerate)
+    if (raw_slices.ndim != 2 or raw_slices.shape[1] < 2
+            or not np.isfinite(raw_slices).all()):
+        raise ValueError("query slices must be a finite N x D array with D >= 2")
+    normalized, constant = minmax_rows(raw_slices)
+    return normalized, frozenset(np.flatnonzero(constant).tolist())
 
 
 # Scratch bytes for the fused rows of two adjacent subset sizes; the subset
@@ -320,13 +325,34 @@ def technique_weights(
 
     A sharply peaked member earns a large weight; an ambiguous one weighs
     near 1. An all-zero (degenerate) member naturally weighs 0 because its
-    best score is 0.
+    best score is 0. The first member, in subset order, whose window covers
+    the whole vector raises WindowCoversAllError.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
-    return {
-        int(m): ratio_score(normalized[m], config.r_window, config.epsilon)
-        for m in subset
-    }
+    if normalized.ndim != 2 or normalized.shape[1] < 2:
+        raise ValueError("technique_weights needs an N x D array with D >= 2")
+    members = [int(m) for m in subset]
+    ratios, best, covered = ratio_rows(
+        normalized[members], config.r_window, config.epsilon
+    )
+    if covered.any():
+        first = int(covered.argmax())
+        raise window_error(config.r_window, int(best[first]), normalized.shape[1])
+    return dict(zip(members, ratios.tolist()))
+
+
+def weighted_match_rows(members: np.ndarray, weights: np.ndarray):
+    """weighted_fuse_and_match for b queries at once: ``members`` is (k, b, D),
+    one normalized block per subset member in ascending order, ``weights``
+    (k, b). Each sum starts from zeros and adds the members left to right; a
+    non-finite sum is a ValueError. Returns per-query arrays."""
+    fused = np.zeros(members.shape[1:])
+    for row, weight in zip(members, weights):
+        fused += weight[:, None] * row
+    if not np.all(np.isfinite(fused)):
+        raise ValueError("similarity vector contains non-finite entries")
+    out, mean, std = zscore_rows(fused)
+    return out, fused.argmax(axis=1), mean, std
 
 
 def weighted_fuse_and_match(
@@ -343,10 +369,7 @@ def weighted_fuse_and_match(
     match falls to index 0 by the tie rule.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
-    fused = np.zeros(normalized.shape[1], dtype=np.float64)
-    for m in subset:
-        fused += weights[int(m)] * normalized[m]
-    mean = float(fused.mean())
-    std = float(fused.std(ddof=1))
-    match = argmax_lowest_index(fused)
-    return zscore_normalize(fused), match, mean, std
+    members = [int(m) for m in subset]
+    w = np.array([[weights[m]] for m in members], dtype=np.float64).reshape(-1, 1)
+    out, match, mean, std = weighted_match_rows(normalized[members][:, None], w)
+    return out[0], int(match[0]), float(mean[0]), float(std[0])

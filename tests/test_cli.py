@@ -181,6 +181,22 @@ class TestRunCommand:
          "strategies.hier-mpf.tiers[1]"),
         ("strategies", {"hier-mpf": {"shortlist_fractions": ["0.5"]}},
          "strategies.hier-mpf.shortlist_fractions[0]"),
+        # a misspelled key must not fall back to the default silently
+        ("strategies", {"hier-mpf": {"shortlist_fraction": [0.5, 0.5]}},
+         "strategies.hier-mpf.shortlist_fraction"),
+        ("strategies", {"dyn-mpf": {"uniform": True}}, "strategies.dyn-mpf.uniform"),
+        ("strategies", {"static-subset": {"subset": ["tech-00"], "tiers": []}},
+         "strategies.static-subset.tiers"),
+        ("strategies", {"full-mpf": {"subset": ["tech-00"]}},
+         "strategies.full-mpf.subset"),
+        ("strategies", {"random-pair": {"rng_seed": 3}},
+         "strategies.random-pair.rng_seed"),
+        ("strategies", {"best-single-oracle": {"technique": "tech-00"}},
+         "strategies.best-single-oracle.technique"),
+        ("strategies", {"dyn-mpf": {"uniform_weights": "no"}},
+         "strategies.dyn-mpf.uniform_weights"),
+        ("strategies", {"dyn-mpf": {"uniform_weights": 1}},
+         "strategies.dyn-mpf.uniform_weights"),
     ])
     def test_mistyped_manifest_value_is_config_error(self, tmp_path, capsys,
                                                      key, value, field):
@@ -198,8 +214,24 @@ class TestRunCommand:
         assert out["error"] == "ConfigError"
         assert out["field"] == field
 
+    @pytest.mark.parametrize("value, recorded", [(True, True), (False, False),
+                                                 (None, False)])
+    def test_uniform_weights_flag_is_recorded(self, tmp_path, capsys, value,
+                                              recorded):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["strategies"] = {"dyn-mpf": {"uniform_weights": value}}
+        path = data_dir / "uniform.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["run", "--config", str(path)]) == 0
+        capsys.readouterr()
+        result = json.loads((data_dir / "results" / "result_dyn-mpf.json").read_text())
+        assert result["params"] == {"uniform_weights": recorded}
+
     @pytest.mark.parametrize("content", [
         '{"a": 1}', '[[0], 5]', '[[0], [null]]', '[[0], [99]]', '[[0]]',
+        '[[0], [1.7]]', '[[0], [true]]', '[[0], ["1"]]',
     ])
     def test_malformed_ground_truth_is_config_error(self, tmp_path, capsys,
                                                     content):

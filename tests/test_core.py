@@ -192,6 +192,15 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             GroundTruth.from_lists([[0, 5]], database_size=5)
 
+    @pytest.mark.parametrize("entry", [1.7, 1.0, True, False, "1", None])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            GroundTruth.from_lists([[0], [entry]], database_size=5)
+
+    def test_numpy_integer_entries_accepted(self):
+        gt = GroundTruth.from_lists([[np.int64(1)], [2]], database_size=5)
+        assert gt.acceptable == (frozenset({1}), frozenset({2}))
+
     def test_tolerance_expansion_clips(self):
         gt = GroundTruth.from_indices([0, 4, 9], tolerance=2, database_size=10)
         assert gt.acceptable[0] == frozenset({0, 1, 2})

@@ -1,8 +1,21 @@
+import json
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from dynfuse.core import FusionConfig, GroundTruth, SimilarityTensor, TechniqueId
+from dynfuse import engine
+from dynfuse.core import (
+    TIE_BREAKS,
+    FusionConfig,
+    GroundTruth,
+    SimilarityTensor,
+    TechniqueId,
+)
 from dynfuse.engine import (
     default_tiers,
     oracle_best_single,
@@ -17,7 +30,11 @@ from dynfuse.engine import (
 from dynfuse.errors import ConfigError, TooFewTechniquesError
 from dynfuse.evaluate import recall_at_k
 from conftest import random_tensor_data
-from reference_impl import naive_hier_rank_scores, naive_recall_at_1
+from reference_impl import (
+    naive_hier_rank_scores,
+    naive_recall_at_1,
+    naive_run_dyn_mpf,
+)
 
 
 def make_tensor(data):
@@ -128,6 +145,126 @@ class TestDynMpf:
             r.weights for r in threaded.records
         ]
         assert np.array_equal(serial.fused, threaded.fused, equal_nan=True)
+
+
+@st.composite
+def dyn_cases(draw):
+    """Small tensors built to reach every branch of a calibration block:
+    quantized values (ties), constant member rows (too few usable members),
+    windows that cover D at the fused or member level, any F."""
+    n = draw(st.integers(2, 5))
+    queries = draw(st.integers(1, 14))
+    d = draw(st.integers(2, 24))
+    r = draw(st.integers(0, d - 1))
+    low = draw(st.integers(2, n))
+    high = draw(st.one_of(st.none(), st.integers(low, n)))
+    f = draw(st.sampled_from([1, 2, 7, queries, queries + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([3, 8, 1000]))
+    data = rng.integers(0, levels, size=(n, queries, d)) / levels
+    # constant rows, mostly at in-between queries so calibrations succeed
+    calibrating = np.arange(queries) % f == 0
+    constant = rng.random((n, queries)) < np.where(
+        calibrating, 0.1, draw(st.sampled_from([0.0, 0.3, 0.7])))
+    data[constant] = rng.random(int(constant.sum()))[:, None]
+    config = FusionConfig(
+        r_window=r, frame_separation_f=f, min_subset_size=low,
+        max_subset_size=high, tie_break=draw(st.sampled_from(TIE_BREAKS)),
+    )
+    return data, config, draw(st.booleans()), draw(st.sampled_from([None, 1, 200]))
+
+
+class TestBlockParity:
+    """The block-batched runner against the query-by-query reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyn_cases())
+    def test_matches_per_query_reference(self, case):
+        data, config, uniform, block_bytes = case
+        tensor = make_tensor(data)
+        # 1 and 200 bytes force chunks of one and a few queries
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+            got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
+        got_json = [r.to_json_dict(tensor.names) for r in got.records]
+        assert json.dumps(got_json, sort_keys=True) == json.dumps(records, sort_keys=True)
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_checks_run_in_single_query_order(self, uniform):
+        # D=4, r=2: a window covers all four entries unless its argmax is 0 or 3
+        data = np.array([
+            [[0, 0, 0, 1], [0, 1, 0, .9], [0, .9, 1, 0], [5, 5, 5, 5], [0, 0, 0, 1]],
+            [[0, 0, 0, 1], [0, 0, 1, .95], [0, 1, .5, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+            [[1, 2, 3, 4], [3, 3, 3, 3], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1]],
+        ])
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=2, frame_separation_f=5, max_subset_size=2)
+        got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+        assert got.records[0].subset == (0, 1)
+        window = "WindowCoversAllError: exclusion window +/-2 around index"
+        assert [r.error for r in got.records] == [
+            None,
+            # both members' windows cover all; the first member's is reported
+            None if uniform else f"{window} 1 covers all 4 entries",
+            # fused (argmax 1) before member t0 (argmax 2)
+            f"{window} 1 covers all 4 entries",
+            # too few usable members before the fused window
+            "TooFewTechniquesError: 1 non-degenerate techniques remain in the "
+            "cached subset, need at least 2",
+            None,
+        ]
+
+    def test_match_is_taken_before_standardizing(self):
+        # entries 2 and 3 of the fused sum differ by one ulp, and z-scoring
+        # rounds them to a tie; the raw sum's argmax is 3
+        v = [0.0, 0.00509991924692066, 1 - 2**-53, 1.0, 0.018927570949045156,
+             7.993507397041724e-08, 0.004139354815592868, 0.0062761026002645095]
+        data = np.tile(np.array(v), (2, 4, 1))
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=0, frame_separation_f=2)
+        got = run_dyn_mpf(tensor, config, uniform_weights=True)
+        z = got.fused[0]
+        assert z[2] == z[3]
+        assert [r.match_index for r in got.records] == [3, 3, 3, 3]
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names, True)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    def test_invalid_query_weights_stay_out_of_the_sum(self):
+        # with a subnormal epsilon, query 1's covered member would weigh
+        # 1/epsilon = inf; the query is invalid, so no sum may see it
+        data = np.array([
+            [[.5, 0, 0, 1], [0, 1, 0, 0], [.5, 0, 0, 1]],
+            [[.5, 0, 0, 1], [.5, 0, 0, 1], [.5, 0, 0, 1]],
+        ])
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=2, frame_separation_f=3, epsilon=1e-310)
+        with np.errstate(over="ignore"):
+            got = run_dyn_mpf(tensor, config)
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+        assert [r.valid for r in got.records] == [True, False, True]
+
+    def test_memory_does_not_grow_with_block_length(self, rng):
+        # one block of 256 queries: an unchunked (8, 256, 2048) member slab
+        # would take 32 MiB
+        data = rng.random((8, 256, 2048))
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=2, frame_separation_f=256, min_subset_size=8)
+        output = 256 * 2048 * 8  # the returned (Q, D) fused rows
+        tracemalloc.start()
+        try:
+            result = run_dyn_mpf(tensor, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.valid for r in result.records)
+        assert peak - output <= 4 << 20  # measured 2.4 MiB
 
 
 class TestFullMpf:
