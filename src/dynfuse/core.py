@@ -21,6 +21,12 @@ TIE_BREAK_LOWEST_INDEX = "lowest-index"
 TIE_BREAK_SMALLEST_SUBSET = "smallest-subset-then-lexicographic"
 TIE_BREAKS = (TIE_BREAK_LOWEST_INDEX, TIE_BREAK_SMALLEST_SUBSET)
 
+# Smallest positive epsilon a config file may set. A member weight can reach
+# 1/epsilon, so a fused entry can reach N/epsilon; with this floor the
+# squares of D such entries, summed when the fused vector is standardized,
+# stay far from float64 overflow.
+MIN_EPSILON = 1e-100
+
 # JSON value types accepted per FusionConfig field (see check_json_type).
 _CONFIG_FIELD_TYPES = {
     "r_window": (int, "an integer"),
@@ -201,8 +207,9 @@ class FusionConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FusionConfig":
-        """Build a config from parsed JSON, rejecting unknown keys and values
-        of the wrong type with ConfigError; ranges are checked by validate."""
+        """Build a config from parsed JSON, rejecting unknown keys, values
+        of the wrong type and a positive epsilon below MIN_EPSILON with
+        ConfigError; other ranges are checked by validate."""
         if not isinstance(d, dict):
             raise ConfigError("must be a JSON object", field="config")
         known = {f for f in cls.__dataclass_fields__}
@@ -211,6 +218,8 @@ class FusionConfig:
             raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
         for name, value in d.items():
             check_json_type(value, *_CONFIG_FIELD_TYPES[name], field=name)
+        if 0 < d.get("epsilon", MIN_EPSILON) < MIN_EPSILON:
+            raise ConfigError(f"must be at least {MIN_EPSILON:g}", field="epsilon")
         return cls(**d)
 
 

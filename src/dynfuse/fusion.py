@@ -6,14 +6,18 @@ best match. A high ratio means the vector has one dominant, unambiguous
 peak; a ratio near one means a rival location scores almost as well (the
 vector is perceptually aliased). Fused combinations of techniques are ranked
 by this ratio, and the combination that maximizes it is selected per query.
+
+The search scores every subset at once on a bitmask row layout: row ``mask``
+holds the sum of the techniques whose bits are set, and the rows holding
+technique j are the rows below 2**j plus technique j, so each row repeats
+:func:`fuse_subset`'s left-to-right sum bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from bisect import bisect_right
-from itertools import accumulate, combinations
-from math import comb
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -135,76 +139,49 @@ def normalize_query_slices(raw_slices: np.ndarray):
     return normalized, frozenset(np.flatnonzero(constant).tolist())
 
 
-# Scratch bytes for the fused rows of two adjacent subset sizes; the subset
-# search walks the database in column chunks narrow enough to stay within it.
+# Scratch bytes for the fused rows of one column chunk; the subset search
+# walks the database in column chunks sized by it (see _column_edges).
 _SCRATCH_BYTES = 1 << 19
 
 
-def _column_edges(d: int, rows: int) -> list[int]:
-    """Boundaries of near-equal column chunks, each small enough that
-    ``rows`` float64 rows of it fit in _SCRATCH_BYTES (one column minimum)."""
-    width = max(1, _SCRATCH_BYTES // (8 * rows))
+def _column_edges(d: int, m: int) -> list[int]:
+    """Boundaries of the subset search's near-equal column chunks over ``d``
+    columns, each narrow enough that the 2**m fused rows of ``m`` available
+    techniques fit in _SCRATCH_BYTES, but at least sqrt(d) columns wide: the
+    search also keeps 2**m maxima per chunk, which would otherwise outgrow
+    the scratch when many rows make the chunks narrow."""
+    width = max(_SCRATCH_BYTES // (8 << m), math.isqrt(d))
     chunks = -(-d // width)
     return [d * c // chunks for c in range(chunks + 1)]
 
 
-def _fused_levels(members: np.ndarray, top: int, scratch: np.ndarray):
-    """Yield (size, fused rows) for every subset of ``members``' rows, by size.
-
-    Sizes run 2..top and the rows of one size are in colex order, so the
-    subsets whose largest member is j are, without j, a prefix of the
-    previous size's rows. Each fused row is its parent row plus member j,
-    which repeats fuse_subset's left-to-right sum bit for bit. Even sizes
-    fill ``scratch`` from the front and odd sizes from the back, so a size
-    never overwrites the parents it is built from; ``scratch`` needs as
-    many rows as the largest two adjacent sizes together.
-    """
-    m = members.shape[0]
-    level = members
-    for size in range(2, top + 1):
-        count = comb(m, size)
-        start = 0 if size % 2 == 0 else scratch.shape[0] - count
-        fused = scratch[start:start + count]
-        at = 0
-        for j in range(size - 1, m):
-            parents = comb(j, size - 1)
-            np.add(level[:parents], members[j], out=fused[at:at + parents])
-            at += parents
-        level = fused
-        yield size, fused
-
-
-def _max_outside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _max_outside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 rows: np.ndarray | None = None) -> np.ndarray:
     """Per-row max of ``block`` over the columns outside [lo, hi) of that row.
 
-    Every row's window must overlap the block; a row it covers whole gets
+    ``rows`` (ascending; default every row) picks the rows scored without
+    copying them, and ``lo``/``hi`` hold one entry per picked row. Every
+    picked row's window must overlap the block; a row it covers whole gets
     -inf. One ``maximum.reduceat`` pass takes, per row, the max before the
-    window, of the window (unused) and after it.
+    window, of the window, after it, and of the gap up to the next picked
+    row; only the first and third are used.
     """
-    rows, width = block.shape
-    flat = block.reshape(-1)
-    row_start = np.arange(0, flat.size, width)
-    # hi == width on the last row would index one past the end; that
-    # after-window segment is empty and discarded either way
-    cuts = np.empty((rows, 3), dtype=np.intp)
-    cuts[:, 0] = row_start
-    cuts[:, 1] = row_start + lo
-    np.minimum(row_start + hi, flat.size - 1, out=cuts[:, 2])
-    before, _, after = np.maximum.reduceat(flat, cuts.reshape(-1)).reshape(rows, 3).T
-    return np.maximum(np.where(lo > 0, before, -np.inf),
-                      np.where(hi < width, after, -np.inf))
-
-
-def _colex_subset(rank: int, size: int, available: list[int]) -> tuple[int, ...]:
-    """The ``rank``-th size-``size`` subset of ``available`` in colex order."""
-    members = []
-    for k in range(size, 0, -1):
-        j = k - 1
-        while comb(j + 1, k) <= rank:
-            j += 1
-        members.append(available[j])
-        rank -= comb(j, k)
-    return tuple(reversed(members))
+    width = block.shape[1]
+    if rows is None:
+        rows = np.arange(block.shape[0])
+    flat = block.reshape(-1)[:(rows[-1] + 1) * width]
+    start = rows * width
+    cuts = np.empty((rows.size, 4), dtype=np.intp)
+    cuts[:, 0] = start
+    cuts[:, 1] = start + lo
+    cuts[:, 2] = start + hi
+    cuts[:, 3] = start + width
+    # flat ends with the last picked row, so its gap cut is dropped; hi ==
+    # width there would index one past the end, and that after-window
+    # segment is discarded either way
+    found = np.maximum.reduceat(flat, np.minimum(cuts.reshape(-1)[:-1], flat.size - 1))
+    return np.maximum(np.where(lo > 0, found[0::4], -np.inf),
+                      np.where(hi < width, found[2::4], -np.inf))
 
 
 def select_best_subset(
@@ -223,11 +200,16 @@ def select_best_subset(
     smaller subset first, then lexicographic member order).
 
     All subsets are scored together with numpy, one column chunk at a time,
-    so scratch memory stays near _SCRATCH_BYTES for any number of columns.
-    The first pass keeps, per subset, its running peak, each chunk's max,
-    and the max of the peak's chunk outside the window. A chunk that some
-    other window only partly covers is fused a second time for the rows
-    whose windows reach into it.
+    so scratch memory stays near _SCRATCH_BYTES (see _column_edges).
+    Row ``mask`` of a chunk holds the sum of the available techniques whose
+    bits are set: row 0 is zeros and rows [2**j, 2**(j+1)) are rows
+    [0, 2**j) plus technique j, one ``np.add`` per technique. Each row is
+    thus its parent (the subset without its largest member) plus that
+    member, the same sums fuse_subset makes. A popcount mask keeps the
+    admissible sizes. The first pass keeps, per row, its running peak and
+    each chunk's max; a second pass takes the max outside the final window
+    in the chunks that window partly covers, fusing them again unless they
+    are still in scratch.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
@@ -237,78 +219,64 @@ def select_best_subset(
     max_size = config.resolved_max_subset_size(n)
     available = _available_techniques(n, low, max_size, degenerate)
     m = len(available)
-    top = min(max_size, m)
-    # first row of each scored size; sizes follow each other in the row order
-    first = list(accumulate((comb(m, k) for k in range(low, top + 1)), initial=0))
-    total = first[-1]
-    peak_rows = max(comb(m, k) + comb(m, k - 1) for k in range(2, top + 1))
-    edges = _column_edges(d, peak_rows)
+    total = 1 << m
+    edges = _column_edges(d, m)
     starts = np.array(edges[:-1])
     ends = np.array(edges[1:])
-    scratch = np.empty(peak_rows * int((ends - starts).max()))
+    scratch = np.empty(total * int((ends - starts).max()))
     r = config.r_window
 
-    def chunk_levels(c):
-        """(row slice, fused rows) of every scored size on column chunk c."""
-        width = edges[c + 1] - edges[c]
-        grid = scratch[:peak_rows * width].reshape(peak_rows, width)
-        members = normalized[available, edges[c]:edges[c + 1]]
-        for size, fused in _fused_levels(members, top, grid):
-            if size >= low:
-                start = first[size - low]
-                yield slice(start, start + fused.shape[0]), fused
+    def fuse(c):
+        """The fused rows of every bitmask on column chunk c."""
+        grid = scratch[:total * (ends[c] - starts[c])].reshape(total, -1)
+        grid[0] = 0.0
+        for bit, t in enumerate(available):
+            np.add(grid[:1 << bit], normalized[t, starts[c]:ends[c]],
+                   out=grid[1 << bit:2 << bit])
+        return grid
 
+    # popcount of each row's bitmask: the size of its subset
+    size = np.zeros(total, dtype=np.intp)
+    for bit in range(m):
+        size[1 << bit:2 << bit] = size[:1 << bit] + 1
+    admissible = (size >= low) & (size <= max_size)
+    every = np.arange(total)
     peak = np.full(total, -np.inf)
     peak_at = np.zeros(total, dtype=np.intp)
-    chunk_max = np.empty((total, starts.size))
-    outside = np.full(total, -np.inf)
+    chunk_max = np.empty((starts.size, total))
     for c in range(starts.size):
-        for rows, fused in chunk_levels(c):
-            at = fused.argmax(axis=1)
-            here = fused[np.arange(at.size), at]
-            chunk_max[rows, c] = here
-            # strictly greater, so a tie keeps the earlier (lower) index
-            gain = here > peak[rows]
-            np.copyto(peak[rows], here, where=gain)
-            np.copyto(peak_at[rows], at + edges[c], where=gain)
-            beside = _max_outside(
-                fused, np.maximum(at - r, 0), np.minimum(at + r + 1, fused.shape[1])
-            )
-            # a peak's own chunk has it as its first max too, so this
-            # window is final for every row whose peak moved here
-            np.copyto(outside[rows], beside, where=gain)
+        fused = fuse(c)
+        at = fused.argmax(axis=1)
+        here = fused[every, at]
+        chunk_max[c] = here
+        # strictly greater, so a tie keeps the earlier (lower) index
+        gain = here > peak
+        np.copyto(peak, here, where=gain)
+        np.copyto(peak_at, at + starts[c], where=gain)
 
     lo = np.maximum(peak_at - r, 0)
     hi = np.minimum(peak_at + r + 1, d)
-    clear = (ends <= lo[:, None]) | (starts >= hi[:, None])
-    np.maximum(outside, np.max(chunk_max, axis=1, where=clear, initial=-np.inf),
-               out=outside)
-    partial = ~clear & ((starts < lo[:, None]) | (ends > hi[:, None]))
-    # each peak's own chunk was scored in the first pass
-    partial[np.arange(total), np.searchsorted(starts, peak_at, side="right") - 1] = False
-    for c in np.flatnonzero(partial.any(axis=0)):
-        for rows, fused in chunk_levels(c):
-            sel = np.flatnonzero(partial[rows, c])
-            if sel.size:
-                row = rows.start + sel
-                beside = _max_outside(
-                    fused[sel],
-                    np.maximum(lo[row] - edges[c], 0),
-                    np.minimum(hi[row] - edges[c], fused.shape[1]),
-                )
-                outside[row] = np.maximum(outside[row], beside)
+    clear = (ends[:, None] <= lo) | (starts[:, None] >= hi)
+    chunk_max[~clear] = -np.inf
+    outside = chunk_max.max(axis=0)
+    partial = ~clear & ((starts[:, None] < lo) | (ends[:, None] > hi)) & admissible
+    # the last chunk is still in scratch, so it goes first
+    for c in np.flatnonzero(partial.any(axis=1))[::-1]:
+        grid = fused if c == starts.size - 1 else fuse(c)
+        row = np.flatnonzero(partial[c])
+        beside = _max_outside(grid, np.maximum(lo[row] - starts[c], 0),
+                              np.minimum(hi[row] - starts[c], grid.shape[1]), row)
+        outside[row] = np.maximum(outside[row], beside)
 
-    scored = np.flatnonzero((lo > 0) | (hi < d))
+    scored = np.flatnonzero(admissible & ((lo > 0) | (hi < d)))
     if scored.size == 0:
         raise WindowCoversAllError(
             "every candidate subset's exclusion window covered the whole vector"
         )
     scores = peak[scored] / np.maximum(outside[scored], config.epsilon)
     best_score = scores.max()
-    tied = []
-    for row in scored[scores == best_score].tolist():
-        level = bisect_right(first, row) - 1
-        tied.append(_colex_subset(row - first[level], low + level, available))
+    tied = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
+            for mask in scored[scores == best_score].tolist()]
     if config.tie_break == TIE_BREAK_SMALLEST_SUBSET:
         subset = min(tied, key=lambda s: (len(s), s))
     else:

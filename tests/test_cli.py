@@ -147,6 +147,33 @@ class TestRunCommand:
         assert out["error"] == "ConfigError"
         assert out["field"] == field
 
+    @pytest.mark.parametrize("epsilon, code", [
+        (1e-310, 2), (1e-300, 2), (1e-200, 2), (1e-100, 0),
+    ])
+    def test_epsilon_floor(self, tmp_path, capsys, epsilon, code):
+        # a one-hot technique weighs 1/epsilon; below the floor that ended
+        # in a traceback or wrote Infinity into the result JSON
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        write_matrix(data_dir / manifest["techniques"][0]["similarity"],
+                     np.eye(12, 40), role="similarity", technique="tech-00")
+        manifest["config"] = {"epsilon": epsilon}
+        manifest["strategies"] = {"dyn-mpf": {}}
+        path = data_dir / "tiny_epsilon.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["run", "--config", str(path)]) == code
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        if code == 2:
+            assert (out["error"], out["field"]) == ("ConfigError", "epsilon")
+        else:
+            def reject(name):
+                raise ValueError(f"{name} is not JSON")
+            result = (data_dir / "results" / "result_dyn-mpf.json").read_text()
+            json.loads(result, parse_constant=reject)
+
     @pytest.mark.parametrize("key, value, field", [
         ("recall_k", ["a"], "recall_k[0]"),
         ("recall_k", [True], "recall_k[0]"),

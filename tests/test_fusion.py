@@ -1,5 +1,5 @@
 import tracemalloc
-from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,11 +179,28 @@ class TestSelectBestSubset:
                                degenerate={0, 1})
 
 
+@st.composite
+def search_cases(draw):
+    """Quantized inputs (score ties), constant (degenerate) techniques, any
+    window and size bounds, and a scratch size from the narrowest chunks up
+    to a single chunk, so windows cross chunk edges."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(3, 200))
+    r = draw(st.integers(0, d - 1))
+    low = draw(st.integers(2, n))
+    high = draw(st.one_of(st.none(), st.integers(low, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 4, 1000]))
+    raw = rng.integers(0, levels, size=(n, d)) / levels
+    raw[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.5
+    config = FusionConfig(r_window=r, min_subset_size=low, max_subset_size=high,
+                          tie_break=draw(st.sampled_from(TIE_BREAKS)))
+    return raw, config, draw(st.integers(8, 1 << 16))
+
+
 def column_chunks(n_available, d):
-    """Column chunk edges the subset search uses for a full-range search."""
-    rows = max(comb(n_available, k) + comb(n_available, k - 1)
-               for k in range(2, n_available + 1))
-    return fusion._column_edges(d, rows)
+    """Column chunk edges the subset search uses."""
+    return fusion._column_edges(d, n_available)
 
 
 class TestSearchParity:
@@ -250,6 +267,29 @@ class TestSearchParity:
             else:
                 got = select_best_subset(normalized, config, degenerate)
                 assert (got.subset, got.score) == expected, f"trial {trial}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases())
+    def test_forced_chunking_matches_naive(self, case):
+        raw, config, scratch_bytes = case
+        normalized, degenerate = normalize_query_slices(raw)
+        n = raw.shape[0]
+        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+            if n - len(degenerate) < config.min_subset_size:
+                with pytest.raises(TooFewTechniquesError):
+                    select_best_subset(normalized, config, degenerate)
+                return
+            expected = naive_best_subset(
+                [list(row) for row in normalized], config.r_window, 1e-12,
+                config.min_subset_size, config.resolved_max_subset_size(n),
+                degenerate, config.tie_break,
+            )
+            if expected is None:
+                with pytest.raises(WindowCoversAllError):
+                    select_best_subset(normalized, config, degenerate)
+            else:
+                got = select_best_subset(normalized, config, degenerate)
+                assert (got.subset, got.score) == expected
 
     def test_scratch_memory_is_bounded(self, rng):
         normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
