@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per output set of fixed, seeded dynfuse runs, so that
+two checkouts can be compared for byte-identical output.
+
+Output sets:
+
+  run-F<f>    ``dynfuse run`` with all six strategies at frame separation f
+              (1, 7 and 25), Recall@K up to K = D, so every full ranking
+              counts
+  sweep       ``dynfuse sweep`` at F = 1, 5, 25
+  demo        scripts/run_synthetic_demo.py --out (result files and table)
+  sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
+
+The inputs come from ``dynfuse synth`` with a fixed seed and noise on every
+vector, and the script stops if any (technique, query) vector is constant,
+so strategies' validity rules for no-information queries cannot move a
+digest. Timing fields (``timings_seconds`` in run_summary.json and
+sweep.json) are left out, and the scratch directory's path is replaced by a
+fixed name.
+
+Each set runs in a child process on the code of the checkout given by
+``--repo`` (default: the one holding this script), so a change and its
+parent can be compared with one command each:
+
+  python3 scripts/output_digest.py
+  python3 scripts/output_digest.py --repo /path/to/parent/checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SPEC = {
+    "n_techniques": 5, "queries": 120, "database_size": 2000,
+    "peak_strength": 1.0, "alias_strength": 0.5, "alias_secondary": 0.5,
+    "alias_correlation": 0.1, "noise_sigma": 0.3, "drift_period": 30,
+    "r_window": 2, "gt_tolerance": 2, "seed": 11,
+}
+STRATEGIES = {
+    "best-single-oracle": {},
+    "dyn-mpf": {},
+    "full-mpf": {},
+    "hier-mpf": {"shortlist_fractions": [0.2, 0.05]},
+    "random-pair": {},
+    "static-subset": {"subset": ["tech-00", "tech-02"]},
+}
+TIMING_FILES = ("run_summary.json", "sweep.json")
+
+
+def _run(repo: Path, work: Path, args: list[str]) -> str:
+    """Run a Python child on ``repo``'s code in ``work``; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    done = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(args)} exited {done.returncode}:\n"
+                         f"{done.stdout}{done.stderr}")
+    return done.stdout
+
+
+def _digest(work: Path, outputs: list[Path], stdout: str) -> str:
+    """SHA-256 over the given files (for a directory, every file in it) and
+    the child's stdout, without timings and with the scratch path named
+    ``<work>``."""
+    files = sorted(f for p in outputs for f in ([p] if p.is_file() else p.rglob("*"))
+                   if f.is_file())
+    sha = hashlib.sha256()
+    for path in files:
+        text = path.read_text()
+        if path.name in TIMING_FILES:
+            payload = json.loads(text)
+            payload.pop("timings_seconds", None)
+            text = json.dumps(payload, sort_keys=True)
+        sha.update(f"{path.relative_to(work)}\0{text}\0".replace(str(work), "<work>")
+                   .encode())
+    sha.update(stdout.replace(str(work), "<work>").encode())
+    return sha.hexdigest()
+
+
+def output_digests(repo: Path, work: Path, spec: dict = SPEC,
+                   f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
+    """Run every output set on ``repo``'s code under the empty directory
+    ``work``; return {set name: SHA-256}."""
+    repo, work = repo.resolve(), work.resolve()
+    (work / "spec.json").write_text(json.dumps(spec))
+    _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", "spec.json",
+                      "--out", "data"])
+    data = work / "data"
+    d = spec["database_size"]
+    for payload in sorted(data.glob("*.f32")):
+        vectors = np.fromfile(payload, dtype="<f4").reshape(-1, d)
+        if (vectors.max(axis=1) == vectors.min(axis=1)).any():
+            raise SystemExit(f"{payload.name} has a constant vector")
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest.update(strategies=STRATEGIES, recall_k=[1, 5, d])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+    digests = {}
+    for f in f_values:
+        out = work / f"run-F{f}"
+        stdout = _run(repo, work, ["-m", "dynfuse.cli", "run", "--config",
+                                   "data/manifest.json", "--frame-sep", str(f),
+                                   "--workers", "1", "--out", str(out)])
+        digests[out.name] = _digest(work, [out], stdout)
+    out = work / "sweep"
+    stdout = _run(repo, work, ["-m", "dynfuse.cli", "sweep", "--config",
+                               "data/manifest.json", "--f-values", "1,5,25",
+                               "--workers", "1", "--out", str(out)])
+    digests["sweep"] = _digest(work, [out], stdout)
+    if demos:
+        out = work / "demo"
+        stdout = _run(repo, work, [str(repo / "scripts" / "run_synthetic_demo.py"),
+                                   "--out", str(out)])
+        digests["demo"] = _digest(work, [out], stdout)
+        out = work / "sweep-demo.csv"
+        stdout = _run(repo, work, [str(repo / "scripts" / "sweep_frame_separation.py"),
+                                   "--out", str(out)])
+        digests["sweep-demo"] = _digest(work, [out], stdout)
+    return digests
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose code runs (default: this one)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        for name, digest in output_digests(args.repo, Path(work)).items():
+            print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()

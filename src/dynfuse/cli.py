@@ -82,6 +82,10 @@ class RunManifest:
                 raise ConfigError(
                     f"must be one of {list(ingest.METRICS)}", field=f"{where}.metric"
                 )
+        names = [entry["name"] for entry in techniques]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"technique names must be unique, got {names}",
+                              field="techniques")
         if "ground_truth" not in raw:
             raise ConfigError("missing required path", field="ground_truth")
         _check_path(raw["ground_truth"], "ground_truth")

@@ -1,21 +1,27 @@
-"""Per-query strategy runners: dynamic fusion plus all baselines.
+"""Strategy runners: dynamic fusion plus all baselines.
 
-Every runner walks a traverse query by query and emits one SelectionRecord
-per query plus a Q x D score array whose per-row ordering is the strategy's
-database ranking for that query (used downstream for Recall@K). A failure
-on one query flags that record invalid instead of aborting the run.
+Every runner emits one SelectionRecord per query plus a Q x D score array
+whose per-row ordering is the strategy's database ranking for that query
+(used downstream for Recall@K). A failure on one query flags that record
+invalid instead of aborting the run. So does a query on which every fused
+technique is constant: its fused vector carries no place information.
 
-Every runner min-max normalizes with ``core.minmax_rows``. Dynamic fusion
-batches each calibration block: the cached subset's vectors of all its
-queries are normalized as one (members, queries, D) slab, and ratios,
-weights, sums and matches are computed for them at once; only the records
-are built per query. The results equal a query-by-query run bit for bit.
+Every runner min-max normalizes with ``core.minmax_rows`` and works on
+batches of queries, in query chunks of at most _BLOCK_BYTES of member
+vectors. Dynamic fusion batches each calibration block: the cached
+subset's vectors of the block's queries form one (members, queries, D)
+slab. The plain-sum baselines batch the queries that share a subset and
+normalize only its members. Hierarchical fusion runs its tiers on a
+(queries, survivors) block. Ratios, weights, sums, shortlists and matches
+are computed for a batch at once; only the records are built per query.
+The results equal a query-by-query run bit for bit (the loops are kept in
+tests/reference_impl.py).
 
 Parallelism contract: every runner is single-threaded and walks its
-queries (for dynamic fusion, its [calibration, next calibration) blocks) in
-query order. The ``workers`` parameter is accepted for compatibility and
-changes nothing, so output never depends on it. Threads measured slower than
-one loop here: the per-query work is short numpy calls that hold the GIL.
+batches in query order. The ``workers`` parameter is accepted for
+compatibility and changes nothing, so output never depends on it. Threads
+measured slower than one loop here: the work is numpy calls that hold the
+GIL.
 """
 
 from __future__ import annotations
@@ -33,14 +39,12 @@ from .core import (
     GroundTruth,
     SelectionRecord,
     SimilarityTensor,
-    argmax_lowest_index,
     minmax_rows,
 )
 from .errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
 from .fusion import (
     normalize_query_slices,
     ratio_rows,
-    ratio_score,
     select_best_subset,
     weighted_match_rows,
     window_error,
@@ -48,7 +52,12 @@ from .fusion import (
 # Not called here any more, but perfbench/tracing.py hooks these names in
 # this module; with them present, its per-layer metrics read 0, not absent.
 from .core import minmax_normalize  # noqa: F401
-from .fusion import fuse_subset, technique_weights, weighted_fuse_and_match  # noqa: F401
+from .fusion import (  # noqa: F401
+    fuse_subset,
+    ratio_score,
+    technique_weights,
+    weighted_fuse_and_match,
+)
 
 STRATEGY_DYN_MPF = "dyn-mpf"
 STRATEGY_FULL_MPF = "full-mpf"
@@ -92,15 +101,8 @@ def write_result_json(result: StrategyResult, names: list[str], path) -> None:
     Path(path).write_text(payload + "\n")
 
 
-def _try_ratio(fused: np.ndarray, config: FusionConfig) -> float | None:
-    try:
-        return ratio_score(fused, config.r_window, config.epsilon)
-    except WindowCoversAllError:
-        return None
-
-
-# Bytes of the largest (members, queries, D) float64 slab dyn-mpf batches;
-# longer blocks go in query chunks, so memory does not grow with F.
+# Bytes of the largest (members, queries, D) float64 slab a runner batches;
+# more queries go in further chunks, so memory does not grow with Q or F.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -221,32 +223,77 @@ def _fuse_block(tensor, config, best, calibration, qs, rows, uniform_weights):
     return records
 
 
-def _simple_sum_runner(normalized, config, subsets_per_query, strategy, params):
-    """Shared runner for baselines that sum a fixed or per-query subset of
-    the normalized (N, Q, D) tensor."""
-    n, queries, d = normalized.shape
-    records: list[SelectionRecord] = []
-    rows = np.full((queries, d), np.nan)
-    for q in range(queries):
-        subset = subsets_per_query(q)
-        if subset is None:
+def _sum_rows(members: np.ndarray) -> np.ndarray:
+    """Sum over the first axis from zeros, left to right, as fuse_subset
+    adds (a sum of normalized vectors, so the zeros change no bit)."""
+    fused = np.zeros(members.shape[1:])
+    for row in members:
+        fused += row
+    return fused
+
+
+def _summed_records(config, qs, subset, fused, match, valid):
+    """Records of the queries ``qs`` whose ``subset`` members were summed
+    with unit weights into the rows of ``fused``: ratio, mean and std come
+    from ``fused``, the match from ``match``. A query is invalid where
+    ``valid`` is False, which means every member is constant on it."""
+    ratios, _, covered = ratio_rows(fused, config.r_window, config.epsilon)
+    error = (f"TooFewTechniquesError: 0 non-constant techniques among the "
+             f"{len(subset)} fused, need at least 1")
+    records = []
+    columns = zip(qs.tolist(), valid.tolist(), ratios.tolist(), covered.tolist(),
+                  match.tolist(), fused.mean(axis=1).tolist(),
+                  fused.std(axis=1, ddof=1).tolist())
+    for q, ok, ratio, window_covers_all, m, mu, sigma in columns:
+        if not ok:
             records.append(SelectionRecord(
-                query=q, subset=(), weights={}, ratio_score=None,
-                match_index=-1, valid=False, techniques_touched=(),
-                error="TooFewTechniquesError: fewer than 2 usable techniques",
+                query=q, subset=subset, weights={}, ratio_score=None,
+                match_index=-1, valid=False, techniques_touched=subset,
+                error=error,
             ))
             continue
-        fused = normalized[list(subset), q, :].sum(axis=0)
-        rows[q] = fused
         records.append(SelectionRecord(
-            query=q, subset=tuple(subset),
-            weights={int(m): 1.0 for m in subset},
-            ratio_score=_try_ratio(fused, config),
-            match_index=argmax_lowest_index(fused),
-            fused_mean=float(fused.mean()),
-            fused_std=float(fused.std(ddof=1)),
-            techniques_touched=tuple(subset),
+            query=q, subset=subset, weights=dict.fromkeys(subset, 1.0),
+            ratio_score=None if window_covers_all else ratio,
+            match_index=m, fused_mean=mu, fused_std=sigma,
+            techniques_touched=subset,
         ))
+    return records
+
+
+def _simple_sum_runner(tensor, config, subsets, strategy, params):
+    """Shared runner for the baselines that sum one subset's normalized
+    vectors per query with unit weights. ``subsets[q]`` is query q's sorted
+    subset, or None when fewer than 2 techniques are usable on it.
+
+    The queries that share a subset are fused together, in query chunks of
+    at most _BLOCK_BYTES of member vectors; only the members are normalized.
+    """
+    queries, d = tensor.queries, tensor.database_size
+    records: list[SelectionRecord | None] = [None] * queries
+    rows = np.full((queries, d), np.nan)
+    groups: dict[tuple[int, ...] | None, list[int]] = {}
+    for q, subset in enumerate(subsets):
+        groups.setdefault(subset, []).append(q)
+    for subset, group in groups.items():
+        if subset is None:
+            for q in group:
+                records[q] = SelectionRecord(
+                    query=q, subset=(), weights={}, ratio_score=None,
+                    match_index=-1, valid=False, techniques_touched=(),
+                    error="TooFewTechniquesError: fewer than 2 usable techniques",
+                )
+            continue
+        chunk = max(1, _BLOCK_BYTES // (8 * len(subset) * d))
+        for at in range(0, len(group), chunk):
+            qs = np.array(group[at:at + chunk])
+            members, constant = minmax_rows(tensor.data[np.ix_(subset, qs)])
+            fused = _sum_rows(members)
+            valid = ~constant.all(axis=0)
+            rows[qs[valid]] = fused[valid]
+            for record in _summed_records(config, qs, subset, fused,
+                                          fused.argmax(axis=1), valid):
+                records[record.query] = record
     return StrategyResult(
         strategy=strategy, records=records, config=config, fused=rows, params=params,
     )
@@ -256,11 +303,10 @@ def run_full_mpf(
     tensor: SimilarityTensor, config: FusionConfig, workers: int = 1
 ) -> StrategyResult:
     """Sum every technique's normalized vector, no selection or weighting."""
-    n, _, d = tensor.data.shape
+    n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
-    full = tuple(range(n))
     return _simple_sum_runner(
-        minmax_rows(tensor.data)[0], config, lambda q: full, STRATEGY_FULL_MPF, {}
+        tensor, config, [tuple(range(n))] * queries, STRATEGY_FULL_MPF, {}
     )
 
 
@@ -268,7 +314,7 @@ def run_static_subset(
     tensor: SimilarityTensor, config: FusionConfig, subset, workers: int = 1
 ) -> StrategyResult:
     """Sum a fixed subset every query; a singleton is a single-technique run."""
-    n, _, d = tensor.data.shape
+    n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) == 0:
@@ -279,8 +325,7 @@ def run_static_subset(
         raise ConfigError(f"subset indices must lie in [0, {n})", field="subset")
     names = [tensor.names[i] for i in subset]
     return _simple_sum_runner(
-        minmax_rows(tensor.data)[0], config, lambda q: subset, STRATEGY_STATIC_SUBSET,
-        {"subset": names},
+        tensor, config, [subset] * queries, STRATEGY_STATIC_SUBSET, {"subset": names}
     )
 
 
@@ -296,7 +341,7 @@ def run_random_pair(
     config.validate(n, d, require_subsets=False)
     if n < 2:
         raise TooFewTechniquesError(f"random pair needs >= 2 techniques, have {n}")
-    normalized, degenerate = minmax_rows(tensor.data)
+    degenerate = np.ptp(tensor.data, axis=2) == 0.0  # as minmax_rows flags them
     rng = np.random.default_rng(config.rng_seed)
     pairs: list[tuple[int, int] | None] = []
     for q in range(queries):
@@ -308,9 +353,35 @@ def run_random_pair(
         pair = (int(avail[picked[0]]), int(avail[picked[1]]))
         pairs.append(tuple(sorted(pair)))
     return _simple_sum_runner(
-        normalized, config, lambda q: pairs[q], STRATEGY_RANDOM_PAIR,
-        {"rng_seed": config.rng_seed},
+        tensor, config, pairs, STRATEGY_RANDOM_PAIR, {"rng_seed": config.rng_seed}
     )
+
+
+def _take_rows(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(block, cols, axis=1)`` for a C-contiguous 2-D
+    ``block``, as one flat take (about twice as fast)."""
+    offsets = np.arange(0, block.size, block.shape[1])[:, None]
+    return np.take(block.reshape(-1), cols + offsets)
+
+
+def _descending_order(scores: np.ndarray) -> np.ndarray:
+    """Per row of a NaN-free 2-D array, the column indices by descending
+    score, equal scores in ascending index order: the same as
+    ``np.argsort(-scores, axis=1, kind="stable")`` at about a third of its
+    cost. An unstable argsort leaves each run of equal scores together but
+    in any order; one integer sort of run number * D + index puts every run
+    back in index order. Those keys are sorted already outside the runs,
+    which the stable (merging) integer sort exploits."""
+    negated = -scores
+    order = np.argsort(negated, axis=1)
+    ranked = _take_rows(negated, order)
+    base = np.zeros(order.shape, dtype=order.dtype)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=base[:, 1:])
+    base *= scores.shape[1]
+    order += base
+    order.sort(axis=1, kind="stable")
+    order -= base
+    return order
 
 
 def default_tiers(n: int, rng_seed: int) -> list[list[int]]:
@@ -343,7 +414,11 @@ def run_hier_mpf(
     over the surviving candidates only, adds them to the running scores, and
     shortlists again (clamped to at least one candidate). The last tier's
     best survivor, mapped back to a global database index, is the match.
-    Tier membership is drawn from the seeded generator when not given.
+    Tier membership is drawn from the seeded generator when not given. A
+    query on which all N techniques are constant is invalid.
+
+    Queries go in chunks of at most _BLOCK_BYTES of their N vectors, and
+    each tier works on a whole chunk at once.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
@@ -368,44 +443,48 @@ def run_hier_mpf(
     records: list[SelectionRecord] = []
     rows = np.full((queries, d), np.nan)
     rank_values = np.arange(d, 0, -1, dtype=np.float64)
-    for q in range(queries):
-        survivors = np.arange(d)
-        scores = np.zeros(d)
-        tier1_fused = None
-        # Each tier's eliminations, already in (-score, index) order: the
-        # stable argsort keeps equal scores in position order, and survivors
-        # stay sorted by database index.
+    everyone = tuple(range(n))
+    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
+    for start in range(0, queries, chunk):
+        stop = min(start + chunk, queries)
+        qs = np.arange(start, stop)
+        # (queries, survivors) blocks: every query keeps the same number of
+        # survivors, in database index order (None: all of them). Each
+        # tier's eliminations come out in (-score, index) order.
+        survivors = None
         dropped: list[np.ndarray] = []
         for t, tier in enumerate(tiers):
-            fused_t = np.zeros(survivors.size)
-            for row in minmax_rows(tensor.data[tier, q][:, survivors])[0]:
-                fused_t += row
-            scores = scores + fused_t
+            if survivors is None:
+                members = tensor.data[np.ix_(tier, qs)]
+            else:
+                members = tensor.data[np.array(tier, dtype=np.intp)[:, None, None],
+                                      qs[:, None], survivors]
+            fused = _sum_rows(minmax_rows(members)[0])
+            scores = fused if survivors is None else scores + fused
             if t == 0:
-                tier1_fused = scores.copy()
+                tier1_fused = scores
             if t < len(tiers) - 1:
-                keep = max(1, math.ceil(fractions[t] * survivors.size))
-                order = np.argsort(-scores, kind="stable")
-                dropped.append(survivors[order[keep:]])
-                kept = np.sort(order[:keep])
-                survivors = survivors[kept]
-                scores = scores[kept]
-        match = int(survivors[argmax_lowest_index(scores)])
+                keep = max(1, math.ceil(fractions[t] * scores.shape[1]))
+                order = _descending_order(scores)
+                kept = np.sort(order[:, :keep], axis=1)
+                scores = _take_rows(scores, kept)
+                if survivors is None:
+                    dropped.append(order[:, keep:])
+                    survivors = kept
+                else:
+                    dropped.append(_take_rows(survivors, order[:, keep:]))
+                    survivors = _take_rows(survivors, kept)
         # Full-database ranking: final survivors by score, then the tiers'
         # eliminations, deepest tier first; rank i scores d - i.
-        ranked = np.concatenate(
-            [survivors[np.argsort(-scores, kind="stable")], *reversed(dropped)]
-        )
-        rows[q, ranked] = rank_values
-        records.append(SelectionRecord(
-            query=q, subset=tuple(range(n)),
-            weights={int(m): 1.0 for m in range(n)},
-            ratio_score=_try_ratio(tier1_fused, config),
-            match_index=match,
-            fused_mean=float(tier1_fused.mean()),
-            fused_std=float(tier1_fused.std(ddof=1)),
-            techniques_touched=tuple(range(n)),
-        ))
+        final = _descending_order(scores)
+        ranked = np.concatenate([
+            final if survivors is None else _take_rows(survivors, final),
+            *reversed(dropped),
+        ], axis=1)
+        valid = ~(np.ptp(tensor.data[:, start:stop], axis=2) == 0.0).all(axis=0)
+        rows[qs[valid, None], ranked[valid]] = rank_values
+        records.extend(_summed_records(config, qs, everyone, tier1_fused,
+                                       ranked[:, 0], valid))
 
     return StrategyResult(
         strategy=STRATEGY_HIER_MPF, records=records, config=config, fused=rows,
@@ -416,18 +495,16 @@ def run_hier_mpf(
     )
 
 
-def _recall_at_1_per_technique(tensor: SimilarityTensor, gt: GroundTruth) -> list[float]:
-    matches = np.argmax(tensor.data, axis=2)  # lowest index on ties
-    recalls = []
-    evaluable = [q for q in range(tensor.queries) if gt.evaluable(q)]
+def _recall_at_1_rows(matches: np.ndarray, gt: GroundTruth) -> list[float]:
+    """Recall@1 of every row of a (rows, Q) array of match indices over the
+    ground truth's evaluable queries."""
+    evaluable = [q for q in range(matches.shape[1]) if gt.evaluable(q)]
     if not evaluable:
         raise ValueError("ground truth has no evaluable queries")
-    for n in range(tensor.n_techniques):
-        correct = sum(
-            1 for q in evaluable if int(matches[n, q]) in gt.acceptable[q]
-        )
-        recalls.append(correct / len(evaluable))
-    return recalls
+    d = gt.database_size
+    accepted = [q * d + i for q in evaluable for i in gt.acceptable[q]]
+    hits = np.isin(np.array(evaluable) * d + matches[:, evaluable], accepted)
+    return (hits.sum(axis=1) / len(evaluable)).tolist()
 
 
 def oracle_best_single(tensor: SimilarityTensor, gt: GroundTruth):
@@ -435,11 +512,9 @@ def oracle_best_single(tensor: SimilarityTensor, gt: GroundTruth):
 
     Returns (TechniqueId, recall); ties go to the lowest technique index.
     """
-    recalls = _recall_at_1_per_technique(tensor, gt)
-    best = 0
-    for i, r in enumerate(recalls):
-        if r > recalls[best]:
-            best = i
+    # argmax takes the lowest index among tied maxima, per query and here
+    recalls = _recall_at_1_rows(np.argmax(tensor.data, axis=2), gt)
+    best = int(np.argmax(recalls))
     return tensor.techniques[best], recalls[best]
 
 
@@ -447,25 +522,17 @@ def oracle_best_static_subset(
     tensor: SimilarityTensor, gt: GroundTruth, size: int
 ):
     """Hindsight baseline: exhaustively find the fixed size-k fusion with the
-    best Recall@1. Returns (subset indices, recall)."""
+    best Recall@1. Returns (subset indices, recall); ties go to the first
+    subset in lexicographic order."""
     n = tensor.n_techniques
     if not (1 <= size <= n):
         raise ValueError(f"subset size must lie in [1, {n}]")
-    evaluable = [q for q in range(tensor.queries) if gt.evaluable(q)]
-    if not evaluable:
-        raise ValueError("ground truth has no evaluable queries")
     normalized = minmax_rows(tensor.data)[0]
-    best_subset = None
-    best_recall = -1.0
-    for subset in combinations(range(n), size):
-        fused = normalized[list(subset)].sum(axis=0)  # (Q, D)
-        matches = np.argmax(fused, axis=1)
-        correct = sum(1 for q in evaluable if int(matches[q]) in gt.acceptable[q])
-        recall = correct / len(evaluable)
-        if recall > best_recall:
-            best_recall = recall
-            best_subset = subset
-    return best_subset, best_recall
+    subsets = list(combinations(range(n), size))
+    matches = np.array([_sum_rows(normalized[list(s)]).argmax(axis=1) for s in subsets])
+    recalls = _recall_at_1_rows(matches, gt)
+    best = int(np.argmax(recalls))
+    return subsets[best], recalls[best]
 
 
 def run_best_single_oracle(

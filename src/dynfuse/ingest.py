@@ -143,15 +143,24 @@ def load_matrix(path, expected_meta: dict | None = None):
 
 
 def load_csv_matrix(path) -> np.ndarray:
-    """Load a small fixture matrix from CSV (header row, one row per image)."""
+    """Load a small fixture matrix from CSV (header row, one row per image).
+
+    Rows of different lengths raise ShapeMismatchError; text that does not
+    parse as numbers raises CorruptHeaderError.
+    """
     path = Path(path)
     with open(path) as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise CorruptHeaderError(f"{path}: empty CSV")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # empty data handled below
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            header = fh.readline()
+            if not header.strip():
+                raise CorruptHeaderError(f"{path}: empty CSV")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # empty data handled below
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:  # UnicodeDecodeError too
+            if "number of columns" in str(exc):
+                raise ShapeMismatchError(f"{path}: ragged CSV ({exc})") from exc
+            raise CorruptHeaderError(f"{path}: unparseable CSV ({exc})") from exc
     if data.size == 0:
         raise ShapeMismatchError(f"{path}: CSV has a header but no data rows")
     if not np.all(np.isfinite(data)):
@@ -219,6 +228,10 @@ def assemble_tensor(per_technique, names) -> SimilarityTensor:
             raise DimensionMismatchError(
                 f"{name}: shape {m.shape} != {shape} of {names[0]}"
             )
+    if shape[1] < 2:
+        raise ShapeMismatchError(
+            f"{names[0]}: {shape[1]} database column, need at least 2"
+        )
     techniques = [TechniqueId(index=i, name=n) for i, n in enumerate(names)]
     return SimilarityTensor(techniques=techniques, data=np.stack(matrices, axis=0))
 

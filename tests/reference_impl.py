@@ -2,11 +2,14 @@
 
 Everything here is plain-Python loop code kept separate from the library so
 the two sides cannot share a bug: no imports from dynfuse beyond exceptions
-for signaling, no numpy vectorization tricks. Two pieces are the library's
+for signaling, no numpy vectorization tricks. Some pieces are the library's
 former code, kept because they define what its fast paths must reproduce:
-``argsort_top_k``, the Recall@K ranking (NaN placement included), and
-``naive_run_dyn_mpf``, the query-by-query dynamic fusion loop, whose means,
-standard deviations and z-scores are numpy's on one vector at a time.
+``argsort_top_k``, the Recall@K ranking (NaN placement included), and the
+query-by-query strategy loops ``naive_run_dyn_mpf``, ``naive_run_simple_sum``
+and ``naive_run_hier_mpf``, whose means, standard deviations and z-scores
+are numpy's on one vector at a time. The baseline loops add one rule the
+former code lacked: a query whose fused techniques are all constant is
+invalid.
 """
 
 import math
@@ -168,6 +171,133 @@ def _ratio_vector(arr, r_window, epsilon):
     return float(arr[best]) / max(float(outside_max), epsilon), best
 
 
+def _record_json(names, q, subset, touched, weights=None, ratio=None,
+                 match=-1, mean=None, std=None, error=None):
+    """One record in SelectionRecord.to_json_dict form."""
+    return {
+        "query": q,
+        "subset": [names[i] for i in subset],
+        "weights": {names[m]: w for m, w in (weights or {}).items()},
+        "ratio_score": ratio,
+        "match_index": match,
+        "fused_mean": mean,
+        "fused_std": std,
+        "valid": error is None,
+        "techniques_touched": [names[i] for i in touched],
+        "error": error,
+    }
+
+
+def _is_constant(vec):
+    return vec.max() == vec.min()
+
+
+def _all_constant_error(k):
+    return (f"TooFewTechniquesError: 0 non-constant techniques among the {k} "
+            f"fused, need at least 1")
+
+
+def naive_random_pairs(data, seed):
+    """random-pair's draw: per query, two distinct non-constant techniques
+    from one seeded generator (sorted), or None when fewer than two are
+    left."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for q in range(data.shape[1]):
+        avail = [m for m in range(data.shape[0]) if not _is_constant(data[m, q])]
+        if len(avail) < 2:
+            pairs.append(None)
+            continue
+        picked = rng.choice(len(avail), size=2, replace=False)
+        pairs.append(tuple(sorted((avail[picked[0]], avail[picked[1]]))))
+    return pairs
+
+
+def naive_best_single(data, acceptable_sets):
+    """(technique, Recall@1) of the technique whose own argmax matches best;
+    ties go to the lowest technique index."""
+    best = None
+    for m in range(data.shape[0]):
+        matches = [int(np.argmax(data[m, q])) for q in range(data.shape[1])]
+        recall = naive_recall_at_1(matches, acceptable_sets)
+        if best is None or recall > best[1]:
+            best = (m, recall)
+    return best
+
+
+def naive_best_static_subset(data, acceptable_sets, size):
+    """(subset, Recall@1) of the size-``size`` plain sum that matches best;
+    ties go to the first subset in lexicographic order."""
+    best = None
+    for subset in combinations(range(data.shape[0]), size):
+        matches = []
+        for q in range(data.shape[1]):
+            fused = np.array([_minmax_vector(data[m, q]) for m in subset]).sum(axis=0)
+            matches.append(int(np.argmax(fused)))
+        recall = naive_recall_at_1(matches, acceptable_sets)
+        if best is None or recall > best[1]:
+            best = (subset, recall)
+    return best
+
+
+def naive_run_simple_sum(data, config, subsets, names):
+    """The plain-sum baselines (full-mpf, static-subset, random-pair,
+    best-single-oracle) one query at a time.
+
+    ``subsets[q]`` is query q's sorted subset, or None when fewer than two
+    techniques are usable. Returns (records in SelectionRecord.to_json_dict
+    form, (Q, D) fused rows with NaN for invalid queries).
+    """
+    queries, d = data.shape[1:]
+    rows = np.full((queries, d), np.nan)
+    records = []
+    for q in range(queries):
+        subset = subsets[q]
+        if subset is None:
+            records.append(_record_json(
+                names, q, (), (),
+                error="TooFewTechniquesError: fewer than 2 usable techniques"))
+            continue
+        if all(_is_constant(data[m, q]) for m in subset):
+            records.append(_record_json(names, q, subset, subset,
+                                        error=_all_constant_error(len(subset))))
+            continue
+        fused = np.array([_minmax_vector(data[m, q]) for m in subset]).sum(axis=0)
+        rows[q] = fused
+        ratio, _ = _ratio_vector(fused, config.r_window, config.epsilon)
+        records.append(_record_json(
+            names, q, subset, subset, {m: 1.0 for m in subset}, ratio,
+            int(np.argmax(fused)), float(fused.mean()), float(fused.std(ddof=1))))
+    return records, rows
+
+
+def naive_run_hier_mpf(data, config, tiers, fractions, names):
+    """Hierarchical fusion one query at a time: ranking scores from
+    naive_hier_rank_scores, ratio, mean and std from the first tier's sum.
+    Returns what naive_run_simple_sum returns."""
+    n, queries, d = data.shape
+    everyone = tuple(range(n))
+    rows = np.full((queries, d), np.nan)
+    records = []
+    for q in range(queries):
+        if all(_is_constant(data[m, q]) for m in everyone):
+            records.append(_record_json(names, q, everyone, everyone,
+                                        error=_all_constant_error(n)))
+            continue
+        tier1 = np.zeros(d)
+        for m in tiers[0]:
+            tier1 += _minmax_vector(data[m, q])
+        rank_scores = naive_hier_rank_scores(
+            [data[m, q].tolist() for m in everyone], tiers, fractions)
+        rows[q] = rank_scores
+        ratio, _ = _ratio_vector(tier1, config.r_window, config.epsilon)
+        records.append(_record_json(
+            names, q, everyone, everyone, {m: 1.0 for m in everyone}, ratio,
+            rank_scores.index(float(d)), float(tier1.mean()),
+            float(tier1.std(ddof=1))))
+    return records, rows
+
+
 def _window_error(r_window, best, size):
     return (f"WindowCoversAllError: exclusion window +/-{r_window} around "
             f"index {best} covers all {size} entries")
@@ -187,20 +317,8 @@ def naive_run_dyn_mpf(data, config, names, uniform_weights=False):
     rows = np.full((queries, d), np.nan)
     records = []
 
-    def record(q, subset, touched, weights=None, ratio=None, match=-1,
-               mean=None, std=None, error=None):
-        records.append({
-            "query": q,
-            "subset": [names[i] for i in subset],
-            "weights": {names[m]: w for m, w in (weights or {}).items()},
-            "ratio_score": ratio,
-            "match_index": match,
-            "fused_mean": mean,
-            "fused_std": std,
-            "valid": error is None,
-            "techniques_touched": [names[i] for i in touched],
-            "error": error,
-        })
+    def record(*args, **kwargs):
+        records.append(_record_json(names, *args, **kwargs))
 
     for start in range(0, queries, config.frame_separation_f):
         stop = min(start + config.frame_separation_f, queries)

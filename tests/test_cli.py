@@ -318,6 +318,65 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == 0
 
+    def test_constant_queries_are_never_valid(self, tmp_path, capsys):
+        # every payload set to 1.0: no query carries place information
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        for entry in manifest["techniques"]:
+            write_matrix(data_dir / entry["similarity"], np.ones((12, 40)),
+                         role="similarity", technique=entry["name"])
+        manifest["strategies"] = ALL_STRATEGIES
+        path = data_dir / "constant.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        assert code == 0
+        capsys.readouterr()
+        results = data_dir / "results"
+        summary = json.loads((results / "run_summary.json").read_text())
+        for name in ALL_STRATEGIES:
+            assert summary["strategies"][name]["valid_queries"] == 0, name
+            records = json.loads((results / f"result_{name}.json").read_text())["records"]
+            assert len(records) == 12
+            for record in records:
+                assert not record["valid"], name
+                assert record["match_index"] == -1, name
+                assert record["error"].startswith("TooFewTechniquesError: "), name
+
+    @pytest.mark.parametrize("technique, content, error", [
+        ("tech-00", "a,b,c\n1,2,3\n4,5\n", "ShapeMismatchError"),
+        ("tech-00", "a,b,c\n1,x,3\n", "CorruptHeaderError"),
+        ("tech-00", b"a,b\n\xff\xfe,1\n", "CorruptHeaderError"),
+        ("tech-01", None, "ConfigError"),  # a second technique named tech-00
+    ])
+    def test_bad_input_file_ends_in_one_error_json(self, tmp_path, capsys,
+                                                   technique, content, error):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        entry = next(e for e in manifest["techniques"] if e["name"] == technique)
+        if content is None:
+            entry["name"] = "tech-00"
+        else:
+            csv_path = data_dir / "bad.csv"
+            if isinstance(content, bytes):
+                csv_path.write_bytes(content)
+            else:
+                csv_path.write_text(content)
+            entry["similarity"] = csv_path.name
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert code != 0
+        assert captured.err == ""
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["error"] == error
+        if content is None:
+            assert out["field"] == "techniques"
+
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)
         capsys.readouterr()

@@ -31,9 +31,14 @@ from dynfuse.errors import ConfigError, TooFewTechniquesError
 from dynfuse.evaluate import recall_at_k
 from conftest import random_tensor_data
 from reference_impl import (
+    naive_best_single,
+    naive_best_static_subset,
     naive_hier_rank_scores,
+    naive_random_pairs,
     naive_recall_at_1,
     naive_run_dyn_mpf,
+    naive_run_hier_mpf,
+    naive_run_simple_sum,
 )
 
 
@@ -265,6 +270,137 @@ class TestBlockParity:
             tracemalloc.stop()
         assert all(r.valid for r in result.records)
         assert peak - output <= 4 << 20  # measured 2.4 MiB
+
+
+@st.composite
+def baseline_cases(draw):
+    """Small tensors for the five baselines: quantized values (ties), signed
+    zeros, constant member rows up to whole constant queries, any window,
+    random static subsets and tier splits (empty tiers too), ground truth
+    with unevaluable queries, and forced one- and few-query chunks."""
+    n = draw(st.integers(1, 5))
+    queries = draw(st.integers(1, 14))
+    d = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 8, 1000]))
+    data = rng.integers(-levels, levels + 1, size=(n, queries, d)) / levels
+    zeros = data == 0.0
+    data[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    constant = rng.random((n, queries)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    data[constant] = rng.choice([-0.0, 0.0, 0.5], size=int(constant.sum()))[:, None]
+    config = FusionConfig(r_window=draw(st.integers(0, d - 1)),
+                          rng_seed=draw(st.integers(0, 2**16)))
+    subset = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    cuts = sorted(rng.integers(0, n + 1, size=draw(st.integers(0, 2))).tolist())
+    order = rng.permutation(n).tolist()
+    tiers = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    fractions = [draw(st.sampled_from([0.01, 0.1, 0.3, 0.5, 1.0])) for _ in tiers[1:]]
+    gt = [sorted(rng.choice(d, size=int(rng.integers(0, min(d, 3) + 1)), replace=False).tolist())
+          for _ in range(queries)]
+    gt[0] = gt[0] or [0]
+    return (data, config, subset, tiers, fractions, gt,
+            draw(st.sampled_from([None, 1, 200])))
+
+
+def assert_same_run(got, names, expected):
+    records, rows = expected
+    got_json = [r.to_json_dict(names) for r in got.records]
+    assert json.dumps(got_json, sort_keys=True) == json.dumps(records, sort_keys=True)
+    assert np.array_equal(got.fused, rows, equal_nan=True)
+
+
+class TestBaselineParity:
+    """The batched baselines against their query-by-query references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(baseline_cases())
+    def test_matches_per_query_reference(self, case):
+        data, config, subset, tiers, fractions, gt_lists, block_bytes = case
+        tensor = make_tensor(data)
+        names = tensor.names
+        n, queries, d = data.shape
+        gt = GroundTruth.from_lists(gt_lists, d)
+        # 1 and 200 bytes force chunks of one and a few queries
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+            assert_same_run(run_full_mpf(tensor, config), names, naive_run_simple_sum(
+                data, config, [tuple(range(n))] * queries, names))
+            assert_same_run(run_static_subset(tensor, config, subset), names,
+                            naive_run_simple_sum(data, config, [tuple(subset)] * queries,
+                                                 names))
+            assert_same_run(
+                run_hier_mpf(tensor, config, tiers=tiers, shortlist_fractions=fractions),
+                names, naive_run_hier_mpf(data, config, tiers, fractions, names))
+            oracle = run_best_single_oracle(tensor, config, gt)
+            best, recall = naive_best_single(data, [set(e) for e in gt_lists])
+            assert oracle.params == {"technique": names[best], "oracle_recall_at_1": recall}
+            assert_same_run(oracle, names, naive_run_simple_sum(
+                data, config, [(best,)] * queries, names))
+            if n < 2:
+                with pytest.raises(TooFewTechniquesError):
+                    run_random_pair(tensor, config)
+            else:
+                assert_same_run(run_random_pair(tensor, config), names, naive_run_simple_sum(
+                    data, config, naive_random_pairs(data, config.rng_seed), names))
+        size = len(subset)
+        assert oracle_best_static_subset(tensor, gt, size) == naive_best_static_subset(
+            data, [set(e) for e in gt_lists], size)
+
+    def test_constant_query_is_invalid(self):
+        # query 1: every technique constant; query 2: only technique 0
+        data = np.array([
+            [[0, 1, 0, 0], [2, 2, 2, 2], [3, 3, 3, 3]],
+            [[0, .5, 0, 0], [5, 5, 5, 5], [0, 0, 1, 0]],
+        ], dtype=float)
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=0)
+        error = "TooFewTechniquesError: 0 non-constant techniques among the {} fused, need at least 1"
+        for result, k in [
+            (run_full_mpf(tensor, config), 2),
+            (run_hier_mpf(tensor, config, tiers=[[0], [1]], shortlist_fractions=[0.5]), 2),
+            (run_static_subset(tensor, config, (0,)), 1),
+        ]:
+            assert [r.valid for r in result.records] == [True, False, k == 2]
+            assert [r.match_index for r in result.records][:2] == [1, -1]
+            assert result.records[1].error == error.format(k)
+            assert np.isnan(result.fused[1]).all()
+        assert run_full_mpf(tensor, config).records[2].match_index == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 60), st.sampled_from([1, 2, 5, 1000]),
+           st.integers(0, 2**32 - 1))
+    def test_descending_order_is_the_stable_argsort(self, rows, cols, levels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-levels, levels + 1, size=(rows, cols)) / levels
+        zeros = x == 0.0
+        x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        x[rng.random(x.shape) < 0.05] = np.inf
+        x[rng.random(x.shape) < 0.05] = -np.inf
+        expected = np.argsort(-x, axis=1, kind="stable")
+        assert np.array_equal(engine._descending_order(x), expected)
+
+    def test_memory_does_not_grow_with_queries(self, rng):
+        # an (N, Q, D) normalized copy of this tensor takes 32 MiB
+        data = rng.random((4, 512, 2048))
+        tensor = make_tensor(data)
+        gt = GroundTruth.from_indices(np.arange(512), 2, 2048)
+        config = FusionConfig(r_window=2)
+        output = 512 * 2048 * 8  # the returned (Q, D) fused rows
+        runners = {
+            "full-mpf": lambda: run_full_mpf(tensor, config),
+            "static-subset": lambda: run_static_subset(tensor, config, (0, 2, 3)),
+            "random-pair": lambda: run_random_pair(tensor, config),
+            "hier-mpf": lambda: run_hier_mpf(tensor, config),
+            "best-single-oracle": lambda: run_best_single_oracle(tensor, config, gt),
+        }
+        for name, run in runners.items():
+            tracemalloc.start()
+            try:
+                result = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert all(r.valid for r in result.records), name
+            assert peak - output <= 6 << 20, name  # measured 2.3-5.3 MiB
 
 
 class TestFullMpf:

@@ -129,6 +129,21 @@ class TestCsv:
             load_csv_matrix(path)
 
 
+    @pytest.mark.parametrize("content, error", [
+        ("a,b,c\n1,2,3\n4,5\n", ShapeMismatchError),
+        ("a,b,c\n1,x,3\n", CorruptHeaderError),
+        (b"a,b\n\xff\xfe,1\n", CorruptHeaderError),
+    ])
+    def test_unparseable_rows_rejected(self, tmp_path, content, error):
+        path = tmp_path / "m.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(error):
+            load_csv_matrix(path)
+
+
 class TestComputeSimilarity:
     def test_cosine_identical_unit_vectors(self):
         q = DescriptorMatrix(np.array([[1.0, 0.0]]), role="query")
@@ -186,6 +201,10 @@ class TestAssemble:
     def test_empty_ensemble(self):
         with pytest.raises(EmptyEnsembleError):
             assemble_tensor([], [])
+
+    def test_single_database_column(self):
+        with pytest.raises(ShapeMismatchError):
+            assemble_tensor([np.ones((3, 1)), np.ones((3, 1))], ["a", "b"])
 
     def test_duplicate_names(self, rng):
         with pytest.raises(ValueError):
