@@ -249,28 +249,6 @@ def _check_inputs_exist(manifest: RunManifest) -> None:
         )
 
 
-def _load(path, role: str):
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return ingest.load_csv_matrix(path)
-    return ingest.load_matrix(path, expected_meta={"role": role})[0]
-
-
-def _build_tensor(manifest: RunManifest):
-    matrices = []
-    for entry in manifest.techniques:
-        if "similarity" in entry:
-            matrices.append(_load(entry["similarity"], "similarity"))
-        else:
-            matrices.append(ingest.compute_similarity(
-                ingest.DescriptorMatrix(_load(entry["query"], "query"), role="query"),
-                ingest.DescriptorMatrix(_load(entry["database"], "database"),
-                                        role="database"),
-                metric=entry.get("metric", "cosine"),
-            ))
-    return ingest.assemble_tensor(matrices, [e["name"] for e in manifest.techniques])
-
-
 def _load_ground_truth(path: str, tensor) -> GroundTruth:
     """Load ground truth that must cover every query of ``tensor``."""
     try:
@@ -345,7 +323,7 @@ def cmd_run(args) -> int:
         )
     _check_inputs_exist(manifest)
 
-    tensor = _build_tensor(manifest)
+    tensor = ingest.load_similarity_tensor(manifest.techniques)
     manifest.config.validate(
         tensor.n_techniques, tensor.database_size,
         require_subsets=engine.STRATEGY_DYN_MPF in manifest.strategies,
@@ -422,7 +400,7 @@ def cmd_sweep(args) -> int:
     f_values = _parse_int_list(args.f_values, "--f-values")
     _check_inputs_exist(manifest)
 
-    tensor = _build_tensor(manifest)
+    tensor = ingest.load_similarity_tensor(manifest.techniques)
     manifest.config.validate(tensor.n_techniques, tensor.database_size)
     gt = _load_ground_truth(manifest.ground_truth, tensor)
 

@@ -89,9 +89,10 @@ def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which become all zeros. Every strategy normalizes with this function."""
     lo = data.min(axis=-1, keepdims=True)
     span = data.max(axis=-1, keepdims=True) - lo
+    flat = span == 0.0
     out = data - lo  # a constant vector is already all zeros here
-    np.divide(out, span, out=out, where=span != 0.0)
-    return out, span[..., 0] == 0.0
+    out /= np.where(flat, 1.0, span)  # cheaper than a masked divide
+    return out, flat[..., 0]
 
 
 def minmax_normalize(v) -> np.ndarray:

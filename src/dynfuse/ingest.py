@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,10 +95,14 @@ def _read_sidecar(path: Path) -> dict:
         meta = json.loads(side.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptHeaderError(f"{side}: unparseable JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise CorruptHeaderError(f"{side}: sidecar must be a JSON object")
     for key in ("rows", "cols", "role", "technique"):
         if key not in meta:
             raise CorruptHeaderError(f"{side}: missing field {key!r}")
-    if not isinstance(meta["rows"], int) or not isinstance(meta["cols"], int):
+    # bool is a subclass of int, but true/false is no row count
+    if any(isinstance(meta[k], bool) or not isinstance(meta[k], int)
+           for k in ("rows", "cols")):
         raise CorruptHeaderError(f"{side}: rows/cols must be integers")
     if meta["rows"] < 1 or meta["cols"] < 1:
         raise CorruptHeaderError(f"{side}: rows/cols must be positive")
@@ -112,7 +117,8 @@ def load_matrix(path, expected_meta: dict | None = None):
     The payload byte count must equal rows * cols * 4; entries must be
     finite. ``expected_meta`` entries, when given, are checked against the
     sidecar (shape mismatches raise ShapeMismatchError, label mismatches
-    CorruptHeaderError).
+    CorruptHeaderError). The payload is read once into a writable buffer
+    that the returned float32 array views.
     """
     path = Path(path)
     if not path.exists():
@@ -129,17 +135,21 @@ def load_matrix(path, expected_meta: dict | None = None):
                 raise CorruptHeaderError(
                     f"{path}: expected {key}={want!r}, sidecar says {have!r}"
                 )
-    payload = path.read_bytes()
     expected_bytes = meta["rows"] * meta["cols"] * 4
-    if len(payload) != expected_bytes:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected_bytes:
+            payload = bytearray(size)
+            size = fh.readinto(payload)  # fewer if the file shrank meanwhile
+    if size != expected_bytes:
         raise ShapeMismatchError(
-            f"{path}: payload is {len(payload)} bytes, sidecar shape "
+            f"{path}: payload is {size} bytes, sidecar shape "
             f"{meta['rows']}x{meta['cols']} needs {expected_bytes}"
         )
     arr = np.frombuffer(payload, dtype="<f4").reshape(meta["rows"], meta["cols"])
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"{path}: matrix contains non-finite values")
-    return arr.copy(), meta
+    return arr, meta
 
 
 def load_csv_matrix(path) -> np.ndarray:
@@ -163,9 +173,13 @@ def load_csv_matrix(path) -> np.ndarray:
             raise CorruptHeaderError(f"{path}: unparseable CSV ({exc})") from exc
     if data.size == 0:
         raise ShapeMismatchError(f"{path}: CSV has a header but no data rows")
+    with np.errstate(over="ignore"):  # overflow becomes inf, rejected below
+        data = data.astype(np.float32)
     if not np.all(np.isfinite(data)):
-        raise NonFiniteValueError(f"{path}: CSV contains non-finite values")
-    return data.astype(np.float32)
+        raise NonFiniteValueError(
+            f"{path}: CSV contains non-finite values or values beyond float32 range"
+        )
+    return data
 
 
 def compute_similarity(q: DescriptorMatrix, db: DescriptorMatrix,
@@ -211,45 +225,80 @@ def compute_similarity(q: DescriptorMatrix, db: DescriptorMatrix,
 
 
 def assemble_tensor(per_technique, names) -> SimilarityTensor:
-    """Stack per-technique Q x D similarity matrices into one tensor."""
-    matrices = [np.asarray(m, dtype=np.float64) for m in per_technique]
+    """Write per-technique Q x D similarity matrices into one float64
+    tensor of len(names) techniques.
+
+    ``per_technique`` may be any iterable, a generator included: each
+    matrix is checked and copied into its slot as it arrives, so a generator
+    keeps at most one alive beside the tensor. A bad shape or a surplus
+    matrix stops the iteration there.
+    """
     names = list(names)
-    if len(matrices) == 0:
-        raise EmptyEnsembleError("no techniques given")
-    if len(matrices) != len(names):
-        raise DimensionMismatchError(
-            f"{len(matrices)} matrices but {len(names)} names"
-        )
-    shape = matrices[0].shape
-    for name, m in zip(names, matrices):
+    data = None
+    count = 0
+    for m in per_technique:
+        if count == len(names):
+            raise DimensionMismatchError(
+                f"more than {len(names)} matrices for {len(names)} names"
+            )
+        name = names[count]
+        m = np.asarray(m)
         if m.ndim != 2:
             raise DimensionMismatchError(f"{name}: matrix must be 2-D, got {m.shape}")
-        if m.shape != shape:
+        if data is None:
+            data = np.empty((len(names), *m.shape), dtype=np.float64)
+        elif m.shape != data.shape[1:]:
             raise DimensionMismatchError(
-                f"{name}: shape {m.shape} != {shape} of {names[0]}"
+                f"{name}: shape {m.shape} != {data.shape[1:]} of {names[0]}"
             )
-    if shape[1] < 2:
+        data[count] = m
+        count += 1
+        del m  # free it before the iterable loads the next one
+    if count == 0:
+        raise EmptyEnsembleError("no techniques given")
+    if count != len(names):
+        raise DimensionMismatchError(f"{count} matrices but {len(names)} names")
+    if data.shape[2] < 2:
         raise ShapeMismatchError(
-            f"{names[0]}: {shape[1]} database column, need at least 2"
+            f"{names[0]}: {data.shape[2]} database column, need at least 2"
         )
     techniques = [TechniqueId(index=i, name=n) for i, n in enumerate(names)]
-    return SimilarityTensor(techniques=techniques, data=np.stack(matrices, axis=0))
+    return SimilarityTensor(techniques=techniques, data=data)
+
+
+def _load_payload(path, role: str) -> np.ndarray:
+    """One matrix file: the CSV fixture format for ``.csv`` paths, else a
+    binary payload whose sidecar must carry ``role``."""
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        return load_csv_matrix(path)
+    return load_matrix(path, expected_meta={"role": role})[0]
+
+
+def _load_entry(entry: dict) -> np.ndarray:
+    """The Q x D similarity matrix of one manifest technique entry."""
+    if "similarity" in entry:
+        return _load_payload(entry["similarity"], "similarity")
+    return compute_similarity(
+        DescriptorMatrix(_load_payload(entry["query"], "query"), role="query"),
+        DescriptorMatrix(_load_payload(entry["database"], "database"),
+                         role="database"),
+        metric=entry.get("metric", METRICS[0]),
+    )
 
 
 def load_similarity_tensor(entries) -> SimilarityTensor:
-    """Load a tensor from (name, path) pairs of similarity-matrix files.
+    """Load a tensor from manifest technique entries, one at a time.
 
-    Binary payloads must carry role "similarity" in their sidecar; ``.csv``
-    paths use the CSV fixture format.
+    An entry holds a "name" and either a "similarity" path or "query" and
+    "database" descriptor paths with an optional "metric" (default cosine);
+    a ``(name, path)`` pair is short for a similarity entry. Each binary
+    sidecar must carry its entry's role. Loading peaks near the tensor plus
+    one technique's raw data.
     """
-    matrices = []
-    names = []
-    for name, path in entries:
-        path = Path(path)
-        if path.suffix.lower() == ".csv":
-            matrices.append(load_csv_matrix(path))
-        else:
-            arr, _ = load_matrix(path, expected_meta={"role": "similarity"})
-            matrices.append(arr)
-        names.append(name)
-    return assemble_tensor(matrices, names)
+    entries = [
+        e if isinstance(e, dict) else {"name": e[0], "similarity": e[1]}
+        for e in entries
+    ]
+    return assemble_tensor((_load_entry(e) for e in entries),
+                           [e["name"] for e in entries])

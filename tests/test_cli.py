@@ -447,6 +447,54 @@ class TestRunCommand:
         assert out["status"] == "error"
         assert out["error"] == "ShapeMismatchError"
 
+    @pytest.mark.parametrize("sidecar", [
+        "5", "null",
+        # with 12 x 40 = 480 floats, rows=true once matched the payload size
+        '{"rows": true, "cols": 480, "role": "similarity", "technique": "tech-01"}',
+    ])
+    def test_mistyped_sidecar_ends_in_one_error_json(self, tmp_path, capsys,
+                                                     sidecar):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        (data_dir / "tech-01.f32.meta.json").write_text(sidecar)
+        code = main(["run", "--config", str(data_dir / "manifest.json")])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 1
+        assert captured.err == ""
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "CorruptHeaderError"
+        code = main(["ingest-check", str(data_dir / "tech-01.f32")])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.startswith("FAIL") and "CorruptHeaderError" in out
+
+    def test_manifest_mixes_binary_csv_and_descriptor_entries(self, tmp_path,
+                                                              capsys, rng):
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        sim = np.fromfile(data_dir / "tech-01.f32", dtype="<f4").reshape(12, 40)
+        np.savetxt(data_dir / "tech-01.csv", sim, delimiter=",", fmt="%.9g",
+                   header="csv", comments="")
+        write_matrix(data_dir / "q.f32", rng.random((12, 5)), role="query",
+                     technique="tech-02")
+        write_matrix(data_dir / "db.f32", rng.random((40, 5)), role="database",
+                     technique="tech-02")
+        manifest["techniques"][1] = {"name": "tech-01", "similarity": "tech-01.csv"}
+        manifest["techniques"][2] = {"name": "tech-02", "query": "q.f32",
+                                     "database": "db.f32",
+                                     "metric": "negative-euclidean"}
+        manifest["strategies"] = ALL_STRATEGIES
+        path = data_dir / "mixed.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        summary = json.loads((data_dir / "results" / "run_summary.json").read_text())
+        assert summary["techniques"] == ["tech-00", "tech-01", "tech-02"]
+        assert set(summary["strategies"]) == set(ALL_STRATEGIES)
+
     def test_static_subset_params(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)
         manifest = json.loads((data_dir / "manifest.json").read_text())
@@ -534,6 +582,114 @@ def test_fuzzed_manifest_ends_in_one_json_line(tmp_path, mutations):
     assert code in (0, 2, 3), lines
     assert len(lines) == 1, lines
     assert isinstance(json.loads(lines[0]), dict)
+
+
+DELETE = object()
+CSV_TOKENS = (st.sampled_from(["0.5", "1", "-2e3", "nan", "inf", "-inf", "1e39",
+                               "x", "", " 3"])
+              | st.text(max_size=3))
+# Each mutation rewrites one technique's input as new files, so the synth
+# files stay intact for the next example.
+FILE_MUTATIONS = st.one_of(
+    st.tuples(st.just("sidecar"), JSON_VALUES),
+    st.tuples(st.just("field"), st.sampled_from(["rows", "cols", "role", "technique"]),
+              JSON_VALUES | st.sampled_from([DELETE, 1, 12, 40, 480])),
+    st.tuples(st.just("resize"), st.integers(-9, 9)),
+    st.tuples(st.just("value"), st.integers(0, 479),
+              st.sampled_from([np.nan, np.inf, -np.inf])),
+    st.tuples(st.just("csv"), st.lists(st.lists(CSV_TOKENS, max_size=4), max_size=3)),
+    st.tuples(st.just("csv-bytes"), st.binary(max_size=12)),
+    st.tuples(st.just("csv-rows"), st.integers(0, 12)),
+    st.tuples(st.just("duplicate")),
+    st.tuples(st.just("descriptors"), st.sampled_from([11, 12]),
+              st.sampled_from([39, 40]), st.integers(1, 3), st.integers(1, 3),
+              st.sampled_from(["cosine", "negative-euclidean", "hamming"])),
+)
+
+
+def mutate_input_files(data_dir, manifest, index, mutation):
+    """Point technique ``index`` of ``manifest`` at mutated copies of its
+    files; return the binary payload copy when the entry still uses it."""
+    entry = manifest["techniques"][index]
+    kind, *args = mutation
+    payload = (data_dir / entry["similarity"]).read_bytes()
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(12, 40)
+    copy_path = data_dir / "fuzz.f32"
+    sidecar = data_dir / "fuzz.f32.meta.json"
+    copy_path.write_bytes(payload)
+    sidecar.write_text((data_dir / f"{entry['similarity']}.meta.json").read_text())
+    entry["similarity"] = copy_path.name
+    if kind == "sidecar":
+        sidecar.write_text(json.dumps(args[0]))
+    elif kind == "field":
+        meta = json.loads(sidecar.read_text())
+        key, value = args
+        if value is DELETE:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+    elif kind == "resize":
+        delta = args[0]
+        copy_path.write_bytes(payload[:len(payload) + delta] if delta < 0
+                              else payload + b"\x01" * delta)
+    elif kind == "value":
+        changed = matrix.copy()
+        changed.flat[args[0]] = args[1]
+        copy_path.write_bytes(changed.tobytes())
+    elif kind.startswith("csv"):
+        csv_path = data_dir / "fuzz.csv"
+        if kind == "csv":
+            csv_path.write_text("h\n" + "\n".join(",".join(r) for r in args[0]))
+        elif kind == "csv-bytes":
+            csv_path.write_bytes(args[0])
+        else:
+            np.savetxt(csv_path, matrix[:args[0]], delimiter=",", fmt="%.9g",
+                       header="h", comments="")
+        entry["similarity"] = csv_path.name
+    elif kind == "duplicate":
+        entry["name"] = manifest["techniques"][index - 1]["name"]
+    else:
+        q_rows, db_rows, q_dim, db_dim, metric = args
+        rng = np.random.default_rng(q_dim * 10 + db_dim)
+        write_matrix(data_dir / "fuzz_q.f32", rng.random((q_rows, q_dim)),
+                     role="query", technique="q")
+        write_matrix(data_dir / "fuzz_db.f32", rng.random((db_rows, db_dim)),
+                     role="database", technique="db")
+        del entry["similarity"]
+        entry.update(query="fuzz_q.f32", database="fuzz_db.f32", metric=metric)
+    return copy_path if entry.get("similarity") == copy_path.name else None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2), FILE_MUTATIONS)
+def test_fuzzed_input_files_end_in_one_json_line(tmp_path, index, mutation):
+    """Any mutated matrix, sidecar, CSV or descriptor file ends with exit
+    0-3, one JSON object on stdout and no traceback; ingest-check reports a
+    mutated payload as OK or FAIL."""
+    data_dir = tmp_path / "data"
+    if not data_dir.exists():
+        write_benchmark(tmp_path)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    payload = mutate_input_files(data_dir, manifest, index, mutation)
+    path = data_dir / "fuzz.json"
+    path.write_text(json.dumps(manifest))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--workers", "1"])
+    lines = stdout.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), lines
+    assert len(lines) == 1, lines
+    assert isinstance(json.loads(lines[0]), dict)
+    assert "Traceback" not in stderr.getvalue()
+    if payload is not None:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["ingest-check", str(payload)])
+        assert code in (0, 3)
+        assert stdout.getvalue().startswith(("OK", "FAIL"))
 
 
 class TestSweepCommand:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ class TestMatrixFile:
         assert loaded.dtype == np.float32
         assert arr.tobytes() == loaded.tobytes()
 
+    def test_loaded_array_is_writable(self, tmp_path):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        path = write_matrix(tmp_path / "m.f32", arr, role="similarity", technique="t")
+        loaded, _ = load_matrix(path)
+        path.unlink()
+        loaded[0, 0] = 9.0
+        assert loaded[0, 0] == 9.0 and np.array_equal(loaded[1], arr[1])
+
     def test_payload_shorter_than_sidecar(self, tmp_path):
         path = write_matrix(
             tmp_path / "m.f32", np.zeros((2, 3), dtype=np.float32),
@@ -74,6 +83,20 @@ class TestMatrixFile:
         meta = json.loads(sidecar_path(path).read_text())
         del meta[drop]
         sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(CorruptHeaderError):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        "5", "null", '"rows cols role technique"',
+        '{"rows": true, "cols": 2, "role": "similarity", "technique": "t"}',
+        '{"rows": 2, "cols": true, "role": "similarity", "technique": "t"}',
+    ])
+    def test_mistyped_sidecar_rejected(self, tmp_path, sidecar):
+        path = write_matrix(
+            tmp_path / "m.f32", np.zeros((1, 2), dtype=np.float32),
+            role="similarity", technique="t",
+        )
+        sidecar_path(path).write_text(sidecar)
         with pytest.raises(CorruptHeaderError):
             load_matrix(path)
 
@@ -133,6 +156,7 @@ class TestCsv:
         ("a,b,c\n1,2,3\n4,5\n", ShapeMismatchError),
         ("a,b,c\n1,x,3\n", CorruptHeaderError),
         (b"a,b\n\xff\xfe,1\n", CorruptHeaderError),
+        ("a,b\n1e39,1\n", NonFiniteValueError),  # finite only as float64
     ])
     def test_unparseable_rows_rejected(self, tmp_path, content, error):
         path = tmp_path / "m.csv"
@@ -228,3 +252,104 @@ def test_load_similarity_tensor_rejects_wrong_role(tmp_path, rng):
                      role="database", technique="d")
     with pytest.raises(CorruptHeaderError):
         load_similarity_tensor([("d", p)])
+
+
+MiB = 2**20
+
+
+def write_similarities(tmp_path, mats):
+    return [(f"t{i}", write_matrix(tmp_path / f"t{i}.f32", m, role="similarity",
+                                   technique=f"t{i}"))
+            for i, m in enumerate(mats)]
+
+
+class TestStreamingLoader:
+    """load_similarity_tensor streams one technique at a time into the
+    tensor that assemble_tensor preallocates."""
+
+    def test_values_equal_stacked_float64_casts(self, tmp_path, rng):
+        mats = [(rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-30, 30))
+                .astype(np.float32) for _ in range(3)]
+        want = np.stack([m.astype(np.float64) for m in mats])
+        tensor = load_similarity_tensor(write_similarities(tmp_path, mats))
+        assert tensor.data.dtype == np.float64
+        assert tensor.data.tobytes() == want.tobytes()
+        listed = assemble_tensor(mats, ["a", "b", "c"])
+        assert listed.data.tobytes() == want.tobytes()
+
+    def test_loading_peaks_near_one_tensor(self, tmp_path, rng):
+        # (8, 256, 512) float64 is 8 MiB; one technique's payload is 0.5 MiB
+        entries = write_similarities(
+            tmp_path, [rng.random((256, 512), dtype=np.float32) for _ in range(8)])
+        tracemalloc.start()
+        try:
+            tensor = load_similarity_tensor(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.data.nbytes == 8 * MiB
+        assert peak <= 10 * MiB, peak / MiB
+
+    def test_list_path_allocates_one_tensor(self, rng):
+        mats = [rng.random((256, 512), dtype=np.float32) for _ in range(8)]
+        tracemalloc.start()
+        try:
+            tensor = assemble_tensor(mats, [f"t{i}" for i in range(8)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tensor.data.nbytes + 1.5 * MiB, peak / MiB
+
+    @pytest.mark.parametrize("shapes, names, error, loaded", [
+        ([(3, 4), (3, 5), (3, 4)], "abc", DimensionMismatchError, 2),
+        ([(3, 4), (3,), (3, 4)], "abc", DimensionMismatchError, 2),
+        ([(3, 4), (3, 4), (3, 4), (3, 4)], "ab", DimensionMismatchError, 3),
+        ([(3, 4), (3, 4)], "abc", DimensionMismatchError, 2),
+        ([(3, 1), (3, 1)], "ab", ShapeMismatchError, 2),
+        ([], "", EmptyEnsembleError, 0),
+    ])
+    def test_generator_stops_at_the_first_error(self, shapes, names, error, loaded):
+        pulled = []
+
+        def matrices():
+            for shape in shapes:
+                pulled.append(shape)
+                yield np.ones(shape, dtype=np.float32)
+
+        with pytest.raises(error):
+            assemble_tensor(matrices(), list(names))
+        assert len(pulled) == loaded
+
+    def test_manifest_entries_mix_binary_csv_and_descriptors(self, tmp_path, rng):
+        sim = rng.random((3, 5)).astype(np.float32)
+        write_matrix(tmp_path / "sim.f32", sim, role="similarity", technique="b")
+        (tmp_path / "sim.csv").write_text(
+            "h\n" + "\n".join(",".join(repr(float(v)) for v in row) for row in sim))
+        q = DescriptorMatrix(rng.random((3, 4)) + 0.1, role="query")
+        db = DescriptorMatrix(rng.random((5, 4)) + 0.1, role="database")
+        write_matrix(tmp_path / "q.f32", q.data, role="query", technique="d")
+        write_matrix(tmp_path / "db.f32", db.data, role="database", technique="d")
+        tensor = load_similarity_tensor([
+            {"name": "bin", "similarity": str(tmp_path / "sim.f32")},
+            ("pair", tmp_path / "sim.f32"),
+            {"name": "csv", "similarity": str(tmp_path / "sim.csv")},
+            {"name": "cos", "query": str(tmp_path / "q.f32"),
+             "database": str(tmp_path / "db.f32")},
+            {"name": "euc", "query": str(tmp_path / "q.f32"),
+             "database": str(tmp_path / "db.f32"), "metric": "negative-euclidean"},
+        ])
+        assert tensor.names == ["bin", "pair", "csv", "cos", "euc"]
+        for i in range(3):
+            assert tensor.data[i].tobytes() == sim.astype(np.float64).tobytes()
+        assert np.array_equal(tensor.data[3], compute_similarity(q, db))
+        assert np.array_equal(tensor.data[4],
+                              compute_similarity(q, db, "negative-euclidean"))
+
+    def test_descriptor_role_is_checked(self, tmp_path, rng):
+        write_matrix(tmp_path / "q.f32", rng.random((3, 4)), role="similarity",
+                     technique="d")
+        write_matrix(tmp_path / "db.f32", rng.random((5, 4)), role="database",
+                     technique="d")
+        with pytest.raises(CorruptHeaderError):
+            load_similarity_tensor([{"name": "d", "query": str(tmp_path / "q.f32"),
+                                     "database": str(tmp_path / "db.f32")}])
