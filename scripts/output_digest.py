@@ -4,6 +4,8 @@ two checkouts can be compared for byte-identical output.
 
 Output sets:
 
+  synth       ``dynfuse synth`` on a fixed spec: the directory as written,
+              its ``.f32`` payloads hashed as bytes
   run-F<f>    ``dynfuse run`` with all six strategies at frame separation f
               (1, 7 and 25), Recall@K up to K = D, so every full ranking
               counts
@@ -70,11 +72,14 @@ def _run(repo: Path, work: Path, args: list[str]) -> str:
 def _digest(work: Path, outputs: list[Path], stdout: str) -> str:
     """SHA-256 over the given files (for a directory, every file in it) and
     the child's stdout, without timings and with the scratch path named
-    ``<work>``."""
+    ``<work>`` in text files; ``.f32`` payloads are hashed as bytes."""
     files = sorted(f for p in outputs for f in ([p] if p.is_file() else p.rglob("*"))
                    if f.is_file())
     sha = hashlib.sha256()
     for path in files:
+        if path.suffix == ".f32":
+            sha.update(f"{path.relative_to(work)}\0".encode() + path.read_bytes() + b"\0")
+            continue
         text = path.read_text()
         if path.name in TIMING_FILES:
             payload = json.loads(text)
@@ -92,9 +97,10 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
     ``work``; return {set name: SHA-256}."""
     repo, work = repo.resolve(), work.resolve()
     (work / "spec.json").write_text(json.dumps(spec))
-    _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", "spec.json",
-                      "--out", "data"])
+    stdout = _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", "spec.json",
+                               "--out", "data"])
     data = work / "data"
+    digests = {"synth": _digest(work, [data], stdout)}
     d = spec["database_size"]
     for payload in sorted(data.glob("*.f32")):
         vectors = np.fromfile(payload, dtype="<f4").reshape(-1, d)
@@ -104,7 +110,6 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
     manifest.update(strategies=STRATEGIES, recall_k=[1, 5, d])
     (data / "manifest.json").write_text(json.dumps(manifest))
 
-    digests = {}
     for f in f_values:
         out = work / f"run-F{f}"
         stdout = _run(repo, work, ["-m", "dynfuse.cli", "run", "--config",

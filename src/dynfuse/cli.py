@@ -101,11 +101,7 @@ class RunManifest:
                 field="strategies",
             )
         for name, params in strategies.items():
-            if name not in engine.STRATEGIES:
-                raise ConfigError(
-                    f"unknown strategy {name!r}; choose from {list(engine.STRATEGIES)}",
-                    field="strategies",
-                )
+            _check_strategy_name(name, "strategies")
             _check_strategy_params(name, params)
         recall_k = _check_list(raw.get("recall_k", [1, 5]), int, "integers", "recall_k")
         if not recall_k or any(k < 1 for k in recall_k):
@@ -133,6 +129,14 @@ def _check_path(value, field: str) -> str:
         raise ConfigError("must be a non-empty path without NUL characters",
                           field=field)
     return value
+
+
+def _check_strategy_name(name: str, field: str) -> None:
+    if name not in engine.STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {name!r}; choose from {list(engine.STRATEGIES)}",
+            field=field,
+        )
 
 
 def _check_list(value, item_types, expected: str, field: str) -> list:
@@ -176,14 +180,31 @@ def _check_strategy_params(name: str, params) -> None:
 
 
 def _load_manifest(path: str) -> RunManifest:
+    """The checked manifest at ``path``. Its input paths are resolved
+    against the manifest's directory, and each must name a file."""
     p = Path(path)
     if not p.exists():
         raise ConfigError("config file does not exist", field="config")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON ({exc})", field="config")
-    return RunManifest.from_dict(raw)
+    manifest = RunManifest.from_dict(raw)
+    base = p.resolve().parent
+
+    def resolve(value: str, field: str) -> str:
+        path = base / value  # an absolute value replaces base
+        if not path.is_file():
+            raise ConfigError(f"path {path} does not exist or is not a file",
+                              field=field)
+        return str(path)
+
+    for i, entry in enumerate(manifest.techniques):
+        for key in ("similarity", "query", "database"):
+            if key in entry:
+                entry[key] = resolve(entry[key], f"techniques[{i}].{key}")
+    manifest.ground_truth = resolve(manifest.ground_truth, "ground_truth")
+    return manifest
 
 
 def _apply_overrides(manifest: RunManifest, args) -> RunManifest:
@@ -197,11 +218,7 @@ def _apply_overrides(manifest: RunManifest, args) -> RunManifest:
     manifest.config = cfg
     if getattr(args, "strategy", None):
         for name in args.strategy:
-            if name not in engine.STRATEGIES:
-                raise ConfigError(
-                    f"unknown strategy {name!r}; choose from {list(engine.STRATEGIES)}",
-                    field="--strategy",
-                )
+            _check_strategy_name(name, "--strategy")
             manifest.strategies.setdefault(name, {})
     if getattr(args, "recall_k", None):
         manifest.recall_k = _parse_int_list(args.recall_k, "--recall-k")
@@ -220,39 +237,14 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _resolve_paths(manifest: RunManifest, base: Path) -> None:
-    """Paths in a manifest are relative to the manifest's directory."""
-
-    def resolve(p: str) -> str:
-        q = Path(p)
-        return str(q if q.is_absolute() else base / q)
-
-    for entry in manifest.techniques:
-        for key in ("similarity", "query", "database"):
-            if key in entry:
-                entry[key] = resolve(entry[key])
-    manifest.ground_truth = resolve(manifest.ground_truth)
-
-
-def _check_inputs_exist(manifest: RunManifest) -> None:
-    for i, entry in enumerate(manifest.techniques):
-        for key in ("similarity", "query", "database"):
-            if key in entry and not Path(entry[key]).is_file():
-                raise ConfigError(
-                    f"path {entry[key]} does not exist or is not a file",
-                    field=f"techniques[{i}].{key}",
-                )
-    if not Path(manifest.ground_truth).is_file():
-        raise ConfigError(
-            f"path {manifest.ground_truth} does not exist or is not a file",
-            field="ground_truth",
-        )
-
-
-def _load_ground_truth(path: str, tensor) -> GroundTruth:
-    """Load ground truth that must cover every query of ``tensor``."""
+def _load_inputs(manifest: RunManifest, require_subsets: bool):
+    """The manifest's tensor and its ground truth, which must cover every
+    query; the config is checked against the tensor in between."""
+    tensor = ingest.load_similarity_tensor(manifest.techniques)
+    manifest.config.validate(tensor.n_techniques, tensor.database_size,
+                             require_subsets=require_subsets)
     try:
-        gt = GroundTruth.from_json(path, tensor.database_size)
+        gt = GroundTruth.from_json(manifest.ground_truth, tensor.database_size)
     except json.JSONDecodeError:
         raise  # not JSON at all: main reports it as an I/O error
     except (TypeError, ValueError) as exc:
@@ -262,7 +254,17 @@ def _load_ground_truth(path: str, tensor) -> GroundTruth:
             f"ground truth covers {gt.queries} queries, tensor has {tensor.queries}",
             field="ground_truth",
         )
-    return gt
+    return tensor, gt
+
+
+def _technique_indices(names, tensor, field: str) -> list[int]:
+    """Indices of the technique ``names`` in ``tensor``; an unknown name is
+    a ConfigError on ``field``."""
+    for t in names:
+        if t not in tensor.names:
+            raise ConfigError(f"unknown technique {t!r} in {field.rsplit('.', 1)[-1]}",
+                              field=field)
+    return [tensor.names.index(t) for t in names]
 
 
 def _run_strategy(name, params, tensor, config, gt, workers):
@@ -278,14 +280,8 @@ def _run_strategy(name, params, tensor, config, gt, workers):
     if name == engine.STRATEGY_HIER_MPF:
         tiers = params.get("tiers")
         if tiers is not None:
-            name_to_idx = {t: i for i, t in enumerate(tensor.names)}
-            try:
-                tiers = [[name_to_idx[t] for t in tier] for tier in tiers]
-            except KeyError as exc:
-                raise ConfigError(
-                    f"unknown technique {exc.args[0]!r} in tiers",
-                    field="strategies.hier-mpf.tiers",
-                )
+            tiers = [_technique_indices(tier, tensor, "strategies.hier-mpf.tiers")
+                     for tier in tiers]
         return engine.run_hier_mpf(
             tensor, config, tiers=tiers,
             shortlist_fractions=params.get("shortlist_fractions"),
@@ -298,43 +294,26 @@ def _run_strategy(name, params, tensor, config, gt, workers):
                 "static-subset needs a 'subset' list of technique names",
                 field="strategies.static-subset.subset",
             )
-        name_to_idx = {t: i for i, t in enumerate(tensor.names)}
-        try:
-            subset = [name_to_idx[t] for t in members]
-        except KeyError as exc:
-            raise ConfigError(
-                f"unknown technique {exc.args[0]!r} in subset",
-                field="strategies.static-subset.subset",
-            )
+        subset = _technique_indices(members, tensor, "strategies.static-subset.subset")
         return engine.run_static_subset(tensor, config, subset, workers=workers)
-    if name == engine.STRATEGY_BEST_SINGLE_ORACLE:
-        return engine.run_best_single_oracle(tensor, config, gt, workers=workers)
-    raise ConfigError(f"unknown strategy {name!r}", field="strategies")
+    # the last name _check_strategy_name lets through
+    return engine.run_best_single_oracle(tensor, config, gt, workers=workers)
 
 
 def cmd_run(args) -> int:
-    manifest = _load_manifest(args.config)
-    _resolve_paths(manifest, Path(args.config).resolve().parent)
-    manifest = _apply_overrides(manifest, args)
+    manifest = _apply_overrides(_load_manifest(args.config), args)
     if not manifest.strategies:
         raise ConfigError(
             "no strategies requested (set manifest 'strategies' or pass --strategy)",
             field="strategies",
         )
-    _check_inputs_exist(manifest)
-
-    tensor = ingest.load_similarity_tensor(manifest.techniques)
-    manifest.config.validate(
-        tensor.n_techniques, tensor.database_size,
-        require_subsets=engine.STRATEGY_DYN_MPF in manifest.strategies,
-    )
+    tensor, gt = _load_inputs(manifest, engine.STRATEGY_DYN_MPF in manifest.strategies)
     if max(manifest.recall_k) > tensor.database_size:
         raise ConfigError(
             f"K={max(manifest.recall_k)} exceeds the database size "
             f"({tensor.database_size})",
             field="recall_k",
         )
-    gt = _load_ground_truth(manifest.ground_truth, tensor)
 
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -394,15 +373,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest = _load_manifest(args.config)
-    _resolve_paths(manifest, Path(args.config).resolve().parent)
-    manifest = _apply_overrides(manifest, args)
+    manifest = _apply_overrides(_load_manifest(args.config), args)
     f_values = _parse_int_list(args.f_values, "--f-values")
-    _check_inputs_exist(manifest)
-
-    tensor = ingest.load_similarity_tensor(manifest.techniques)
-    manifest.config.validate(tensor.n_techniques, tensor.database_size)
-    gt = _load_ground_truth(manifest.ground_truth, tensor)
+    tensor, gt = _load_inputs(manifest, True)
 
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -538,14 +511,21 @@ def _error_json(kind: str, exc: Exception) -> str:
     return json.dumps(payload)
 
 
+def _log_level() -> str:
+    """The level named by DYNFUSE_LOG (WARNING when unset)."""
+    level = os.environ.get("DYNFUSE_LOG", "WARNING").upper()
+    names = logging.getLevelNamesMapping()
+    if level not in names:
+        raise ConfigError(f"unknown log level {level!r}; choose from {sorted(names)}",
+                          field="DYNFUSE_LOG")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("DYNFUSE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(),
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     except ConfigError as exc:
         print(_error_json("ConfigError", exc))

@@ -240,7 +240,8 @@ class SimilarityTensor:
             raise ValueError("technique list length does not match tensor depth")
         if d < 2:
             raise ValueError("database size must be at least 2")
-        if not np.all(np.isfinite(self.data)):
+        # one technique at a time: the mask is one (Q, D) slice, not N of them
+        if not all(np.isfinite(technique).all() for technique in self.data):
             raise ValueError("tensor contains non-finite entries")
         names = [t.name for t in self.techniques]
         if len(set(names)) != len(names):
@@ -296,6 +297,17 @@ class GroundTruth:
 
     def evaluable(self, query: int) -> bool:
         return len(self.acceptable[query]) > 0
+
+    def hits(self, queries, matches) -> np.ndarray:
+        """True where an integer in ``matches`` is an acceptable database
+        index of the query at the same place in ``queries`` (the two arrays
+        broadcast). An index outside [0, D) is never a hit."""
+        queries, matches = np.asarray(queries), np.asarray(matches)
+        d = self.database_size
+        accepted = [q * d + i for q in np.unique(queries).tolist()
+                    for i in self.acceptable[q]]
+        keys = queries.astype(np.int64) * d + matches.astype(np.int64)
+        return (matches >= 0) & (matches < d) & np.isin(keys, accepted)
 
     @classmethod
     def from_lists(cls, lists, database_size: int) -> "GroundTruth":

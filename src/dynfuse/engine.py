@@ -6,19 +6,19 @@ whose per-row ordering is the strategy's database ranking for that query
 invalid instead of aborting the run. So does a query on which every fused
 technique is constant: its fused vector carries no place information.
 
-Every runner min-max normalizes with ``core.minmax_rows`` and works on
-batches of queries, in query chunks of at most _BLOCK_BYTES of member
-vectors. Dynamic fusion batches each calibration block: the cached
-subset's vectors of the block's queries form one (members, queries, D)
-slab. The plain-sum baselines batch the queries that share a subset and
-normalize only its members. Hierarchical fusion runs its tiers on a
-(queries, survivors) block. Ratios, weights, sums, shortlists and matches
-are computed for a batch at once; only the records are built per query.
-The results equal a query-by-query run bit for bit (the loops are kept in
+Every runner hands one batch loop, ``_fuse_groups``, its (subset,
+queries) groups and a ``fuse(subset, qs)`` that scores a chunk of at most
+_BLOCK_BYTES of member vectors. Dynamic fusion searches every calibration
+first and passes one group per calibration block (``_fuse_block``). The
+plain-sum baselines pass the queries that share a subset and normalize
+only its members. Hierarchical fusion passes all queries as one group and
+runs its tiers on a (queries, survivors) block. Only the records are built
+per query; ``_invalid`` builds every no-match record. The results equal a
+query-by-query run bit for bit (the loops are kept in
 tests/reference_impl.py).
 
 Parallelism contract: every runner is single-threaded and walks its
-batches in query order. The ``workers`` parameter is accepted for
+batches in a fixed order. The ``workers`` parameter is accepted for
 compatibility and changes nothing, so output never depends on it. Threads
 measured slower than one loop here: the work is numpy calls that hold the
 GIL.
@@ -106,6 +106,31 @@ def write_result_json(result: StrategyResult, names: list[str], path) -> None:
 _BLOCK_BYTES = 1 << 20
 
 
+def _invalid(query: int, error: str, subset, touched) -> SelectionRecord:
+    """The record of a query that has no match."""
+    return SelectionRecord(
+        query=query, subset=subset, weights={}, ratio_score=None, match_index=-1,
+        valid=False, techniques_touched=touched, error=error,
+    )
+
+
+def _fuse_groups(tensor, groups, records, fuse) -> np.ndarray:
+    """Call ``fuse(subset, qs)`` on each (subset, ascending query array)
+    group in chunks of at most _BLOCK_BYTES of member vectors; it returns
+    the chunk's (len(qs), D) scores, validity and records. Puts the records
+    in ``records`` by query; returns the (Q, D) scores, NaN where invalid."""
+    rows = np.full((tensor.queries, tensor.database_size), np.nan)
+    for subset, group in groups:
+        chunk = max(1, _BLOCK_BYTES // (8 * len(subset) * tensor.database_size))
+        for at in range(0, len(group), chunk):
+            qs = group[at:at + chunk]
+            scores, valid, chunk_records = fuse(subset, qs)
+            rows[qs[valid]] = scores[valid]
+            for record in chunk_records:
+                records[record.query] = record
+    return rows
+
+
 def run_dyn_mpf(
     tensor: SimilarityTensor,
     config: FusionConfig,
@@ -121,8 +146,8 @@ def run_dyn_mpf(
     on every query; ``uniform_weights`` forces all weights to 1, which
     reduces the pipeline to plain summation over the selected subset.
 
-    Each block is fused as one batch (_fuse_block), in query chunks of at
-    most _BLOCK_BYTES of member vectors.
+    Every calibration is searched first; each calibration block is then
+    one group of _fuse_groups, fused by _fuse_block.
 
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
@@ -131,8 +156,9 @@ def run_dyn_mpf(
     n, queries, d = tensor.data.shape
     config.validate(n, d)
     f = config.frame_separation_f
-    records: list[SelectionRecord] = []
-    rows = np.full((queries, d), np.nan)
+    records: list[SelectionRecord | None] = [None] * queries
+    scores: dict[int, float] = {}
+    groups = []
     for start in range(0, queries, f):
         stop = min(start + f, queries)
         normalized, degenerate = normalize_query_slices(tensor.query_slices(start))
@@ -140,59 +166,52 @@ def run_dyn_mpf(
             best = select_best_subset(normalized, config, degenerate)
         except (WindowCoversAllError, TooFewTechniquesError) as exc:
             error = f"{type(exc).__name__}: {exc}"
-            records.extend(
-                SelectionRecord(
-                    query=q, subset=(), weights={}, ratio_score=None,
-                    match_index=-1, valid=False, error=error,
-                    techniques_touched=tuple(range(n)) if q == start else (),
-                )
-                for q in range(start, stop)
-            )
+            records[start] = _invalid(start, error, (), tuple(range(n)))
+            for q in range(start + 1, stop):
+                records[q] = _invalid(q, error, (), ())
             continue
-        chunk = max(1, _BLOCK_BYTES // (8 * len(best.subset) * d))
-        for at in range(start, stop, chunk):
-            records.extend(_fuse_block(
-                tensor, config, best, start, range(at, min(at + chunk, stop)),
-                rows, uniform_weights,
-            ))
+        scores[start] = best.score
+        groups.append((best.subset, np.arange(start, stop)))
+
+    def fuse(subset, qs):
+        return _fuse_block(tensor, config, subset, scores[qs[0] - qs[0] % f], qs,
+                           uniform_weights)
+
+    rows = _fuse_groups(tensor, groups, records, fuse)
     return StrategyResult(
         strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
         params={"uniform_weights": uniform_weights},
     )
 
 
-def _fuse_block(tensor, config, best, calibration, qs, rows, uniform_weights):
-    """Records for the queries ``qs`` of the block that ``calibration``
-    started with subset ``best``, computed as one batch; writes their
-    standardized sums to ``rows``.
+def _fuse_block(tensor, config, subset, score, qs, uniform_weights):
+    """(standardized sums, validity, records) of the queries ``qs`` of one
+    calibration block, whose search chose ``subset`` with ratio ``score``,
+    computed as one batch. A calibration query is one whose index is a
+    multiple of F.
 
     Per query the checks run in the order a single query would meet them:
     too few non-constant members, the fused ratio's window, then each
     member's window in subset order. The calibration query skips the first
     two; its fused ratio is the search's score.
     """
-    subset = best.subset
     r, eps, low = config.r_window, config.epsilon, config.min_subset_size
-    members, constant = minmax_rows(tensor.data[list(subset), qs.start:qs.stop])
+    members, constant = minmax_rows(tensor.data[list(subset), qs[0]:qs[-1] + 1])
     d = members.shape[2]
-    fused = members[0] + members[1]
-    for row in members[2:]:
-        fused += row  # left to right, as fuse_subset adds
-    ratios, fused_best, fused_covered = ratio_rows(fused, r, eps)
+    ratios, fused_best, fused_covered = ratio_rows(_sum_rows(members), r, eps)
     weights, member_best, member_covered = (
         a.reshape(constant.shape) for a in ratio_rows(members.reshape(-1, d), r, eps)
     )
     if uniform_weights:
         weights, member_covered = np.ones(constant.shape), np.zeros(constant.shape, bool)
     usable = len(subset) - constant.sum(axis=0)
-    in_between = np.arange(qs.start, qs.stop) != calibration
-    too_few = in_between & (usable < low)
-    fused_bad = in_between & fused_covered & ~too_few
+    calibration = qs % config.frame_separation_f == 0
+    too_few = ~calibration & (usable < low)
+    fused_bad = ~calibration & fused_covered & ~too_few
     valid = ~(too_few | fused_bad | member_covered.any(axis=0))
     # an invalid query's weights may be meaningless; zero keeps its unused
     # sum finite
     z, match, mean, std = weighted_match_rows(members, np.where(valid, weights, 0.0))
-    rows[qs.start:qs.stop][valid] = z[valid]
 
     def error(i: int) -> str:
         if too_few[i]:
@@ -203,24 +222,21 @@ def _fuse_block(tensor, config, best, calibration, qs, rows, uniform_weights):
         return f"WindowCoversAllError: {window_error(r, int(at), d)}"
 
     records = []
-    columns = zip(qs, valid.tolist(), ratios.tolist(), weights.T.tolist(),
-                  match.tolist(), mean.tolist(), std.tolist())
-    for i, (q, ok, ratio, w, m, mu, sigma) in enumerate(columns):
-        touched = tuple(range(len(tensor.data))) if q == calibration else subset
+    everyone = tuple(range(len(tensor.data)))
+    columns = zip(qs.tolist(), calibration.tolist(), valid.tolist(), ratios.tolist(),
+                  weights.T.tolist(), match.tolist(), mean.tolist(), std.tolist())
+    for i, (q, calibrates, ok, ratio, w, m, mu, sigma) in enumerate(columns):
+        touched = everyone if calibrates else subset
         if not ok:
-            records.append(SelectionRecord(
-                query=q, subset=subset, weights={}, ratio_score=None,
-                match_index=-1, valid=False, techniques_touched=touched,
-                error=error(i),
-            ))
+            records.append(_invalid(q, error(i), subset, touched))
             continue
         records.append(SelectionRecord(
             query=q, subset=subset, weights=dict(zip(subset, w)),
-            ratio_score=best.score if q == calibration else ratio,
+            ratio_score=score if calibrates else ratio,
             match_index=m, fused_mean=mu, fused_std=sigma,
             techniques_touched=touched,
         ))
-    return records
+    return z, valid, records
 
 
 def _sum_rows(members: np.ndarray) -> np.ndarray:
@@ -246,11 +262,7 @@ def _summed_records(config, qs, subset, fused, match, valid):
                   fused.std(axis=1, ddof=1).tolist())
     for q, ok, ratio, window_covers_all, m, mu, sigma in columns:
         if not ok:
-            records.append(SelectionRecord(
-                query=q, subset=subset, weights={}, ratio_score=None,
-                match_index=-1, valid=False, techniques_touched=subset,
-                error=error,
-            ))
+            records.append(_invalid(q, error, subset, subset))
             continue
         records.append(SelectionRecord(
             query=q, subset=subset, weights=dict.fromkeys(subset, 1.0),
@@ -266,34 +278,27 @@ def _simple_sum_runner(tensor, config, subsets, strategy, params):
     vectors per query with unit weights. ``subsets[q]`` is query q's sorted
     subset, or None when fewer than 2 techniques are usable on it.
 
-    The queries that share a subset are fused together, in query chunks of
-    at most _BLOCK_BYTES of member vectors; only the members are normalized.
+    The queries that share a subset are one group of _fuse_groups; only the
+    subset's members are normalized.
     """
-    queries, d = tensor.queries, tensor.database_size
-    records: list[SelectionRecord | None] = [None] * queries
-    rows = np.full((queries, d), np.nan)
+    records: list[SelectionRecord | None] = [None] * tensor.queries
     groups: dict[tuple[int, ...] | None, list[int]] = {}
     for q, subset in enumerate(subsets):
         groups.setdefault(subset, []).append(q)
-    for subset, group in groups.items():
-        if subset is None:
-            for q in group:
-                records[q] = SelectionRecord(
-                    query=q, subset=(), weights={}, ratio_score=None,
-                    match_index=-1, valid=False, techniques_touched=(),
-                    error="TooFewTechniquesError: fewer than 2 usable techniques",
-                )
-            continue
-        chunk = max(1, _BLOCK_BYTES // (8 * len(subset) * d))
-        for at in range(0, len(group), chunk):
-            qs = np.array(group[at:at + chunk])
-            members, constant = minmax_rows(tensor.data[np.ix_(subset, qs)])
-            fused = _sum_rows(members)
-            valid = ~constant.all(axis=0)
-            rows[qs[valid]] = fused[valid]
-            for record in _summed_records(config, qs, subset, fused,
-                                          fused.argmax(axis=1), valid):
-                records[record.query] = record
+    for q in groups.pop(None, ()):
+        records[q] = _invalid(
+            q, "TooFewTechniquesError: fewer than 2 usable techniques", (), ()
+        )
+
+    def fuse(subset, qs):
+        members, constant = minmax_rows(tensor.data[np.ix_(subset, qs)])
+        fused = _sum_rows(members)
+        valid = ~constant.all(axis=0)
+        return fused, valid, _summed_records(config, qs, subset, fused,
+                                             fused.argmax(axis=1), valid)
+
+    rows = _fuse_groups(tensor, [(s, np.array(g)) for s, g in groups.items()],
+                        records, fuse)
     return StrategyResult(
         strategy=strategy, records=records, config=config, fused=rows, params=params,
     )
@@ -417,8 +422,8 @@ def run_hier_mpf(
     Tier membership is drawn from the seeded generator when not given. A
     query on which all N techniques are constant is invalid.
 
-    Queries go in chunks of at most _BLOCK_BYTES of their N vectors, and
-    each tier works on a whole chunk at once.
+    All queries are one group of _fuse_groups, and each tier works on a
+    whole chunk at once.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
@@ -440,14 +445,10 @@ def run_hier_mpf(
     if any(not (0.0 < f <= 1.0) for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]", field="shortlist_fractions")
 
-    records: list[SelectionRecord] = []
-    rows = np.full((queries, d), np.nan)
     rank_values = np.arange(d, 0, -1, dtype=np.float64)
     everyone = tuple(range(n))
-    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
-    for start in range(0, queries, chunk):
-        stop = min(start + chunk, queries)
-        qs = np.arange(start, stop)
+
+    def fuse(subset, qs):
         # (queries, survivors) blocks: every query keeps the same number of
         # survivors, in database index order (None: all of them). Each
         # tier's eliminations come out in (-score, index) order.
@@ -481,11 +482,14 @@ def run_hier_mpf(
             final if survivors is None else _take_rows(survivors, final),
             *reversed(dropped),
         ], axis=1)
-        valid = ~(np.ptp(tensor.data[:, start:stop], axis=2) == 0.0).all(axis=0)
-        rows[qs[valid, None], ranked[valid]] = rank_values
-        records.extend(_summed_records(config, qs, everyone, tier1_fused,
-                                       ranked[:, 0], valid))
+        ranks = np.empty(ranked.shape)
+        np.put_along_axis(ranks, ranked, rank_values, axis=1)
+        valid = ~(np.ptp(tensor.data[:, qs[0]:qs[-1] + 1], axis=2) == 0.0).all(axis=0)
+        return ranks, valid, _summed_records(config, qs, subset, tier1_fused,
+                                             ranked[:, 0], valid)
 
+    records: list[SelectionRecord | None] = [None] * queries
+    rows = _fuse_groups(tensor, [(everyone, np.arange(queries))], records, fuse)
     return StrategyResult(
         strategy=STRATEGY_HIER_MPF, records=records, config=config, fused=rows,
         params={
@@ -501,9 +505,7 @@ def _recall_at_1_rows(matches: np.ndarray, gt: GroundTruth) -> list[float]:
     evaluable = [q for q in range(matches.shape[1]) if gt.evaluable(q)]
     if not evaluable:
         raise ValueError("ground truth has no evaluable queries")
-    d = gt.database_size
-    accepted = [q * d + i for q in evaluable for i in gt.acceptable[q]]
-    hits = np.isin(np.array(evaluable) * d + matches[:, evaluable], accepted)
+    hits = gt.hits(np.array(evaluable), matches[:, evaluable])
     return (hits.sum(axis=1) / len(evaluable)).tolist()
 
 

@@ -165,12 +165,9 @@ def recall_at_k(
             )
         top = _top_k(arr[evaluated], max_k)
 
-    correct_at: dict[int, list[bool]] = {k: [] for k in ks}
-    for q, row in zip(evaluated, top):
-        acceptable = gt.acceptable[q]
-        prefix_hit = [int(idx) in acceptable for idx in row]
-        for k in ks:
-            correct_at[k].append(any(prefix_hit[:k]))
+    hit = gt.hits(np.array(evaluated, dtype=np.intp)[:, None], top)
+    prefix_hit = np.logical_or.accumulate(hit, axis=1)
+    correct_at = {k: prefix_hit[:, k - 1].tolist() for k in ks}
     recall = {
         k: (sum(flags) / len(flags) if flags else 0.0)
         for k, flags in correct_at.items()
@@ -196,16 +193,11 @@ def aliasing_histogram(
     if bins < 1:
         raise ValueError("bins must be >= 1")
     records = {r.query: r for r in _sorted_records(result)}
-    ratios = []
-    correct_flags = []
-    for q in _evaluated_queries(result, gt):
-        rec = records[q]
-        if rec.ratio_score is None:
-            continue
-        ratios.append(rec.ratio_score)
-        correct_flags.append(rec.match_index in gt.acceptable[q])
-    ratios = np.asarray(ratios, dtype=np.float64)
-    correct_flags = np.asarray(correct_flags, dtype=bool)
+    scored = [records[q] for q in _evaluated_queries(result, gt)
+              if records[q].ratio_score is not None]
+    ratios = np.array([r.ratio_score for r in scored], dtype=np.float64)
+    correct_flags = gt.hits(np.array([r.query for r in scored], dtype=np.intp),
+                            np.array([r.match_index for r in scored], dtype=np.intp))
     if ratios.size == 0:
         edges = np.linspace(0.0, 1.0, bins + 1)
         zero = [0] * bins

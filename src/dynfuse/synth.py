@@ -15,17 +15,44 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruth, SimilarityTensor, TechniqueId
-from .errors import InvalidSpecError
+from .core import GroundTruth, SimilarityTensor, TechniqueId, check_json_type
+from .errors import ConfigError, InvalidSpecError
+
+_INT = (int, "an integer")
+_REALS = ((int, float, list), "a number or a list of numbers")
+# JSON value types accepted per SynthSpec field (see check_json_type); the
+# items of a list of reals must be numbers. Ranges are checked by validate.
+_SPEC_FIELD_TYPES = {
+    "n_techniques": _INT,
+    "queries": _INT,
+    "database_size": _INT,
+    "peak_strength": _REALS,
+    "alias_strength": _REALS,
+    "alias_secondary": _REALS,
+    "alias_correlation": _REALS,
+    "noise_sigma": _REALS,
+    "failure_schedule": (list, "a list of lists of [start, stop] pairs"),
+    "drift_period": ((int, type(None)), "an integer or null"),
+    "r_window": _INT,
+    "gt_tolerance": _INT,
+    "seed": _INT,
+    "names": ((list, type(None)), "a list of strings or null"),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _per_technique(value, n: int, name: str, lo: float, hi: float) -> np.ndarray:
-    """Broadcast a scalar or validate a length-n sequence of reals."""
+    """Broadcast a scalar or validate a length-n sequence of finite reals."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise InvalidSpecError(f"{name} must be a scalar or length-{n} sequence")
+    if not np.isfinite(arr).all():
+        raise InvalidSpecError(f"{name} entries must be finite")
     if np.any(arr < lo) or np.any(arr > hi):
         raise InvalidSpecError(f"{name} entries must lie in [{lo}, {hi}]")
     return arr
@@ -79,31 +106,61 @@ class SynthSpec:
                 f"database_size {d} too small for {n} well-separated "
                 f"distractor sites at r_window {self.r_window}"
             )
-        _per_technique(self.peak_strength, n, "peak_strength", 0.0, 1.0)
-        _per_technique(self.alias_strength, n, "alias_strength", 0.0, np.inf)
+        peak = _per_technique(self.peak_strength, n, "peak_strength", 0.0, 1.0)
+        alias = _per_technique(self.alias_strength, n, "alias_strength", 0.0, np.inf)
         _per_technique(self.alias_secondary, n, "alias_secondary", 0.0, 1.0)
         _per_technique(self.alias_correlation, n, "alias_correlation", 0.0, 1.0)
-        _per_technique(self.noise_sigma, n, "noise_sigma", 0.0, np.inf)
+        sigma = _per_technique(self.noise_sigma, n, "noise_sigma", 0.0, np.inf)
+        # the peak, the distractor and its echo sit at distinct sites, on a
+        # noise floor; the synth command writes float32 payloads
+        if np.any(sigma > np.finfo(np.float32).max - np.maximum(peak, alias)):
+            raise InvalidSpecError(
+                "noise_sigma + max(peak_strength, alias_strength) must stay "
+                "within float32 range"
+            )
         if self.failure_schedule and len(self.failure_schedule) != n:
             raise InvalidSpecError("failure_schedule must have one entry per technique")
         for tech, ranges in enumerate(self.failure_schedule):
+            if not isinstance(ranges, (list, tuple)):
+                raise InvalidSpecError(
+                    f"failure_schedule entry for technique {tech} must be a list of "
+                    f"[start, stop] pairs"
+                )
             for r in ranges:
+                if not (isinstance(r, (list, tuple)) and len(r) == 2
+                        and all(_is_int(x) for x in r)):
+                    raise InvalidSpecError(
+                        f"failure range {r!r} for technique {tech} is not a "
+                        f"[start, stop] pair of integers"
+                    )
                 start, stop = int(r[0]), int(r[1])
                 if not (0 <= start < stop <= q):
                     raise InvalidSpecError(
                         f"failure range ({start}, {stop}) for technique {tech} "
                         f"outside [0, {q})"
                     )
-        if self.drift_period is not None and self.drift_period < 1:
+        if self.drift_period is not None and not (
+            _is_int(self.drift_period) and self.drift_period >= 1
+        ):
             raise InvalidSpecError("drift_period must be a positive integer")
         if self.gt_tolerance < 0:
             raise InvalidSpecError("gt_tolerance must be non-negative")
-        if self.names is not None and len(self.names) != n:
-            raise InvalidSpecError("names must have one entry per technique")
+        if self.seed < 0:
+            # numpy's generators take only non-negative seeds
+            raise InvalidSpecError("seed must be non-negative")
+        if self.names is not None:
+            if len(self.names) != n:
+                raise InvalidSpecError("names must have one entry per technique")
+            if not all(isinstance(x, str) and x and "/" not in x and "\x00" not in x
+                       for x in self.names) or len(set(self.names)) != n:
+                # each name is also a file name
+                raise InvalidSpecError(
+                    "names must be unique non-empty strings without '/' or NUL"
+                )
 
     def technique_names(self) -> list[str]:
         if self.names is not None:
-            return [str(x) for x in self.names]
+            return list(self.names)
         return [f"tech-{i:02d}" for i in range(self.n_techniques)]
 
     def to_dict(self) -> dict:
@@ -134,16 +191,35 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        """Build a spec from parsed JSON, rejecting unknown or missing keys
+        and values of the wrong JSON type with InvalidSpecError; ranges are
+        checked by validate."""
+        if not isinstance(d, dict):
+            raise InvalidSpecError("spec must be a JSON object")
+        unknown = set(d) - set(_SPEC_FIELD_TYPES)
         if unknown:
             raise InvalidSpecError(f"unknown spec keys {sorted(unknown)}")
+        missing = {"n_techniques", "queries", "database_size"} - set(d)
+        if missing:
+            raise InvalidSpecError(f"missing spec keys {sorted(missing)}")
+        try:
+            for name, value in d.items():
+                check_json_type(value, *_SPEC_FIELD_TYPES[name], field=name)
+                if _SPEC_FIELD_TYPES[name] is _REALS and isinstance(value, list):
+                    for i, item in enumerate(value):
+                        check_json_type(item, (int, float), "a number", f"{name}[{i}]")
+        except ConfigError as exc:
+            raise InvalidSpecError(str(exc)) from None
         return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidSpecError(f"spec is not UTF-8 text ({exc})") from None
+        return cls.from_dict(raw)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -157,7 +233,8 @@ def _suppressed_mask(spec: SynthSpec) -> np.ndarray:
         for start, stop in ranges:
             mask[tech, int(start):int(stop)] = True
     if spec.drift_period is not None:
-        blocks = np.arange(q) // spec.drift_period
+        # a period beyond q is one block, like q itself, and fits in an int64
+        blocks = np.arange(q) // min(spec.drift_period, q)
         for tech in range(n):
             healthy = (blocks % n == tech) | ((blocks + 1) % n == tech)
             mask[tech, ~healthy] = True

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,38 @@ class TestSynthCommand:
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["error"] == "InvalidSpecError"
+
+
+    @pytest.mark.parametrize("spec", [
+        tiny_spec_dict(peak_strength="abc"),
+        tiny_spec_dict(peak_strength=[1.0, "x", 1.0]),
+        tiny_spec_dict(noise_sigma=float("nan")),
+        tiny_spec_dict(alias_strength=1e39),  # inf as a float32 payload
+        tiny_spec_dict(failure_schedule=5),
+        tiny_spec_dict(failure_schedule=[[[0]], [], []]),
+        tiny_spec_dict(failure_schedule=[[[0, 2.5]], [], []]),
+        tiny_spec_dict(failure_schedule=[5, [], []]),
+        tiny_spec_dict(names=3),
+        tiny_spec_dict(names=["a", "a", "b"]),
+        tiny_spec_dict(names=["a", 2, "b"]),
+        tiny_spec_dict(names=["a", "b/c", "d"]),
+        tiny_spec_dict(queries=10.0),
+        tiny_spec_dict(n_techniques=True),
+        tiny_spec_dict(seed=-1),
+        tiny_spec_dict(drift_period=1.5),
+        tiny_spec_dict(queries=None),
+        [1, 2],
+        {"queries": 3},
+        b"\xff\xfe{}",  # not UTF-8
+    ])
+    def test_mistyped_spec_is_invalid_spec_error(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidSpecError"
 
 
 class TestRunCommand:
@@ -348,34 +381,41 @@ class TestRunCommand:
         ("tech-00", "a,b,c\n1,x,3\n", "CorruptHeaderError"),
         ("tech-00", b"a,b\n\xff\xfe,1\n", "CorruptHeaderError"),
         ("tech-01", None, "ConfigError"),  # a second technique named tech-00
+        (None, b"\xff\xfe{}", "ConfigError"),  # a manifest that is not UTF-8
     ])
     def test_bad_input_file_ends_in_one_error_json(self, tmp_path, capsys,
                                                    technique, content, error):
         data_dir = write_benchmark(tmp_path)
         capsys.readouterr()
         manifest = json.loads((data_dir / "manifest.json").read_text())
-        entry = next(e for e in manifest["techniques"] if e["name"] == technique)
-        if content is None:
-            entry["name"] = "tech-00"
-        else:
-            csv_path = data_dir / "bad.csv"
-            if isinstance(content, bytes):
-                csv_path.write_bytes(content)
-            else:
-                csv_path.write_text(content)
-            entry["similarity"] = csv_path.name
         path = data_dir / "bad.json"
-        path.write_text(json.dumps(manifest))
-        code = main(["run", "--config", str(path)])
-        captured = capsys.readouterr()
-        lines = captured.out.strip().splitlines()
-        assert code != 0
-        assert captured.err == ""
-        assert len(lines) == 1
-        out = json.loads(lines[0])
-        assert out["error"] == error
-        if content is None:
-            assert out["field"] == "techniques"
+        if technique is None:
+            path.write_bytes(content)
+        else:
+            entry = next(e for e in manifest["techniques"] if e["name"] == technique)
+            if content is None:
+                entry["name"] = "tech-00"
+            else:
+                csv_path = data_dir / "bad.csv"
+                if isinstance(content, bytes):
+                    csv_path.write_bytes(content)
+                else:
+                    csv_path.write_text(content)
+                entry["similarity"] = csv_path.name
+            path.write_text(json.dumps(manifest))
+        for command in ("run", "sweep"):
+            code = main([command, "--config", str(path)])
+            captured = capsys.readouterr()
+            lines = captured.out.strip().splitlines()
+            assert code != 0
+            assert captured.err == ""
+            assert len(lines) == 1
+            out = json.loads(lines[0])
+            assert out["error"] == error
+            if technique is None:
+                assert (code, out["field"]) == (2, "config")
+            elif content is None:
+                assert out["field"] == "techniques"
 
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)
@@ -436,6 +476,18 @@ class TestRunCommand:
                      "--workers", "1"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("level", ["nope", "5"])
+    def test_unknown_log_level_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               level):
+        monkeypatch.setenv("DYNFUSE_LOG", level)
+        code = main(["ingest-check", str(tmp_path / "x.f32")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert (out["status"], out["error"], out["field"]) == (
+            "error", "ConfigError", "DYNFUSE_LOG")
 
     def test_corrupt_matrix_is_reported_as_error_json(self, tmp_path, capsys):
         data_dir = write_benchmark(tmp_path)
@@ -585,6 +637,50 @@ def test_fuzzed_manifest_ends_in_one_json_line(tmp_path, mutations):
 
 
 DELETE = object()
+# Spec fields and nested places a value may be swapped into; () is the
+# whole spec.
+SPEC_PATHS = [(), *((key,) for key in SynthSpec.__dataclass_fields__),
+              ("failure_schedule", 0), ("failure_schedule", 0, 0),
+              ("failure_schedule", 0, 0, 1), ("names", 1), ("alias_secondary", 2)]
+SPEC_SIZES = ("n_techniques", "queries", "database_size")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(SPEC_PATHS), JSON_VALUES | st.just(DELETE)),
+                min_size=1, max_size=2))
+def test_fuzzed_spec_ends_in_one_json_line(tmp_path, mutations):
+    """Any mutated synth spec ends with exit 0, or exit 1 and an
+    InvalidSpecError, with one JSON object on stdout and no warning."""
+    spec = tiny_spec_dict(failure_schedule=[[[0, 4]], [], [[2, 3], [5, 12]]],
+                          drift_period=4, names=["a", "b", "c"],
+                          alias_secondary=[0.1, 0.2, 0.3])
+    for path, value in mutations:
+        if value is DELETE:
+            if isinstance(spec, dict) and len(path) == 1:
+                spec.pop(path[0], None)
+        elif not path:
+            spec = value
+        else:
+            swap_value(spec, path, value)
+    if isinstance(spec, dict):
+        for key in SPEC_SIZES:  # a valid spec this large takes long to generate
+            if isinstance(spec.get(key), int) and not isinstance(spec[key], bool):
+                spec[key] = min(spec[key], 200)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    out = json.loads(lines[0])
+    assert (code, out["status"]) in ((0, "ok"), (1, "error")), lines
+    if code == 1:
+        assert out["error"] == "InvalidSpecError", lines
+
+
 CSV_TOKENS = (st.sampled_from(["0.5", "1", "-2e3", "nan", "inf", "-inf", "1e39",
                                "x", "", " 3"])
               | st.text(max_size=3))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ class TestSimilarityTensor:
         with pytest.raises(ValueError):
             SimilarityTensor([TechniqueId(0, "a")], data)
 
+    def test_finiteness_check_allocates_one_technique_mask(self, rng):
+        # an (8, 256, 512) float64 tensor: a whole-tensor mask is 1 MiB, one
+        # technique's is 128 KiB
+        data = rng.random((8, 256, 512))
+        data[7, 255, 511] = np.inf
+        techniques = [TechniqueId(i, f"t{i}") for i in range(8)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="non-finite"):
+                SimilarityTensor(techniques, data)
+            data[7, 255, 511] = 0.5
+            tracemalloc.reset_peak()
+            SimilarityTensor(techniques, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 class TestGroundTruth:
     def test_indices_validated(self):
@@ -206,6 +225,24 @@ class TestGroundTruth:
         assert gt.acceptable[0] == frozenset({0, 1, 2})
         assert gt.acceptable[1] == frozenset({2, 3, 4, 5, 6})
         assert gt.acceptable[2] == frozenset({7, 8, 9})
+
+    def test_hits_broadcast_queries_against_matches(self):
+        gt = GroundTruth.from_lists([[0, 1], [3], []], database_size=4)
+        hits = gt.hits(np.array([0, 1, 2])[:, None], np.array([[1, 2], [0, 3], [0, 3]]))
+        assert hits.tolist() == [[True, False], [False, True], [False, False]]
+        assert gt.hits(np.array([1, 0]), np.array([[3, 0], [1, 1]])).tolist() == [
+            [True, True], [False, True]]
+
+    def test_index_outside_database_is_never_a_hit(self):
+        # D + i would be the next query's index i as a flat key, and -D + i
+        # the previous query's
+        gt = GroundTruth.from_lists([[1], [1], [2]], database_size=4)
+        queries = np.array([0, 1, 2])[:, None]
+        matches = np.array([[4 + 1, -1, 1], [-4 + 1, 4 + 2, 1], [-4 + 1, 2 ** 40, 2]])
+        assert gt.hits(queries, matches).tolist() == [
+            [False, False, True], [False, False, True], [False, False, True]]
+        unsigned = np.array([[5, 1], [2 ** 63, 1], [6, 2]], dtype=np.uint64)
+        assert gt.hits(queries, unsigned).tolist() == [[False, True]] * 3
 
     def test_empty_sets_allowed_but_not_evaluable(self):
         gt = GroundTruth.from_lists([[1], []], database_size=4)

@@ -114,6 +114,14 @@ class TestRecallAtK:
         assert report.recall_at[1] == 0.5
         assert report.recall_at[2] == 1.0
 
+    def test_integer_rankings_outside_database_never_hit(self):
+        # 3 + 1 is query 1's index 1 as a flat key, -3 query 0's index 0
+        rankings = np.array([[3 + 1, 2], [-3, 0]])
+        result = make_result([0, 0], np.zeros((2, 3)))
+        gt = GroundTruth.from_lists([[0], [1]], 3)
+        report = recall_at_k(result, rankings, gt, [1, 2])
+        assert report.correct_at == {1: [False, False], 2: [False, False]}
+
     def test_missing_rankings(self, rng):
         fused = rng.random((3, 5))
         result = make_result([0, 0, 0], fused)

@@ -23,6 +23,6 @@ def test_digests_are_stable_and_ignore_the_scratch_path(tmp_path):
         runs.append(script.output_digests(REPO, work, spec=spec, f_values=(1, 3),
                                           demos=False))
     assert runs[0] == runs[1]
-    assert list(runs[0]) == ["run-F1", "run-F3", "sweep"]
+    assert list(runs[0]) == ["synth", "run-F1", "run-F3", "sweep"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in runs[0].values())
     assert runs[0]["run-F1"] != runs[0]["run-F3"]
