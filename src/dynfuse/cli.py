@@ -514,10 +514,11 @@ def _error_json(kind: str, exc: Exception) -> str:
 def _log_level() -> str:
     """The level named by DYNFUSE_LOG (WARNING when unset)."""
     level = os.environ.get("DYNFUSE_LOG", "WARNING").upper()
-    names = logging.getLevelNamesMapping()
-    if level not in names:
-        raise ConfigError(f"unknown log level {level!r}; choose from {sorted(names)}",
-                          field="DYNFUSE_LOG")
+    # getLevelName maps a known name to its number and anything else to a
+    # string such as "Level NOPE"
+    if not isinstance(logging.getLevelName(level), int):
+        raise ConfigError(f"unknown log level {level!r}; choose DEBUG, INFO, "
+                          f"WARNING, ERROR or CRITICAL", field="DYNFUSE_LOG")
     return level
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -304,10 +305,20 @@ class GroundTruth:
         broadcast). An index outside [0, D) is never a hit."""
         queries, matches = np.asarray(queries), np.asarray(matches)
         d = self.database_size
-        accepted = [q * d + i for q in np.unique(queries).tolist()
-                    for i in self.acceptable[q]]
         keys = queries.astype(np.int64) * d + matches.astype(np.int64)
-        return (matches >= 0) & (matches < d) & np.isin(keys, accepted)
+        accepted = self._keys
+        if accepted.size == 0:
+            return np.zeros(keys.shape, dtype=bool)
+        found = accepted.take(np.searchsorted(accepted, keys), mode="clip") == keys
+        return (matches >= 0) & (matches < d) & found
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Sorted ``q * D + i`` key of every acceptable (query, index) pair."""
+        d = self.database_size
+        return np.sort(np.fromiter(
+            (q * d + i for q, entry in enumerate(self.acceptable) for i in entry),
+            dtype=np.int64))
 
     @classmethod
     def from_lists(cls, lists, database_size: int) -> "GroundTruth":

@@ -174,7 +174,9 @@ def run_dyn_mpf(
         groups.append((best.subset, np.arange(start, stop)))
 
     def fuse(subset, qs):
-        return _fuse_block(tensor, config, subset, scores[qs[0] - qs[0] % f], qs,
+        first = int(qs[0])  # a Python int: f may exceed int64
+        start = first - first % f
+        return _fuse_block(tensor, config, subset, start, scores[start], qs,
                            uniform_weights)
 
     rows = _fuse_groups(tensor, groups, records, fuse)
@@ -184,11 +186,10 @@ def run_dyn_mpf(
     )
 
 
-def _fuse_block(tensor, config, subset, score, qs, uniform_weights):
-    """(standardized sums, validity, records) of the queries ``qs`` of one
-    calibration block, whose search chose ``subset`` with ratio ``score``,
-    computed as one batch. A calibration query is one whose index is a
-    multiple of F.
+def _fuse_block(tensor, config, subset, start, score, qs, uniform_weights):
+    """(standardized sums, validity, records) of the queries ``qs`` of the
+    calibration block that starts at query ``start``, whose search chose
+    ``subset`` with ratio ``score``, computed as one batch.
 
     Per query the checks run in the order a single query would meet them:
     too few non-constant members, the fused ratio's window, then each
@@ -205,7 +206,7 @@ def _fuse_block(tensor, config, subset, score, qs, uniform_weights):
     if uniform_weights:
         weights, member_covered = np.ones(constant.shape), np.zeros(constant.shape, bool)
     usable = len(subset) - constant.sum(axis=0)
-    calibration = qs % config.frame_separation_f == 0
+    calibration = qs == start
     too_few = ~calibration & (usable < low)
     fused_bad = ~calibration & fused_covered & ~too_few
     valid = ~(too_few | fused_bad | member_covered.any(axis=0))

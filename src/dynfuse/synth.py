@@ -10,7 +10,7 @@ which is what makes ensembles complementary or adversarial on demand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,24 +20,12 @@ from .errors import ConfigError, InvalidSpecError
 
 _INT = (int, "an integer")
 _REALS = ((int, float, list), "a number or a list of numbers")
-# JSON value types accepted per SynthSpec field (see check_json_type); the
-# items of a list of reals must be numbers. Ranges are checked by validate.
-_SPEC_FIELD_TYPES = {
-    "n_techniques": _INT,
-    "queries": _INT,
-    "database_size": _INT,
-    "peak_strength": _REALS,
-    "alias_strength": _REALS,
-    "alias_secondary": _REALS,
-    "alias_correlation": _REALS,
-    "noise_sigma": _REALS,
-    "failure_schedule": (list, "a list of lists of [start, stop] pairs"),
-    "drift_period": ((int, type(None)), "an integer or null"),
-    "r_window": _INT,
-    "gt_tolerance": _INT,
-    "seed": _INT,
-    "names": ((list, type(None)), "a list of strings or null"),
-}
+
+
+def _typed(json_type, **default):
+    """A SynthSpec field that records the JSON value types it accepts (see
+    check_json_type); a field without a default is a required spec key."""
+    return field(metadata={"json": json_type}, **default)
 
 
 def _is_int(value) -> bool:
@@ -72,20 +60,24 @@ class SynthSpec:
     index so window exclusion is exercised unambiguously.
     """
 
-    n_techniques: int
-    queries: int
-    database_size: int
-    peak_strength: object = 1.0
-    alias_strength: object = 0.5
-    alias_secondary: object = 0.0
-    alias_correlation: object = 0.0
-    noise_sigma: object = 0.0
-    failure_schedule: list = field(default_factory=list)
-    drift_period: int | None = None
-    r_window: int = 0
-    gt_tolerance: int = 0
-    seed: int = 0
-    names: list | None = None
+    n_techniques: int = _typed(_INT)
+    queries: int = _typed(_INT)
+    database_size: int = _typed(_INT)
+    # the items of a list of reals must be numbers; validate checks ranges
+    peak_strength: object = _typed(_REALS, default=1.0)
+    alias_strength: object = _typed(_REALS, default=0.5)
+    alias_secondary: object = _typed(_REALS, default=0.0)
+    alias_correlation: object = _typed(_REALS, default=0.0)
+    noise_sigma: object = _typed(_REALS, default=0.0)
+    failure_schedule: list = _typed((list, "a list of lists of [start, stop] pairs"),
+                                    default_factory=list)
+    drift_period: int | None = _typed(((int, type(None)), "an integer or null"),
+                                      default=None)
+    r_window: int = _typed(_INT, default=0)
+    gt_tolerance: int = _typed(_INT, default=0)
+    seed: int = _typed(_INT, default=0)
+    names: list | None = _typed(((list, type(None)), "a list of strings or null"),
+                                default=None)
 
     def validate(self) -> None:
         n, q, d = self.n_techniques, self.queries, self.database_size
@@ -196,16 +188,18 @@ class SynthSpec:
         checked by validate."""
         if not isinstance(d, dict):
             raise InvalidSpecError("spec must be a JSON object")
-        unknown = set(d) - set(_SPEC_FIELD_TYPES)
+        json_types = {f.name: f.metadata["json"] for f in fields(cls)}
+        unknown = set(d) - set(json_types)
         if unknown:
             raise InvalidSpecError(f"unknown spec keys {sorted(unknown)}")
-        missing = {"n_techniques", "queries", "database_size"} - set(d)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(d)
         if missing:
             raise InvalidSpecError(f"missing spec keys {sorted(missing)}")
         try:
             for name, value in d.items():
-                check_json_type(value, *_SPEC_FIELD_TYPES[name], field=name)
-                if _SPEC_FIELD_TYPES[name] is _REALS and isinstance(value, list):
+                check_json_type(value, *json_types[name], field=name)
+                if json_types[name] is _REALS and isinstance(value, list):
                     for i, item in enumerate(value):
                         check_json_type(item, (int, float), "a number", f"{name}[{i}]")
         except ConfigError as exc:
@@ -217,8 +211,8 @@ class SynthSpec:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InvalidSpecError(f"spec is not UTF-8 text ({exc})") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidSpecError(f"spec is not UTF-8 JSON text ({exc})") from None
         return cls.from_dict(raw)
 
     def to_json(self, path) -> None:

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import logging
 import threading
 import warnings
 
@@ -92,6 +93,7 @@ class TestSynthCommand:
         [1, 2],
         {"queries": 3},
         b"\xff\xfe{}",  # not UTF-8
+        b'{"n_techniques": 3,',  # not JSON
     ])
     def test_mistyped_spec_is_invalid_spec_error(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "spec.json"
@@ -476,6 +478,17 @@ class TestRunCommand:
                      "--workers", "1"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("level", [None, "info", "WARN"])
+    def test_log_level_check_runs_on_python_3_10(self, tmp_path, capsys, monkeypatch,
+                                                 level):
+        # logging.getLevelNamesMapping is new in Python 3.11
+        monkeypatch.delattr(logging, "getLevelNamesMapping", raising=False)
+        if level is None:
+            monkeypatch.delenv("DYNFUSE_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DYNFUSE_LOG", level)
+        write_benchmark(tmp_path)  # asserts exit 0
 
     @pytest.mark.parametrize("level", ["nope", "5"])
     def test_unknown_log_level_is_config_error(self, tmp_path, capsys, monkeypatch,

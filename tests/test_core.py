@@ -244,6 +244,14 @@ class TestGroundTruth:
         unsigned = np.array([[5, 1], [2 ** 63, 1], [6, 2]], dtype=np.uint64)
         assert gt.hits(queries, unsigned).tolist() == [[False, True]] * 3
 
+    def test_hits_past_the_last_acceptable_pair_or_with_none(self):
+        gt = GroundTruth.from_lists([[0], [], [1]], database_size=4)
+        assert gt.hits(np.array([2, 2, 0]), np.array([3, 1, 0])).tolist() == [
+            False, True, True]
+        none = GroundTruth.from_lists([[], []], database_size=4)
+        assert none.hits(np.array([0, 1])[:, None], np.array([0, 1])).tolist() == [
+            [False, False], [False, False]]
+
     def test_empty_sets_allowed_but_not_evaluable(self):
         gt = GroundTruth.from_lists([[1], []], database_size=4)
         assert gt.evaluable(0)

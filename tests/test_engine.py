@@ -68,6 +68,16 @@ class TestCalibrationSchedule:
         for rec in res.records[1:]:
             assert rec.techniques_touched == rec.subset
 
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_f_beyond_int64_is_one_block(self, rng, block_bytes):
+        tensor = make_tensor(random_tensor_data(rng, 3, 10, 20))
+        once = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=50))
+        # 1 byte makes every query its own chunk
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+            huge = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=2 ** 63))
+        assert huge.records == once.records
+        assert np.array_equal(huge.fused, once.fused, equal_nan=True)
+
     def test_calibration_frames_are_multiples_of_f(self, rng):
         tensor = make_tensor(random_tensor_data(rng, 3, 20, 25))
         res = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=6))
