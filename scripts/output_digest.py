@@ -10,6 +10,10 @@ Output sets:
               (1, 7 and 25), Recall@K up to K = D, so every full ranking
               counts
   sweep       ``dynfuse sweep`` at F = 1, 5, 25
+  sweep-unordered
+              ``dynfuse sweep`` at F = 25, 1, 5, 5: unordered and with a
+              duplicate, so calibration searches shared across F values
+              and a repeated F show in no output byte
   demo        scripts/run_synthetic_demo.py --out (result files and table)
   sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
 
@@ -94,7 +98,8 @@ def _digest(work: Path, outputs: list[Path], stdout: str) -> str:
 def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                    f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
     """Run every output set on ``repo``'s code under the empty directory
-    ``work``; return {set name: SHA-256}."""
+    ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
+    unordered sweep and both demo scripts, for a quicker run."""
     repo, work = repo.resolve(), work.resolve()
     (work / "spec.json").write_text(json.dumps(spec))
     stdout = _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", "spec.json",
@@ -116,11 +121,15 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                                    "data/manifest.json", "--frame-sep", str(f),
                                    "--workers", "1", "--out", str(out)])
         digests[out.name] = _digest(work, [out], stdout)
-    out = work / "sweep"
-    stdout = _run(repo, work, ["-m", "dynfuse.cli", "sweep", "--config",
-                               "data/manifest.json", "--f-values", "1,5,25",
-                               "--workers", "1", "--out", str(out)])
-    digests["sweep"] = _digest(work, [out], stdout)
+    sweeps = {"sweep": "1,5,25"}
+    if demos:
+        sweeps["sweep-unordered"] = "25,1,5,5"
+    for name, f_list in sweeps.items():
+        out = work / name
+        stdout = _run(repo, work, ["-m", "dynfuse.cli", "sweep", "--config",
+                                   "data/manifest.json", "--f-values", f_list,
+                                   "--workers", "1", "--out", str(out)])
+        digests[name] = _digest(work, [out], stdout)
     if demos:
         out = work / "demo"
         stdout = _run(repo, work, [str(repo / "scripts" / "run_synthetic_demo.py"),

@@ -9,10 +9,11 @@ technique is constant: its fused vector carries no place information.
 Every runner hands one batch loop, ``_fuse_groups``, its (subset,
 queries) groups and a ``fuse(subset, qs)`` that scores a chunk of at most
 _BLOCK_BYTES of member vectors. Dynamic fusion searches every calibration
-first and passes one group per calibration block (``_fuse_block``). The
-plain-sum baselines pass the queries that share a subset and normalize
-only its members. Hierarchical fusion passes all queries as one group and
-runs its tiers on a (queries, survivors) block. Only the records are built
+first and passes one group per run of consecutive calibration blocks that
+chose the same subset (``_fuse_block``). The plain-sum baselines pass the
+queries that share a subset and normalize only its members. Hierarchical
+fusion passes all queries as one group and runs its tiers on a (queries,
+survivors) block. Only the records are built
 per query; ``_invalid`` builds every no-match record. The results equal a
 query-by-query run bit for bit (the loops are kept in
 tests/reference_impl.py).
@@ -136,6 +137,8 @@ def run_dyn_mpf(
     config: FusionConfig,
     workers: int = 1,
     uniform_weights: bool = False,
+    *,
+    searches: dict | None = None,
 ) -> StrategyResult:
     """Dynamic fusion: re-select the technique subset every F-th query.
 
@@ -146,39 +149,44 @@ def run_dyn_mpf(
     on every query; ``uniform_weights`` forces all weights to 1, which
     reduces the pipeline to plain summation over the selected subset.
 
-    Every calibration is searched first; each calibration block is then
-    one group of _fuse_groups, fused by _fuse_block.
+    Every calibration is searched first; each run of consecutive blocks
+    whose searches chose the same subset is then one group of _fuse_groups,
+    fused by _fuse_block. ``searches`` ({query: _search result}) carries
+    searches across calls whose configs differ only in F: each call reuses
+    the ones it finds there and adds the ones it makes.
 
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
-    rather than aborting the run.
+    rather than aborting the run; the next block starts a new group.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d)
     f = config.frame_separation_f
+    searches = {} if searches is None else searches
     records: list[SelectionRecord | None] = [None] * queries
-    scores: dict[int, float] = {}
-    groups = []
+    scores = np.full(queries, np.nan)  # a search's score is never NaN
+    runs: list[list] = []  # [subset, first query, stop] per run of blocks
     for start in range(0, queries, f):
         stop = min(start + f, queries)
-        normalized, degenerate = normalize_query_slices(tensor.query_slices(start))
-        try:
-            best = select_best_subset(normalized, config, degenerate)
-        except (WindowCoversAllError, TooFewTechniquesError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            records[start] = _invalid(start, error, (), tuple(range(n)))
+        if start not in searches:
+            searches[start] = _search(tensor, config, start)
+        best = searches[start]
+        if isinstance(best, str):
+            records[start] = _invalid(start, best, (), tuple(range(n)))
             for q in range(start + 1, stop):
-                records[q] = _invalid(q, error, (), ())
+                records[q] = _invalid(q, best, (), ())
             continue
         scores[start] = best.score
-        groups.append((best.subset, np.arange(start, stop)))
+        if runs and runs[-1][0] == best.subset and runs[-1][2] == start:
+            runs[-1][2] = stop
+        else:
+            runs.append([best.subset, start, stop])
 
     def fuse(subset, qs):
-        first = int(qs[0])  # a Python int: f may exceed int64
-        start = first - first % f
-        return _fuse_block(tensor, config, subset, start, scores[start], qs,
-                           uniform_weights)
+        return _fuse_block(tensor, config, subset, ~np.isnan(scores[qs]), scores[qs],
+                           qs, uniform_weights)
 
+    groups = [(subset, np.arange(first, stop)) for subset, first, stop in runs]
     rows = _fuse_groups(tensor, groups, records, fuse)
     return StrategyResult(
         strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
@@ -186,14 +194,23 @@ def run_dyn_mpf(
     )
 
 
-def _fuse_block(tensor, config, subset, start, score, qs, uniform_weights):
-    """(standardized sums, validity, records) of the queries ``qs`` of the
-    calibration block that starts at query ``start``, whose search chose
-    ``subset`` with ratio ``score``, computed as one batch.
+def _search(tensor, config, query):
+    """The search at ``query``: a SubsetScore, or its block's error text."""
+    normalized, degenerate = normalize_query_slices(tensor.query_slices(query))
+    try:
+        return select_best_subset(normalized, config, degenerate)
+    except (WindowCoversAllError, TooFewTechniquesError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fuse_block(tensor, config, subset, calibration, score, qs, uniform_weights):
+    """(standardized sums, validity, records) of the consecutive queries
+    ``qs`` that use ``subset``, as one batch. ``calibration`` flags the ones
+    whose own search chose it; ``score`` holds that search's ratio there.
 
     Per query the checks run in the order a single query would meet them:
     too few non-constant members, the fused ratio's window, then each
-    member's window in subset order. The calibration query skips the first
+    member's window in subset order. A calibration query skips the first
     two; its fused ratio is the search's score.
     """
     r, eps, low = config.r_window, config.epsilon, config.min_subset_size
@@ -206,7 +223,6 @@ def _fuse_block(tensor, config, subset, start, score, qs, uniform_weights):
     if uniform_weights:
         weights, member_covered = np.ones(constant.shape), np.zeros(constant.shape, bool)
     usable = len(subset) - constant.sum(axis=0)
-    calibration = qs == start
     too_few = ~calibration & (usable < low)
     fused_bad = ~calibration & fused_covered & ~too_few
     valid = ~(too_few | fused_bad | member_covered.any(axis=0))
@@ -224,7 +240,8 @@ def _fuse_block(tensor, config, subset, start, score, qs, uniform_weights):
 
     records = []
     everyone = tuple(range(len(tensor.data)))
-    columns = zip(qs.tolist(), calibration.tolist(), valid.tolist(), ratios.tolist(),
+    columns = zip(qs.tolist(), calibration.tolist(), valid.tolist(),
+                  np.where(calibration, score, ratios).tolist(),
                   weights.T.tolist(), match.tolist(), mean.tolist(), std.tolist())
     for i, (q, calibrates, ok, ratio, w, m, mu, sigma) in enumerate(columns):
         touched = everyone if calibrates else subset
@@ -232,8 +249,7 @@ def _fuse_block(tensor, config, subset, start, score, qs, uniform_weights):
             records.append(_invalid(q, error(i), subset, touched))
             continue
         records.append(SelectionRecord(
-            query=q, subset=subset, weights=dict(zip(subset, w)),
-            ratio_score=score if calibrates else ratio,
+            query=q, subset=subset, weights=dict(zip(subset, w)), ratio_score=ratio,
             match_index=m, fused_mean=mu, fused_std=sigma,
             techniques_touched=touched,
         ))

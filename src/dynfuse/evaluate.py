@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FusionConfig, GroundTruth, SimilarityTensor
+from .core import FusionConfig, GroundTruth, SimilarityTensor, check_json_type
 from .engine import StrategyResult, run_dyn_mpf
 from .errors import ConfigError, MissingRankingError
 
@@ -231,17 +231,21 @@ def frame_separation_sweep(
     f_values,
     workers: int = 1,
 ) -> dict[int, RecallReport]:
-    """Recall@1 of the dynamic strategy at each calibration period F.
+    """Recall@1 of the dynamic strategy at each distinct calibration period
+    F. Every F is checked before any run; each calibration is searched once.
 
     ``workers`` is accepted for compatibility and changes nothing.
     """
-    reports: dict[int, RecallReport] = {}
+    f_values = list(f_values)
     for f in f_values:
-        f = int(f)
+        check_json_type(f, int, "an integer", field="f_values")
         if f < 1:
             raise ConfigError("frame separation must be positive", field="f_values")
+    reports: dict[int, RecallReport] = {}
+    searches: dict = {}  # {calibration query: search}, shared by every F
+    for f in dict.fromkeys(f_values):
         cfg = replace(config, frame_separation_f=f)
-        result = run_dyn_mpf(tensor, cfg, workers=workers)
+        result = run_dyn_mpf(tensor, cfg, workers=workers, searches=searches)
         reports[f] = recall_at_k(result, result.fused, gt, ks=[1])
     return reports
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -163,17 +164,20 @@ class TestDynMpf:
 
 
 @st.composite
-def dyn_cases(draw):
+def dyn_cases(draw, runs=False):
     """Small tensors built to reach every branch of a calibration block:
     quantized values (ties), constant member rows (too few usable members),
-    windows that cover D at the fused or member level, any F."""
+    windows that cover D at the fused or member level, any F. With
+    ``runs``, most calibration queries repeat query 0's vectors, so
+    consecutive blocks choose the same subset, and some have every
+    technique constant, so their search fails and breaks the run."""
     n = draw(st.integers(2, 5))
-    queries = draw(st.integers(1, 14))
+    queries = draw(st.integers(4, 24) if runs else st.integers(1, 14))
     d = draw(st.integers(2, 24))
     r = draw(st.integers(0, d - 1))
     low = draw(st.integers(2, n))
     high = draw(st.one_of(st.none(), st.integers(low, n)))
-    f = draw(st.sampled_from([1, 2, 7, queries, queries + 3]))
+    f = draw(st.sampled_from([1, 2, 3] if runs else [1, 2, 7, queries, queries + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([3, 8, 1000]))
     data = rng.integers(0, levels, size=(n, queries, d)) / levels
@@ -182,6 +186,12 @@ def dyn_cases(draw):
     constant = rng.random((n, queries)) < np.where(
         calibrating, 0.1, draw(st.sampled_from([0.0, 0.3, 0.7])))
     data[constant] = rng.random(int(constant.sum()))[:, None]
+    if runs:
+        starts = np.arange(f, queries, f)
+        kind = rng.choice(3, size=starts.size, p=[0.2, 0.6, 0.2])
+        data[:, starts[kind == 1]] = data[:, :1]
+        failed = starts[kind == 2]
+        data[:, failed] = rng.random((n, failed.size, 1))
     config = FusionConfig(
         r_window=r, frame_separation_f=f, min_subset_size=low,
         max_subset_size=high, tie_break=draw(st.sampled_from(TIE_BREAKS)),
@@ -203,6 +213,17 @@ class TestBlockParity:
         records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
         got_json = [r.to_json_dict(tensor.names) for r in got.records]
         assert json.dumps(got_json, sort_keys=True) == json.dumps(records, sort_keys=True)
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyn_cases(runs=True))
+    def test_runs_of_blocks_match_per_query_reference(self, case):
+        data, config, uniform, block_bytes = case
+        tensor = make_tensor(data)
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+            got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
         assert np.array_equal(got.fused, rows, equal_nan=True)
 
     @pytest.mark.parametrize("uniform", [False, True])
@@ -280,6 +301,81 @@ class TestBlockParity:
             tracemalloc.stop()
         assert all(r.valid for r in result.records)
         assert peak - output <= 4 << 20  # measured 2.4 MiB
+
+
+class TestSubsetRuns:
+    """Consecutive calibration blocks that choose the same subset are fused
+    as one group; a failed calibration ends the group."""
+
+    def test_groups_are_runs_of_blocks(self, rng):
+        # F = 3: blocks 0-2 and 4-5 calibrate on query 0's vectors; every
+        # technique is constant at query 9, so block 3's search fails
+        data = rng.random((4, 18, 16))
+        data[:, [3, 6, 12, 15]] = data[:, [0]]
+        data[:, 9] = rng.random((4, 1))
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=1, frame_separation_f=3)
+        with mock.patch.object(engine, "_fuse_groups", wraps=engine._fuse_groups) as spy:
+            got = run_dyn_mpf(tensor, config)
+        subset = got.records[0].subset
+        assert [(s, g.tolist()) for s, g in spy.call_args.args[1]] == [
+            (subset, list(range(9))), (subset, list(range(12, 18)))]
+        assert got.records[9].error.startswith("TooFewTechniquesError")
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    @pytest.mark.parametrize("block_bytes", [1, 200])
+    def test_calibration_inside_a_chunk_keeps_its_search(self, rng, block_bytes):
+        # one run of 12 queries; 200 bytes of (2, q, 4) members is 3 queries
+        # a chunk, so the calibrations at 4 and 10 sit inside chunks
+        data = rng.random((3, 12, 4))
+        data[:, 2::2] = data[:, [0]]
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=0, frame_separation_f=2, max_subset_size=2)
+        search = engine.select_best_subset
+        # the fused ratio at a calibration equals its search's score, so
+        # each search reports a score no fused ratio has
+        stamps = iter(range(100, 106))
+
+        def stamped(*args):
+            return replace(search(*args), score=float(next(stamps)))
+
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(engine, "select_best_subset", side_effect=stamped), \
+                mock.patch.object(engine, "_fuse_block", wraps=engine._fuse_block) as spy:
+            got = run_dyn_mpf(tensor, config)
+        chunks = [call.args[5].tolist() for call in spy.call_args_list]
+        assert len(chunks) == 12 // (3 if block_bytes == 200 else 1)
+        subset = got.records[0].subset
+        for record in got.records:
+            assert record.valid and record.subset == subset
+            if record.query % 2 == 0:
+                assert record.ratio_score == 100 + record.query // 2
+                assert record.techniques_touched == (0, 1, 2)
+            else:
+                assert record.techniques_touched == subset
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes):
+            got = run_dyn_mpf(tensor, config)
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    def test_shared_searches_are_reused_and_filled(self, rng):
+        tensor = make_tensor(random_tensor_data(rng, 4, 30, 12, constant_prob=0.3))
+        searches = {}
+        run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=5),
+                    searches=searches)
+        assert sorted(searches) == list(range(0, 30, 5))
+        config = FusionConfig(r_window=1, frame_separation_f=3)
+        with mock.patch.object(engine, "select_best_subset",
+                               wraps=engine.select_best_subset) as spy:
+            shared = run_dyn_mpf(tensor, config, searches=searches)
+        assert spy.call_count == 8  # 0 and 15 were searched at F = 5
+        assert sorted(searches) == sorted({*range(0, 30, 5), *range(0, 30, 3)})
+        fresh = run_dyn_mpf(tensor, config)
+        assert shared.records == fresh.records
+        assert np.array_equal(shared.fused, fresh.fused, equal_nan=True)
 
 
 @st.composite

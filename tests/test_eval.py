@@ -1,11 +1,14 @@
 import csv
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynfuse import engine, evaluate
 from dynfuse.core import FusionConfig, GroundTruth, SelectionRecord
 from dynfuse.engine import StrategyResult, run_dyn_mpf, run_full_mpf
 from dynfuse.errors import ConfigError, MissingRankingError
@@ -276,6 +279,50 @@ class TestFrameSeparationSweep:
         gt = GroundTruth.from_indices([0] * 5, 0, 10)
         with pytest.raises(ConfigError):
             frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), [0])
+
+    @pytest.mark.parametrize("f_values", [[2.5], [True], ["3"], [10, 0], [10, None]])
+    def test_bad_f_rejected_before_any_run(self, rng, f_values):
+        tensor = make_tensor(random_tensor_data(rng, 3, 5, 10))
+        gt = GroundTruth.from_indices([0] * 5, 0, 10)
+        with mock.patch.object(evaluate, "run_dyn_mpf") as run, \
+                pytest.raises(ConfigError) as err:
+            frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), f_values)
+        assert err.value.field == "f_values"
+        run.assert_not_called()
+
+    @pytest.mark.parametrize("f_values, searches", [
+        ((10, 50), 100), ((1, 5, 10, 25, 50), 1000), ((50, 10, 50), 100)])
+    def test_each_calibration_query_searched_once(self, rng, f_values, searches):
+        tensor = make_tensor(random_tensor_data(rng, 3, 1000, 8))
+        gt = GroundTruth.from_indices([int(i) for i in rng.integers(0, 8, 1000)], 0, 8)
+        with mock.patch.object(engine, "select_best_subset",
+                               wraps=engine.select_best_subset) as search:
+            frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), f_values)
+        assert search.call_count == searches
+
+    @pytest.mark.parametrize("f_values", [[50, 1, 10], [5, 25, 5, 1, 25], [7, 7], [3, 2]])
+    def test_sweep_equals_independent_runs(self, rng, f_values):
+        # constant rows make some calibrations fail and some cached members
+        # unusable
+        tensor = make_tensor(random_tensor_data(rng, 4, 60, 12, constant_prob=0.3))
+        gt = GroundTruth.from_indices([int(i) for i in rng.integers(0, 12, 60)], 1, 12)
+        config = FusionConfig(r_window=1)
+        results = []
+
+        def run(*args, **kwargs):
+            results.append(run_dyn_mpf(*args, **kwargs))
+            return results[-1]
+
+        with mock.patch.object(evaluate, "run_dyn_mpf", side_effect=run):
+            reports = frame_separation_sweep(tensor, gt, config, f_values)
+        assert list(reports) == list(dict.fromkeys(f_values))
+        assert len(results) == len(reports)
+        for f, shared in zip(reports, results):
+            alone = run_dyn_mpf(tensor, replace(config, frame_separation_f=f))
+            assert shared.records == alone.records
+            assert np.array_equal(shared.fused, alone.fused, equal_nan=True)
+            expected = recall_at_k(alone, alone.fused, gt, ks=[1])
+            assert reports[f].to_json_dict() == expected.to_json_dict()
 
 
 class TestEmission:
