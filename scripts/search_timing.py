@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time ``fusion.select_best_subset`` on seeded N x D shapes and print one
+JSON line per shape, so the subset search's cost can be followed as N and D
+grow and two checkouts can be compared:
+
+  {"shape": "10x1000", "n": 10, "d": 1000, "searches": 35,
+   "median_ms": ..., "digest": "..."}
+
+Each shape's inputs are 5 seeded random (N, D) arrays, min-max normalized
+per technique as every strategy does, with r_window = 2. Each is searched
+7 times; ``median_ms`` is the median of those 35 searches and ``digest`` a
+SHA-256 over every chosen subset and the exact bits of its score, so it is
+equal on two checkouts whose searches agree.
+
+The timing runs in a child process on the code of the checkout given by
+``--repo`` (default: the one holding this script):
+
+  python3 scripts/search_timing.py
+  python3 scripts/search_timing.py --repo /path/to/parent/checkout
+  python3 scripts/search_timing.py --shape 10x1000 --shape 12x1000
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SHAPES = ("4x4000", "8x300", "10x1000", "10x4000", "12x1000", "8x30000",
+          "10x30000", "4x100000")
+
+
+def _parse_shape(text: str) -> tuple[int, int]:
+    n, _, d = text.partition("x")
+    try:
+        shape = int(n), int(d)
+    except ValueError:
+        shape = (0, 0)
+    # a window of r_window = 2 must leave an entry outside it
+    if shape[0] < 2 or shape[1] < 6:
+        raise argparse.ArgumentTypeError(f"expected NxD with N >= 2, D >= 6: {text!r}")
+    return shape
+
+
+def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
+    """Time every search of one shape on the dynfuse that is importable."""
+    import hashlib
+    import time
+
+    import numpy as np
+
+    from dynfuse.core import FusionConfig
+    from dynfuse.fusion import normalize_query_slices, select_best_subset
+
+    rng = np.random.default_rng([n, d])
+    config = FusionConfig(r_window=2)
+    sha = hashlib.sha256()
+    times = []
+    for _ in range(queries):
+        normalized, degenerate = normalize_query_slices(rng.random((n, d)))
+        for _ in range(repeats):
+            start = time.perf_counter()
+            best = select_best_subset(normalized, config, degenerate)
+            times.append(time.perf_counter() - start)
+        sha.update(repr((best.subset, best.score.hex())).encode())
+    return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": len(times),
+            "median_ms": round(float(np.median(times)) * 1e3, 4),
+            "digest": sha.hexdigest()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose code runs (default: this one)")
+    parser.add_argument("--shape", type=_parse_shape, action="append",
+                        help=f"NxD, repeatable (default: {' '.join(SHAPES)})")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    shapes = args.shape or [_parse_shape(s) for s in SHAPES]
+    if args.child:
+        for n, d in shapes:
+            print(json.dumps(time_shape(n, d)), flush=True)
+        return
+    env = dict(os.environ, PYTHONPATH=str(args.repo.resolve() / "src"))
+    command = [sys.executable, str(Path(__file__).resolve()), "--child"]
+    for n, d in shapes:
+        command += ["--shape", f"{n}x{d}"]
+    sys.exit(subprocess.run(command, env=env).returncode)
+
+
+if __name__ == "__main__":
+    main()

@@ -7,15 +7,16 @@ peak; a ratio near one means a rival location scores almost as well (the
 vector is perceptually aliased). Fused combinations of techniques are ranked
 by this ratio, and the combination that maximizes it is selected per query.
 
-The search scores every subset at once on a bitmask row layout: row ``mask``
-holds the sum of the techniques whose bits are set, and the rows holding
-technique j are the rows below 2**j plus technique j, so each row repeats
-:func:`fuse_subset`'s left-to-right sum bit for bit.
+The search fuses every subset on a bitmask row layout, one full-width row
+block at a time: row ``mask`` holds the sum of the techniques whose bits are
+set, a block is a base block over the low bits plus the techniques of its
+high bits, and each row repeats :func:`fuse_subset`'s left-to-right sum bit
+for bit. Each block is scored whole by :func:`ratio_rows`, so a row's peak
+and its best score outside the window come from one pass over the row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -50,7 +51,12 @@ def window_error(r_window: int, best: int, size: int) -> WindowCoversAllError:
 def ratio_rows(block: np.ndarray, r_window: int, epsilon: float):
     """ratio_score of every row of a (rows, D) block: returns
     (ratios, argmax per row, mask of rows whose window covers all D entries).
-    A covered row's ratio is meaningless; callers report window_error."""
+    A covered row's ratio is meaningless; callers report window_error.
+    ``r_window`` must be a non-negative integer (not a bool), as
+    FusionConfig.validate requires; anything else is a ValueError."""
+    if (isinstance(r_window, bool) or not isinstance(r_window, (int, np.integer))
+            or r_window < 0):
+        raise ValueError(f"r_window must be a non-negative integer, got {r_window!r}")
     d = block.shape[1]
     best = block.argmax(axis=1)
     lo = np.maximum(best - r_window, 0)
@@ -139,49 +145,56 @@ def normalize_query_slices(raw_slices: np.ndarray):
     return normalized, frozenset(np.flatnonzero(constant).tolist())
 
 
-# Scratch bytes for the fused rows of one column chunk; the subset search
-# walks the database in column chunks sized by it (see _column_edges).
+# Scratch bytes for the fused rows the subset search holds at once; it sizes
+# the search's row blocks (see _low_bits).
 _SCRATCH_BYTES = 1 << 19
 
 
-def _column_edges(d: int, m: int) -> list[int]:
-    """Boundaries of the subset search's near-equal column chunks over ``d``
-    columns, each narrow enough that the 2**m fused rows of ``m`` available
-    techniques fit in _SCRATCH_BYTES, but at least sqrt(d) columns wide: the
-    search also keeps 2**m maxima per chunk, which would otherwise outgrow
-    the scratch when many rows make the chunks narrow."""
-    width = max(_SCRATCH_BYTES // (8 << m), math.isqrt(d))
-    chunks = -(-d // width)
-    return [d * c // chunks for c in range(chunks + 1)]
+def _low_bits(m: int, d: int) -> int:
+    """How many of ``m`` available techniques the subset search's base block
+    spans: all m when the whole 2**m x ``d`` grid fits in _SCRATCH_BYTES,
+    otherwise the most for which the base block and one working block of
+    2**k rows fit in it together, but at least one row per block."""
+    row = 8 * d
+    if row << m <= _SCRATCH_BYTES:
+        return m
+    return max((_SCRATCH_BYTES // (2 * row)).bit_length() - 1, 0)
 
 
-def _max_outside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 rows: np.ndarray | None = None) -> np.ndarray:
+def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
+    """Every mask over ``bits`` bits in depth-first preorder: a child sets one
+    bit above its parent's top bit, and children come in ascending bit
+    order. Yields (mask, whether the mask visited just before it is its
+    nonzero parent)."""
+    stack = [0]
+    previous = None
+    while stack:
+        mask = stack.pop()
+        parent = mask & ~(1 << mask.bit_length() >> 1)
+        yield mask, parent != 0 and parent == previous
+        previous = mask
+        stack.extend(mask | 1 << b for b in reversed(range(mask.bit_length(), bits)))
+
+
+def _max_outside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per-row max of ``block`` over the columns outside [lo, hi) of that row.
 
-    ``rows`` (ascending; default every row) picks the rows scored without
-    copying them, and ``lo``/``hi`` hold one entry per picked row. Every
-    picked row's window must overlap the block; a row it covers whole gets
-    -inf. One ``maximum.reduceat`` pass takes, per row, the max before the
-    window, of the window, after it, and of the gap up to the next picked
-    row; only the first and third are used.
+    A row whose window covers it whole gets -inf. One ``maximum.reduceat``
+    pass takes, per row, the max before the window, of the window and after
+    it; only the first and third are used.
     """
     width = block.shape[1]
-    if rows is None:
-        rows = np.arange(block.shape[0])
-    flat = block.reshape(-1)[:(rows[-1] + 1) * width]
-    start = rows * width
-    cuts = np.empty((rows.size, 4), dtype=np.intp)
+    flat = block.reshape(-1)
+    start = np.arange(0, flat.size, width)
+    cuts = np.empty((start.size, 3), dtype=np.intp)
     cuts[:, 0] = start
     cuts[:, 1] = start + lo
     cuts[:, 2] = start + hi
-    cuts[:, 3] = start + width
-    # flat ends with the last picked row, so its gap cut is dropped; hi ==
-    # width there would index one past the end, and that after-window
-    # segment is discarded either way
-    found = np.maximum.reduceat(flat, np.minimum(cuts.reshape(-1)[:-1], flat.size - 1))
-    return np.maximum(np.where(lo > 0, found[0::4], -np.inf),
-                      np.where(hi < width, found[2::4], -np.inf))
+    # hi == width on the last row would index one past the end; that
+    # after-window segment is discarded either way
+    found = np.maximum.reduceat(flat, np.minimum(cuts.reshape(-1), flat.size - 1))
+    return np.maximum(np.where(lo > 0, found[0::3], -np.inf),
+                      np.where(hi < width, found[2::3], -np.inf))
 
 
 def select_best_subset(
@@ -199,17 +212,19 @@ def select_best_subset(
     propagates. Score ties resolve per ``config.tie_break`` (default:
     smaller subset first, then lexicographic member order).
 
-    All subsets are scored together with numpy, one column chunk at a time,
-    so scratch memory stays near _SCRATCH_BYTES (see _column_edges).
-    Row ``mask`` of a chunk holds the sum of the available techniques whose
-    bits are set: row 0 is zeros and rows [2**j, 2**(j+1)) are rows
-    [0, 2**j) plus technique j, one ``np.add`` per technique. Each row is
-    thus its parent (the subset without its largest member) plus that
-    member, the same sums fuse_subset makes. A popcount mask keeps the
-    admissible sizes. The first pass keeps, per row, its running peak and
-    each chunk's max; a second pass takes the max outside the final window
-    in the chunks that window partly covers, fusing them again unless they
-    are still in scratch.
+    All subsets are fused and scored with numpy in row blocks that span
+    every column, in scratch near _SCRATCH_BYTES. Bit j of a subset's mask
+    is the j-th available technique. The base block holds the 2**k masks
+    of the first k available techniques (see _low_bits): row 0 is zeros and
+    rows [2**j, 2**(j+1)) are rows [0, 2**j) plus technique j, one
+    ``np.add`` per technique. Each mask h of the other techniques, visited
+    in depth-first preorder (see _high_masks), has a working block: the base
+    block plus h's techniques in ascending order, made by adding h's top
+    technique to its parent's block when the working block still holds it
+    and rebuilt from the base block otherwise. Every row is thus the same
+    sum fuse_subset makes. Each block with an admissible row is scored whole
+    by :func:`ratio_rows`; a block without one is still built, as it can be
+    a parent.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
@@ -219,61 +234,44 @@ def select_best_subset(
     max_size = config.resolved_max_subset_size(n)
     available = _available_techniques(n, low, max_size, degenerate)
     m = len(available)
-    total = 1 << m
-    edges = _column_edges(d, m)
-    starts = np.array(edges[:-1])
-    ends = np.array(edges[1:])
-    scratch = np.empty(total * int((ends - starts).max()))
-    r = config.r_window
+    k = _low_bits(m, d)
+    rows = 1 << k
+    # one array for both blocks: two separate ones fault in their pages
+    # again on every call
+    blocks = np.empty((1 if k == m else 2, rows, d))
+    base, work = blocks[0], blocks[-1]
+    base[0] = 0.0
+    for bit, t in enumerate(available[:k]):
+        np.add(base[:1 << bit], normalized[t], out=base[1 << bit:2 << bit])
 
-    def fuse(c):
-        """The fused rows of every bitmask on column chunk c."""
-        grid = scratch[:total * (ends[c] - starts[c])].reshape(total, -1)
-        grid[0] = 0.0
-        for bit, t in enumerate(available):
-            np.add(grid[:1 << bit], normalized[t, starts[c]:ends[c]],
-                   out=grid[1 << bit:2 << bit])
-        return grid
-
-    # popcount of each row's bitmask: the size of its subset
-    size = np.zeros(total, dtype=np.intp)
+    # popcount of each mask: the size of its subset
+    size = np.zeros(1 << m, dtype=np.intp)
     for bit in range(m):
         size[1 << bit:2 << bit] = size[:1 << bit] + 1
-    admissible = (size >= low) & (size <= max_size)
-    every = np.arange(total)
-    peak = np.full(total, -np.inf)
-    peak_at = np.zeros(total, dtype=np.intp)
-    chunk_max = np.empty((starts.size, total))
-    for c in range(starts.size):
-        fused = fuse(c)
-        at = fused.argmax(axis=1)
-        here = fused[every, at]
-        chunk_max[c] = here
-        # strictly greater, so a tie keeps the earlier (lower) index
-        gain = here > peak
-        np.copyto(peak, here, where=gain)
-        np.copyto(peak_at, at + starts[c], where=gain)
+    usable = (size >= low) & (size <= max_size)
+    ratio = np.empty(1 << m)
+    high = available[k:]
+    for h, extend in _high_masks(m - k):
+        if h == 0:
+            block = base
+        elif extend:
+            block = np.add(work, normalized[high[h.bit_length() - 1]], out=work)
+        else:
+            members = [t for bit, t in enumerate(high) if h >> bit & 1]
+            block = np.add(base, normalized[members[0]], out=work)
+            for t in members[1:]:
+                np.add(work, normalized[t], out=work)
+        at = slice(h << k, (h + 1) << k)
+        if usable[at].any():
+            ratio[at], _, covered = ratio_rows(block, config.r_window, config.epsilon)
+            usable[at] &= ~covered
 
-    lo = np.maximum(peak_at - r, 0)
-    hi = np.minimum(peak_at + r + 1, d)
-    clear = (ends[:, None] <= lo) | (starts[:, None] >= hi)
-    chunk_max[~clear] = -np.inf
-    outside = chunk_max.max(axis=0)
-    partial = ~clear & ((starts[:, None] < lo) | (ends[:, None] > hi)) & admissible
-    # the last chunk is still in scratch, so it goes first
-    for c in np.flatnonzero(partial.any(axis=1))[::-1]:
-        grid = fused if c == starts.size - 1 else fuse(c)
-        row = np.flatnonzero(partial[c])
-        beside = _max_outside(grid, np.maximum(lo[row] - starts[c], 0),
-                              np.minimum(hi[row] - starts[c], grid.shape[1]), row)
-        outside[row] = np.maximum(outside[row], beside)
-
-    scored = np.flatnonzero(admissible & ((lo > 0) | (hi < d)))
+    scored = np.flatnonzero(usable)
     if scored.size == 0:
         raise WindowCoversAllError(
             "every candidate subset's exclusion window covered the whole vector"
         )
-    scores = peak[scored] / np.maximum(outside[scored], config.epsilon)
+    scores = ratio[scored]
     best_score = scores.max()
     tied = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
             for mask in scored[scores == best_score].tolist()]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -55,6 +56,34 @@ class TestRatioScore:
                 ratio_score(vec, r_window)
         else:
             assert ratio_score(vec, r_window) == pytest.approx(expected, abs=1e-12)
+
+
+class TestWindowValidation:
+    """Every public scorer rejects a window that is not a non-negative
+    integer, as FusionConfig.validate does."""
+
+    VECTOR = [0.1, 0.9, 0.3, 0.8, 0.2, 0.4]
+
+    @pytest.mark.parametrize("r_window", [-1, -3, 2.5, True])
+    def test_ratio_score(self, r_window):
+        with pytest.raises(ValueError, match="r_window"):
+            ratio_score(self.VECTOR, r_window)
+
+    @pytest.mark.parametrize("r_window", [-1, -3, 2.5, True])
+    def test_technique_weights(self, r_window):
+        normalized, _ = normalize_query_slices(np.array([self.VECTOR, self.VECTOR[::-1]]))
+        with pytest.raises(ValueError, match="r_window"):
+            technique_weights(normalized, (0, 1), FusionConfig(r_window=r_window))
+
+    @pytest.mark.parametrize("r_window", [-1, -3, -4, 2.5, True])
+    def test_select_best_subset(self, r_window):
+        normalized, _ = normalize_query_slices(np.array([self.VECTOR, self.VECTOR[::-1],
+                                                         self.VECTOR[1:] + [0.0]]))
+        with pytest.raises(ValueError, match="r_window"):
+            select_best_subset(normalized, FusionConfig(r_window=r_window))
+
+    def test_numpy_integer_window(self):
+        assert ratio_score(self.VECTOR, np.int64(1)) == ratio_score(self.VECTOR, 1)
 
 
 class TestEnumerateSubsets:
@@ -182,8 +211,8 @@ class TestSelectBestSubset:
 @st.composite
 def search_cases(draw):
     """Quantized inputs (score ties), constant (degenerate) techniques, any
-    window and size bounds, and a scratch size from the narrowest chunks up
-    to a single chunk, so windows cross chunk edges."""
+    window and size bounds, and a scratch size from one-row blocks up to a
+    single block, so every mix of rebuilt and extended blocks is scored."""
     n = draw(st.integers(2, 8))
     d = draw(st.integers(3, 200))
     r = draw(st.integers(0, d - 1))
@@ -198,9 +227,28 @@ def search_cases(draw):
     return raw, config, draw(st.integers(8, 1 << 16))
 
 
-def column_chunks(n_available, d):
-    """Column chunk edges the subset search uses."""
-    return fusion._column_edges(d, n_available)
+def peak_columns(n_available, d):
+    """The columns the chunk-parity cases place their peaks at: the first
+    and last inner edges of the column chunks the subset search once
+    walked, so those cases keep their inputs."""
+    width = max((1 << 19) // (8 << n_available), math.isqrt(d))
+    chunks = -(-d // width)
+    return d // chunks, d * (chunks - 1) // chunks
+
+
+def search_recording_blocks(normalized, config, degenerate):
+    """select_best_subset, plus the (high mask, extended from its parent)
+    pair of every row block it built."""
+    built = []
+
+    def recorded(bits):
+        for block in high_masks(bits):
+            built.append(block)
+            yield block
+
+    high_masks = fusion._high_masks
+    with mock.patch.object(fusion, "_high_masks", recorded):
+        return select_best_subset(normalized, config, degenerate), built
 
 
 class TestSearchParity:
@@ -217,17 +265,15 @@ class TestSearchParity:
     def test_chunked_search_matches_naive(self, tie_break, n, d, r_window,
                                           min_size, max_size, n_constant):
         rng = np.random.default_rng(n * d + r_window)
-        edges = column_chunks(n - n_constant, d)
-        assert len(edges) > 3, "case must cross two chunk boundaries"
         # quantized values, so scores tie
         raw = np.floor(rng.random((n, d)) * 6) / 6
-        # Half the techniques peak on both sides of edge a: argmax ties
-        # cross the edge and the window around a - 1 reaches right into
-        # the next chunk, where the runner-up sits just outside it. The
-        # other half peak just right of edge b, with the window reaching
-        # left. Which site wins depends on the subset.
+        # Half the techniques peak at columns a - 1 and a: the argmax ties
+        # there and the runner-up sits just right of the window around
+        # a - 1. The other half peak just right of column b, with the
+        # runner-up just left of the window. Which site wins depends on
+        # the subset.
         half = n // 2
-        a, b = edges[1], edges[-2]
+        a, b = peak_columns(n - n_constant, d)
         raw[:, a] = raw[:, a - 1]
         raw[:half, a - 1:a + 1] = 2.0
         raw[:half, a + r_window] = 1.5
@@ -242,7 +288,35 @@ class TestSearchParity:
             [list(row) for row in normalized], r_window, 1e-12, min_size,
             config.resolved_max_subset_size(n), degenerate, tie_break,
         )
-        got = select_best_subset(normalized, config, degenerate)
+        got, built = search_recording_blocks(normalized, config, degenerate)
+        assert len(built) >= 4, "case must build at least 4 row blocks"
+        assert any(h and not extend for h, extend in built), "none rebuilt"
+        assert any(extend for _, extend in built), "none extended"
+        assert (got.subset, got.score) == expected
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("n, d, min_size, max_size, scratch_bytes", [
+        (7, 40, 2, None, 16 * 40),  # one row per block
+        (9, 800, 7, None, 1 << 19),  # base block and small blocks inadmissible
+        (9, 800, 2, 3, 1 << 19),  # sizes capped below the available count
+    ])
+    def test_row_block_search_matches_naive(self, tie_break, n, d, min_size,
+                                            max_size, scratch_bytes):
+        rng = np.random.default_rng(n * d + min_size)
+        raw = np.floor(rng.random((n, d)) * 6) / 6
+        raw[0] = 0.5
+        normalized, degenerate = normalize_query_slices(raw)
+        config = FusionConfig(r_window=2, min_subset_size=min_size,
+                              max_subset_size=max_size, tie_break=tie_break)
+        expected = naive_best_subset(
+            [list(row) for row in normalized], 2, 1e-12, min_size,
+            config.resolved_max_subset_size(n), degenerate, tie_break,
+        )
+        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+            got, built = search_recording_blocks(normalized, config, degenerate)
+        assert len(built) >= 8
+        if scratch_bytes == 16 * d:
+            assert len(built) == 1 << (n - 1)
         assert (got.subset, got.score) == expected
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -301,6 +375,19 @@ class TestSearchParity:
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+    def test_scratch_memory_at_large_d_is_two_rows(self, rng):
+        # two rows of 8 * D bytes outgrow _SCRATCH_BYTES: one-row blocks
+        d = 100_000
+        normalized, degenerate = normalize_query_slices(rng.random((4, d)))
+        tracemalloc.start()
+        try:
+            select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * 8 * d > fusion._SCRATCH_BYTES
+        assert peak <= 2 * 8 * d + (64 << 10)
 
 
 class TestTechniqueWeights:

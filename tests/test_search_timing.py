@@ -1,0 +1,34 @@
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPT = REPO / "scripts" / "search_timing.py"
+
+
+def search_timing(*args):
+    done = subprocess.run([sys.executable, str(SCRIPT), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_one_json_line_per_shape_with_a_stable_digest():
+    args = ("--shape", "3x20", "--shape", "4x30")
+    first = search_timing(*args, "--repo", str(REPO))
+    assert [(r["shape"], r["n"], r["d"], r["searches"]) for r in first] == [
+        ("3x20", 3, 20, 35), ("4x30", 4, 30, 35)]
+    assert all(r["median_ms"] > 0 for r in first)
+    assert all(re.fullmatch("[0-9a-f]{64}", r["digest"]) for r in first)
+    assert first[0]["digest"] != first[1]["digest"]
+    again = search_timing(*args)
+    assert [r["digest"] for r in again] == [r["digest"] for r in first]
+
+
+def test_bad_shape_is_a_usage_error():
+    done = subprocess.run([sys.executable, str(SCRIPT), "--shape", "1x20"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "NxD" in done.stderr
