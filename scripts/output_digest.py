@@ -14,6 +14,10 @@ Output sets:
               ``dynfuse sweep`` at F = 25, 1, 5, 5: unordered and with a
               duplicate, so calibration searches shared across F values
               and a repeated F show in no output byte
+  run-drift-F1
+              ``dynfuse run`` as run-F1 on the spec with drift period 5,
+              where dyn-mpf's subsets interleave (6 subsets in 25 runs),
+              so queries grouped by subset are not consecutive
   demo        scripts/run_synthetic_demo.py --out (result files and table)
   sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
 
@@ -95,17 +99,15 @@ def _digest(work: Path, outputs: list[Path], stdout: str) -> str:
     return sha.hexdigest()
 
 
-def output_digests(repo: Path, work: Path, spec: dict = SPEC,
-                   f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
-    """Run every output set on ``repo``'s code under the empty directory
-    ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
-    unordered sweep and both demo scripts, for a quicker run."""
-    repo, work = repo.resolve(), work.resolve()
-    (work / "spec.json").write_text(json.dumps(spec))
-    stdout = _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", "spec.json",
-                               "--out", "data"])
-    data = work / "data"
-    digests = {"synth": _digest(work, [data], stdout)}
+def _synth(repo: Path, work: Path, spec: dict, spec_file: str, name: str) -> str:
+    """Write ``spec`` to ``work/spec_file`` and its inputs to ``work/name``,
+    with a manifest that runs every strategy; return the digest of the
+    synth command's own output."""
+    (work / spec_file).write_text(json.dumps(spec))
+    stdout = _run(repo, work, ["-m", "dynfuse.cli", "synth", "--spec", spec_file,
+                               "--out", name])
+    data = work / name
+    digest = _digest(work, [data], stdout)
     d = spec["database_size"]
     for payload in sorted(data.glob("*.f32")):
         vectors = np.fromfile(payload, dtype="<f4").reshape(-1, d)
@@ -114,13 +116,28 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
     manifest = json.loads((data / "manifest.json").read_text())
     manifest.update(strategies=STRATEGIES, recall_k=[1, 5, d])
     (data / "manifest.json").write_text(json.dumps(manifest))
+    return digest
 
+
+def _run_set(repo: Path, work: Path, data: str, f: int, out: Path) -> str:
+    """``dynfuse run`` on ``work/data``'s manifest at frame separation f,
+    written to ``out``; return its digest."""
+    stdout = _run(repo, work, ["-m", "dynfuse.cli", "run", "--config",
+                               f"{data}/manifest.json", "--frame-sep", str(f),
+                               "--workers", "1", "--out", str(out)])
+    return _digest(work, [out], stdout)
+
+
+def output_digests(repo: Path, work: Path, spec: dict = SPEC,
+                   f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
+    """Run every output set on ``repo``'s code under the empty directory
+    ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
+    unordered sweep, the drifting run and both demo scripts, for a quicker
+    run."""
+    repo, work = repo.resolve(), work.resolve()
+    digests = {"synth": _synth(repo, work, spec, "spec.json", "data")}
     for f in f_values:
-        out = work / f"run-F{f}"
-        stdout = _run(repo, work, ["-m", "dynfuse.cli", "run", "--config",
-                                   "data/manifest.json", "--frame-sep", str(f),
-                                   "--workers", "1", "--out", str(out)])
-        digests[out.name] = _digest(work, [out], stdout)
+        digests[f"run-F{f}"] = _run_set(repo, work, "data", f, work / f"run-F{f}")
     sweeps = {"sweep": "1,5,25"}
     if demos:
         sweeps["sweep-unordered"] = "25,1,5,5"
@@ -139,6 +156,8 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
         stdout = _run(repo, work, [str(repo / "scripts" / "sweep_frame_separation.py"),
                                    "--out", str(out)])
         digests["sweep-demo"] = _digest(work, [out], stdout)
+        _synth(repo, work, dict(spec, drift_period=5), "drift-spec.json", "drift")
+        digests["run-drift-F1"] = _run_set(repo, work, "drift", 1, work / "run-drift-F1")
     return digests
 
 

@@ -6,17 +6,16 @@ whose per-row ordering is the strategy's database ranking for that query
 invalid instead of aborting the run. So does a query on which every fused
 technique is constant: its fused vector carries no place information.
 
-Every runner hands one batch loop, ``_fuse_groups``, its (subset,
-queries) groups and a ``fuse(subset, qs)`` that scores a chunk of at most
-_BLOCK_BYTES of member vectors. Dynamic fusion searches every calibration
-first and passes one group per run of consecutive calibration blocks that
-chose the same subset (``_fuse_block``). The plain-sum baselines pass the
-queries that share a subset and normalize only its members. Hierarchical
-fusion passes all queries as one group and runs its tiers on a (queries,
-survivors) block. Only the records are built
-per query; ``_invalid`` builds every no-match record. The results equal a
-query-by-query run bit for bit (the loops are kept in
-tests/reference_impl.py).
+Every runner hands one batch loop, ``_fuse_groups``, each query's subset
+and a ``fuse(subset, qs)`` that scores a chunk of at most _BLOCK_BYTES of
+member vectors; ``_fuse_groups`` groups the queries by subset, however
+they interleave. Dynamic fusion searches every calibration first and gives
+each block its search's subset (``_fuse_block``). The plain-sum baselines
+give each query its subset and normalize only its members. Hierarchical
+fusion gives every query all techniques and runs its tiers on a (queries,
+survivors) block. Only the records are built per query; ``_invalid``
+builds every no-match record. The results equal a query-by-query run bit
+for bit (the loops are kept in tests/reference_impl.py).
 
 Parallelism contract: every runner is single-threaded and walks its
 batches in a fixed order. The ``workers`` parameter is accepted for
@@ -115,13 +114,20 @@ def _invalid(query: int, error: str, subset, touched) -> SelectionRecord:
     )
 
 
-def _fuse_groups(tensor, groups, records, fuse) -> np.ndarray:
-    """Call ``fuse(subset, qs)`` on each (subset, ascending query array)
-    group in chunks of at most _BLOCK_BYTES of member vectors; it returns
-    the chunk's (len(qs), D) scores, validity and records. Puts the records
-    in ``records`` by query; returns the (Q, D) scores, NaN where invalid."""
+def _fuse_groups(tensor, subsets, records, fuse) -> np.ndarray:
+    """Group the queries by ``subsets[q]`` (None: in no group), in the order
+    the subsets first occur, and call ``fuse(subset, qs)`` on each group in
+    chunks of at most _BLOCK_BYTES of member vectors; ``qs`` is an
+    ascending query array, not always consecutive. ``fuse`` returns the
+    chunk's (len(qs), D) scores, validity and records. Puts the records in
+    ``records`` by query; returns the (Q, D) scores, NaN where invalid."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for q, subset in enumerate(subsets):
+        if subset is not None:
+            groups.setdefault(subset, []).append(q)
     rows = np.full((tensor.queries, tensor.database_size), np.nan)
-    for subset, group in groups:
+    for subset, group in groups.items():
+        group = np.array(group)
         chunk = max(1, _BLOCK_BYTES // (8 * len(subset) * tensor.database_size))
         for at in range(0, len(group), chunk):
             qs = group[at:at + chunk]
@@ -149,23 +155,24 @@ def run_dyn_mpf(
     on every query; ``uniform_weights`` forces all weights to 1, which
     reduces the pipeline to plain summation over the selected subset.
 
-    Every calibration is searched first; each run of consecutive blocks
-    whose searches chose the same subset is then one group of _fuse_groups,
-    fused by _fuse_block. ``searches`` ({query: _search result}) carries
-    searches across calls whose configs differ only in F: each call reuses
-    the ones it finds there and adds the ones it makes.
+    Every calibration is searched first and gives its block's queries its
+    subset; _fuse_groups then fuses all queries of one subset together
+    with _fuse_block, whichever blocks they come from. ``searches``
+    ({query: _search result}) carries searches across calls whose configs
+    differ only in F: each call reuses the ones it finds there and adds the
+    ones it makes.
 
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
-    rather than aborting the run; the next block starts a new group.
+    rather than aborting the run; its queries join no group.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d)
     f = config.frame_separation_f
     searches = {} if searches is None else searches
     records: list[SelectionRecord | None] = [None] * queries
-    scores = np.full(queries, np.nan)  # a search's score is never NaN
-    runs: list[list] = []  # [subset, first query, stop] per run of blocks
+    subsets: list[tuple[int, ...] | None] = [None] * queries
+    calibrates = np.zeros(queries, dtype=bool)
     for start in range(0, queries, f):
         stop = min(start + f, queries)
         if start not in searches:
@@ -176,18 +183,13 @@ def run_dyn_mpf(
             for q in range(start + 1, stop):
                 records[q] = _invalid(q, best, (), ())
             continue
-        scores[start] = best.score
-        if runs and runs[-1][0] == best.subset and runs[-1][2] == start:
-            runs[-1][2] = stop
-        else:
-            runs.append([best.subset, start, stop])
+        calibrates[start] = True
+        subsets[start:stop] = [best.subset] * (stop - start)
 
     def fuse(subset, qs):
-        return _fuse_block(tensor, config, subset, ~np.isnan(scores[qs]), scores[qs],
-                           qs, uniform_weights)
+        return _fuse_block(tensor, config, subset, calibrates[qs], qs, uniform_weights)
 
-    groups = [(subset, np.arange(first, stop)) for subset, first, stop in runs]
-    rows = _fuse_groups(tensor, groups, records, fuse)
+    rows = _fuse_groups(tensor, subsets, records, fuse)
     return StrategyResult(
         strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
         params={"uniform_weights": uniform_weights},
@@ -203,18 +205,19 @@ def _search(tensor, config, query):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _fuse_block(tensor, config, subset, calibration, score, qs, uniform_weights):
-    """(standardized sums, validity, records) of the consecutive queries
+def _fuse_block(tensor, config, subset, calibration, qs, uniform_weights):
+    """(standardized sums, validity, records) of the ascending queries
     ``qs`` that use ``subset``, as one batch. ``calibration`` flags the ones
-    whose own search chose it; ``score`` holds that search's ratio there.
+    whose own search chose it; they touched every technique.
 
     Per query the checks run in the order a single query would meet them:
     too few non-constant members, the fused ratio's window, then each
-    member's window in subset order. A calibration query skips the first
-    two; its fused ratio is the search's score.
+    member's window in subset order. A calibration passes the first two,
+    because its search chose a subset that does, and its fused ratio is the
+    search's score bit for bit.
     """
     r, eps, low = config.r_window, config.epsilon, config.min_subset_size
-    members, constant = minmax_rows(tensor.data[list(subset), qs[0]:qs[-1] + 1])
+    members, constant = minmax_rows(tensor.data[np.ix_(subset, qs)])
     d = members.shape[2]
     ratios, fused_best, fused_covered = ratio_rows(_sum_rows(members), r, eps)
     weights, member_best, member_covered = (
@@ -223,8 +226,8 @@ def _fuse_block(tensor, config, subset, calibration, score, qs, uniform_weights)
     if uniform_weights:
         weights, member_covered = np.ones(constant.shape), np.zeros(constant.shape, bool)
     usable = len(subset) - constant.sum(axis=0)
-    too_few = ~calibration & (usable < low)
-    fused_bad = ~calibration & fused_covered & ~too_few
+    too_few = usable < low
+    fused_bad = fused_covered & ~too_few
     valid = ~(too_few | fused_bad | member_covered.any(axis=0))
     # an invalid query's weights may be meaningless; zero keeps its unused
     # sum finite
@@ -240,8 +243,7 @@ def _fuse_block(tensor, config, subset, calibration, score, qs, uniform_weights)
 
     records = []
     everyone = tuple(range(len(tensor.data)))
-    columns = zip(qs.tolist(), calibration.tolist(), valid.tolist(),
-                  np.where(calibration, score, ratios).tolist(),
+    columns = zip(qs.tolist(), calibration.tolist(), valid.tolist(), ratios.tolist(),
                   weights.T.tolist(), match.tolist(), mean.tolist(), std.tolist())
     for i, (q, calibrates, ok, ratio, w, m, mu, sigma) in enumerate(columns):
         touched = everyone if calibrates else subset
@@ -295,17 +297,15 @@ def _simple_sum_runner(tensor, config, subsets, strategy, params):
     vectors per query with unit weights. ``subsets[q]`` is query q's sorted
     subset, or None when fewer than 2 techniques are usable on it.
 
-    The queries that share a subset are one group of _fuse_groups; only the
+    _fuse_groups fuses the queries that share a subset together; only the
     subset's members are normalized.
     """
     records: list[SelectionRecord | None] = [None] * tensor.queries
-    groups: dict[tuple[int, ...] | None, list[int]] = {}
     for q, subset in enumerate(subsets):
-        groups.setdefault(subset, []).append(q)
-    for q in groups.pop(None, ()):
-        records[q] = _invalid(
-            q, "TooFewTechniquesError: fewer than 2 usable techniques", (), ()
-        )
+        if subset is None:
+            records[q] = _invalid(
+                q, "TooFewTechniquesError: fewer than 2 usable techniques", (), ()
+            )
 
     def fuse(subset, qs):
         members, constant = minmax_rows(tensor.data[np.ix_(subset, qs)])
@@ -314,8 +314,7 @@ def _simple_sum_runner(tensor, config, subsets, strategy, params):
         return fused, valid, _summed_records(config, qs, subset, fused,
                                              fused.argmax(axis=1), valid)
 
-    rows = _fuse_groups(tensor, [(s, np.array(g)) for s, g in groups.items()],
-                        records, fuse)
+    rows = _fuse_groups(tensor, subsets, records, fuse)
     return StrategyResult(
         strategy=strategy, records=records, config=config, fused=rows, params=params,
     )
@@ -439,8 +438,8 @@ def run_hier_mpf(
     Tier membership is drawn from the seeded generator when not given. A
     query on which all N techniques are constant is invalid.
 
-    All queries are one group of _fuse_groups, and each tier works on a
-    whole chunk at once.
+    Every query has all techniques, so _fuse_groups fuses all queries as
+    one group, and each tier works on a whole chunk at once.
     """
     n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
@@ -464,6 +463,7 @@ def run_hier_mpf(
 
     rank_values = np.arange(d, 0, -1, dtype=np.float64)
     everyone = tuple(range(n))
+    all_constant = (np.ptp(tensor.data, axis=2) == 0.0).all(axis=0)
 
     def fuse(subset, qs):
         # (queries, survivors) blocks: every query keeps the same number of
@@ -501,12 +501,12 @@ def run_hier_mpf(
         ], axis=1)
         ranks = np.empty(ranked.shape)
         np.put_along_axis(ranks, ranked, rank_values, axis=1)
-        valid = ~(np.ptp(tensor.data[:, qs[0]:qs[-1] + 1], axis=2) == 0.0).all(axis=0)
+        valid = ~all_constant[qs]
         return ranks, valid, _summed_records(config, qs, subset, tier1_fused,
                                              ranked[:, 0], valid)
 
     records: list[SelectionRecord | None] = [None] * queries
-    rows = _fuse_groups(tensor, [(everyone, np.arange(queries))], records, fuse)
+    rows = _fuse_groups(tensor, [everyone] * queries, records, fuse)
     return StrategyResult(
         strategy=STRATEGY_HIER_MPF, records=records, config=config, fused=rows,
         params={

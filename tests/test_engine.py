@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ from dynfuse.core import (
     GroundTruth,
     SimilarityTensor,
     TechniqueId,
+    minmax_rows,
 )
 from dynfuse.engine import (
     default_tiers,
@@ -30,6 +30,12 @@ from dynfuse.engine import (
 )
 from dynfuse.errors import ConfigError, TooFewTechniquesError
 from dynfuse.evaluate import recall_at_k
+from dynfuse.fusion import (
+    normalize_query_slices,
+    ratio_rows,
+    select_best_subset,
+    window_error,
+)
 from conftest import random_tensor_data
 from reference_impl import (
     naive_best_single,
@@ -303,11 +309,22 @@ class TestBlockParity:
         assert peak - output <= 4 << 20  # measured 2.4 MiB
 
 
-class TestSubsetRuns:
-    """Consecutive calibration blocks that choose the same subset are fused
-    as one group; a failed calibration ends the group."""
+def interleaved_data(rng, queries, d):
+    """N = 3 techniques where technique 2 is constant on even queries and
+    technique 0 on odd ones: with subsets of size 2, even queries can only
+    choose (0, 1) and odd ones (1, 2)."""
+    data = rng.random((3, queries, d))
+    data[2, ::2] = rng.random((queries + 1) // 2)[:, None]
+    data[0, 1::2] = rng.random(queries // 2)[:, None]
+    return data
 
-    def test_groups_are_runs_of_blocks(self, rng):
+
+class TestSubsetRuns:
+    """All queries whose calibration chose the same subset are fused as one
+    group, wherever their blocks lie; a failed calibration's block joins no
+    group."""
+
+    def test_blocks_of_one_subset_are_one_group(self, rng):
         # F = 3: blocks 0-2 and 4-5 calibrate on query 0's vectors; every
         # technique is constant at query 9, so block 3's search fails
         data = rng.random((4, 18, 16))
@@ -315,51 +332,100 @@ class TestSubsetRuns:
         data[:, 9] = rng.random((4, 1))
         tensor = make_tensor(data)
         config = FusionConfig(r_window=1, frame_separation_f=3)
-        with mock.patch.object(engine, "_fuse_groups", wraps=engine._fuse_groups) as spy:
+        with mock.patch.object(engine, "_fuse_block", wraps=engine._fuse_block) as spy:
             got = run_dyn_mpf(tensor, config)
         subset = got.records[0].subset
-        assert [(s, g.tolist()) for s, g in spy.call_args.args[1]] == [
-            (subset, list(range(9))), (subset, list(range(12, 18)))]
-        assert got.records[9].error.startswith("TooFewTechniquesError")
+        assert [(call.args[2], call.args[4].tolist()) for call in spy.call_args_list] == [
+            (subset, [*range(9), *range(12, 18)])]
+        for q in (9, 10, 11):
+            assert not got.records[q].valid
+            assert got.records[q].error.startswith("TooFewTechniquesError")
         records, rows = naive_run_dyn_mpf(data, config, tensor.names)
         assert [r.to_json_dict(tensor.names) for r in got.records] == records
         assert np.array_equal(got.fused, rows, equal_nan=True)
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_interleaved_subsets_are_two_groups(self, rng, uniform):
+        data = interleaved_data(rng, 12, 16)
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=1, frame_separation_f=1, max_subset_size=2)
+        with mock.patch.object(engine, "_fuse_block", wraps=engine._fuse_block) as spy:
+            got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
+        assert [(call.args[2], call.args[4].tolist()) for call in spy.call_args_list] == [
+            ((0, 1), list(range(0, 12, 2))), ((1, 2), list(range(1, 12, 2)))]
+        records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
+        assert [r.to_json_dict(tensor.names) for r in got.records] == records
+        assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    def test_memory_of_long_interleaved_groups(self, rng):
+        # two groups of 128 non-consecutive queries each; an unchunked
+        # (2, 128, 4096) member slab would take 8 MiB
+        data = interleaved_data(rng, 256, 4096)
+        tensor = make_tensor(data)
+        config = FusionConfig(r_window=2, frame_separation_f=1, max_subset_size=2)
+        output = 256 * 4096 * 8  # the returned (Q, D) fused rows
+        tracemalloc.start()
+        try:
+            result = run_dyn_mpf(tensor, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.subset for r in result.records] == [(0, 1), (1, 2)] * 128
+        assert all(r.valid for r in result.records)
+        assert peak - output <= 4 << 20  # measured 3.3 MiB
+
     @pytest.mark.parametrize("block_bytes", [1, 200])
     def test_calibration_inside_a_chunk_keeps_its_search(self, rng, block_bytes):
-        # one run of 12 queries; 200 bytes of (2, q, 4) members is 3 queries
+        # one group of 12 queries; 200 bytes of (2, q, 4) members is 3 queries
         # a chunk, so the calibrations at 4 and 10 sit inside chunks
         data = rng.random((3, 12, 4))
         data[:, 2::2] = data[:, [0]]
         tensor = make_tensor(data)
         config = FusionConfig(r_window=0, frame_separation_f=2, max_subset_size=2)
-        search = engine.select_best_subset
-        # the fused ratio at a calibration equals its search's score, so
-        # each search reports a score no fused ratio has
-        stamps = iter(range(100, 106))
-
-        def stamped(*args):
-            return replace(search(*args), score=float(next(stamps)))
-
         with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes), \
-                mock.patch.object(engine, "select_best_subset", side_effect=stamped), \
                 mock.patch.object(engine, "_fuse_block", wraps=engine._fuse_block) as spy:
             got = run_dyn_mpf(tensor, config)
-        chunks = [call.args[5].tolist() for call in spy.call_args_list]
+        chunks = [call.args[4].tolist() for call in spy.call_args_list]
         assert len(chunks) == 12 // (3 if block_bytes == 200 else 1)
         subset = got.records[0].subset
         for record in got.records:
             assert record.valid and record.subset == subset
             if record.query % 2 == 0:
-                assert record.ratio_score == 100 + record.query // 2
+                normalized, degenerate = normalize_query_slices(
+                    tensor.query_slices(record.query))
+                search = select_best_subset(normalized, config, degenerate)
+                assert record.ratio_score == search.score
                 assert record.techniques_touched == (0, 1, 2)
             else:
                 assert record.techniques_touched == subset
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes):
-            got = run_dyn_mpf(tensor, config)
         records, rows = naive_run_dyn_mpf(data, config, tensor.names)
         assert [r.to_json_dict(tensor.names) for r in got.records] == records
         assert np.array_equal(got.fused, rows, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dyn_cases(), dyn_cases(runs=True)))
+    def test_calibration_ratio_is_its_search_score(self, case):
+        data, config, uniform, block_bytes = case
+        tensor = make_tensor(data)
+        searches = {}
+        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+            got = run_dyn_mpf(tensor, config, uniform_weights=uniform, searches=searches)
+        r, d = config.r_window, data.shape[2]
+        for q, search in searches.items():
+            record = got.records[q]
+            if isinstance(search, str):
+                assert record.error == search
+            elif record.valid:
+                assert record.ratio_score == search.score
+            else:
+                # never too few members nor the fused window: only the
+                # first member, in subset order, whose window covers it
+                assert not uniform
+                members = minmax_rows(data[list(search.subset), q])[0]
+                _, best, covered = ratio_rows(members, r, config.epsilon)
+                at = int(best[covered.argmax()])
+                assert covered.any()
+                assert record.error == f"WindowCoversAllError: {window_error(r, at, d)}"
 
     def test_shared_searches_are_reused_and_filled(self, rng):
         tensor = make_tensor(random_tensor_data(rng, 4, 30, 12, constant_prob=0.3))
