@@ -10,9 +10,12 @@ standard library, so what it prints is the command's own peak, above the
 floor of a bare interpreter (about 10 MB).
 
   python3 scripts/peak_rss.py run --config data/manifest.json --out out
+  python3 scripts/peak_rss.py --repo /path/to/parent/checkout run --config ...
 
-The command runs on this checkout's ``src/``. Its stdout and stderr both go
-to stderr; stdout gets one JSON line:
+The command runs on the ``src/`` of the checkout given by a leading
+``--repo`` (default: the one holding this script), so a memory change and
+its parent can be compared with one command each. Its stdout and stderr
+both go to stderr; stdout gets one JSON line:
 ``{"command": ..., "exit_code": ..., "peak_rss_mb": ..., "wall_s": ...}``,
 where ``peak_rss_mb`` is ``ru_maxrss`` / 1024, as perfbench reports it. The
 exit code is the command's.
@@ -27,13 +30,15 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
 
 
-def measure(args: list[str]) -> dict:
-    """Run ``dynfuse *args`` to completion; its exit code, peak RSS and wall time."""
+def measure(args: list[str], repo: Path = REPO) -> dict:
+    """Run ``dynfuse *args`` on ``repo``'s code to completion; its exit code,
+    peak RSS and wall time."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    src = str(repo.resolve() / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "dynfuse.cli", *args],
                             stdout=sys.stderr, env=env)
@@ -45,10 +50,14 @@ def measure(args: list[str]) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__, file=sys.stdout if argv else sys.stderr)
-        return 0 if argv else 2
-    report = measure(argv)
+    repo = REPO
+    if argv[:1] == ["--repo"] and len(argv) > 2:
+        repo, argv = Path(argv[1]), argv[2:]
+    if not argv or argv[0] in ("-h", "--help", "--repo"):
+        asked = argv[:1] in (["-h"], ["--help"])
+        print(__doc__, file=sys.stdout if asked else sys.stderr)
+        return 0 if asked else 2
+    report = measure(argv, repo)
     print(json.dumps(report))
     return report["exit_code"]
 

@@ -78,20 +78,33 @@ def as_similarity_vector(v) -> np.ndarray:
     return arr
 
 
-def is_constant(v: np.ndarray) -> bool:
-    """True when every entry equals every other (no place information)."""
+def is_constant(v: np.ndarray) -> bool | np.ndarray:
+    """True when every entry equals every other (no place information).
+    A stack of vectors along the last axis gives one flag per vector. Exact
+    in any dtype, where np.ptp overflows float32 near 3.4e38."""
     v = np.asarray(v)
-    return bool(v.max() == v.min())
+    flags = v.max(axis=-1) == v.min(axis=-1)
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalize every vector along the last axis of ``data`` (see
-    minmax_normalize). Returns the result and a mask of the constant vectors,
-    which become all zeros. Every strategy normalizes with this function."""
-    lo = data.min(axis=-1, keepdims=True)
-    span = data.max(axis=-1, keepdims=True) - lo
+    minmax_normalize). Returns the float64 result and a mask of the constant
+    vectors, which become all zeros. Every strategy normalizes with this
+    function.
+
+    ``data`` may be float32 or float64: min and max are exact in either, and
+    everything after them is float64, so float32 data and its float64 cast
+    give the same bits (a span taken in float32 would round, or overflow
+    near 3.4e38)."""
+    lo = data.min(axis=-1, keepdims=True).astype(np.float64)
+    span = data.max(axis=-1, keepdims=True).astype(np.float64) - lo
     flat = span == 0.0
-    out = data - lo  # a constant vector is already all zeros here
+    # data + (0.0 - lo) is data - lo, except that a -0.0 entry at a zero
+    # minimum becomes +0.0 whichever zero min() returned; min() picks -0.0
+    # or +0.0 by SIMD lane, differently per dtype. A constant vector is
+    # already all zeros here.
+    out = np.add(data, 0.0 - lo, dtype=np.float64)
     out /= np.where(flat, 1.0, span)  # cheaper than a masked divide
     return out, flat[..., 0]
 
@@ -227,13 +240,19 @@ class FusionConfig:
 
 @dataclass
 class SimilarityTensor:
-    """All similarity vectors for a run: N techniques x Q queries x D images."""
+    """All similarity vectors for a run: N techniques x Q queries x D images.
+
+    float32 ``data`` stays float32, half the bytes of float64; data of any
+    other dtype becomes float64. Every strategy reads the values through
+    minmax_rows or an exact comparison, so both give the same results.
+    """
 
     techniques: list[TechniqueId]
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if self.data.ndim != 3:
             raise ValueError(f"tensor must be N x Q x D, got shape {self.data.shape}")
         n, _, d = self.data.shape

@@ -39,6 +39,7 @@ from .core import (
     GroundTruth,
     SelectionRecord,
     SimilarityTensor,
+    is_constant,
     minmax_rows,
 )
 from .errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
@@ -362,7 +363,7 @@ def run_random_pair(
     config.validate(n, d, require_subsets=False)
     if n < 2:
         raise TooFewTechniquesError(f"random pair needs >= 2 techniques, have {n}")
-    degenerate = np.ptp(tensor.data, axis=2) == 0.0  # as minmax_rows flags them
+    degenerate = is_constant(tensor.data)  # as minmax_rows flags them
     rng = np.random.default_rng(config.rng_seed)
     pairs: list[tuple[int, int] | None] = []
     for q in range(queries):
@@ -463,7 +464,7 @@ def run_hier_mpf(
 
     rank_values = np.arange(d, 0, -1, dtype=np.float64)
     everyone = tuple(range(n))
-    all_constant = (np.ptp(tensor.data, axis=2) == 0.0).all(axis=0)
+    all_constant = is_constant(tensor.data).all(axis=0)
 
     def fuse(subset, qs):
         # (queries, survivors) blocks: every query keeps the same number of

@@ -225,13 +225,16 @@ def compute_similarity(q: DescriptorMatrix, db: DescriptorMatrix,
 
 
 def assemble_tensor(per_technique, names) -> SimilarityTensor:
-    """Write per-technique Q x D similarity matrices into one float64
-    tensor of len(names) techniques.
+    """Write per-technique Q x D similarity matrices into one tensor of
+    len(names) techniques: float32 while every matrix is float32, else
+    float64 (see SimilarityTensor).
 
     ``per_technique`` may be any iterable, a generator included: each
     matrix is checked and copied into its slot as it arrives, so a generator
-    keeps at most one alive beside the tensor. A bad shape or a surplus
-    matrix stops the iteration there.
+    keeps at most one alive beside the tensor. The tensor takes the first
+    matrix's dtype and is cast to float64 when a wider one follows float32
+    ones, which holds both tensors at once; load_similarity_tensor avoids
+    that. A bad shape or a surplus matrix stops the iteration there.
     """
     names = list(names)
     data = None
@@ -245,12 +248,16 @@ def assemble_tensor(per_technique, names) -> SimilarityTensor:
         m = np.asarray(m)
         if m.ndim != 2:
             raise DimensionMismatchError(f"{name}: matrix must be 2-D, got {m.shape}")
+        float32 = m.dtype == np.float32
         if data is None:
-            data = np.empty((len(names), *m.shape), dtype=np.float64)
+            data = np.empty((len(names), *m.shape),
+                            dtype=np.float32 if float32 else np.float64)
         elif m.shape != data.shape[1:]:
             raise DimensionMismatchError(
                 f"{name}: shape {m.shape} != {data.shape[1:]} of {names[0]}"
             )
+        elif data.dtype == np.float32 and not float32:
+            data = data.astype(np.float64)
         data[count] = m
         count += 1
         del m  # free it before the iterable loads the next one
@@ -293,12 +300,19 @@ def load_similarity_tensor(entries) -> SimilarityTensor:
     An entry holds a "name" and either a "similarity" path or "query" and
     "database" descriptor paths with an optional "metric" (default cosine);
     a ``(name, path)`` pair is short for a similarity entry. Each binary
-    sidecar must carry its entry's role. Loading peaks near the tensor plus
-    one technique's raw data.
+    sidecar must carry its entry's role.
+
+    Similarity payloads are float32, so the tensor is float32 unless a
+    descriptor pair is among the entries: compute_similarity works in
+    float64, and then every entry is loaded as float64, so one float64
+    tensor is allocated and never a float32 one beside it. Loading peaks
+    near the tensor plus one technique's raw data (and its float64 cast in
+    a mixed manifest).
     """
     entries = [
         e if isinstance(e, dict) else {"name": e[0], "similarity": e[1]}
         for e in entries
     ]
-    return assemble_tensor((_load_entry(e) for e in entries),
+    dtype = np.float32 if all("similarity" in e for e in entries) else np.float64
+    return assemble_tensor((_load_entry(e).astype(dtype, copy=False) for e in entries),
                            [e["name"] for e in entries])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dynfuse.core import (
     FusionConfig,
@@ -15,9 +16,11 @@ from dynfuse.core import (
     as_similarity_vector,
     is_constant,
     minmax_normalize,
+    minmax_rows,
     zscore_normalize,
 )
 from dynfuse.errors import ConfigError
+from conftest import FLOAT32_EDGES
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -34,6 +37,9 @@ def test_minmax_constant_returns_zeros():
     assert np.array_equal(out, [0.0, 0.0, 0.0])
     assert is_constant([1.0, 1.0, 1.0])
     assert not is_constant([1.0, 2.0, 1.0])
+    stack = np.array([[[1.0, 1.0], [0.0, -0.0]], [[3e38, -3e38], [2.0, 1.0]]], np.float32)
+    with np.errstate(over="raise"):
+        assert is_constant(stack).tolist() == [[True, True], [False, False]]
 
 
 def test_minmax_hand_evaluated():
@@ -64,6 +70,33 @@ def test_minmax_positive_affine_invariance(vec, a, b):
 def test_minmax_idempotent(vec):
     once = minmax_normalize(vec)
     assert np.allclose(minmax_normalize(once), once, atol=1e-9)
+
+
+float32_entries = st.one_of(
+    st.sampled_from(FLOAT32_EDGES.tolist()),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+                  elements=float32_entries))
+@settings(max_examples=300)
+def test_minmax_rows_float32_equals_its_float64_cast(x32):
+    got, got_flat = minmax_rows(x32)
+    want, want_flat = minmax_rows(x32.astype(np.float64))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_flat, want_flat)
+
+
+def test_minmax_rows_zeros_are_positive():
+    # min() returns -0.0 or +0.0 by SIMD lane, differently per dtype; a
+    # -0.0 input at a zero minimum must not keep its sign in either
+    x = np.array([[0.0, -0.0, 1.0] * 11 + [-0.0], [-0.0, 0.0] * 17, [-0.0] * 5 + [0.0] * 29])
+    for data in (x, x.astype(np.float32)):
+        out, flat = minmax_rows(data)
+        assert not np.signbit(out).any()
+        assert flat.tolist() == [False, True, True]
 
 
 def test_zscore_two_point_convention():
@@ -174,6 +207,17 @@ class TestSimilarityTensor:
         )
         assert (t.n_techniques, t.queries, t.database_size) == (2, 5, 10)
         assert t.names == ["a", "b"]
+
+    def test_float32_stays_float32_and_other_dtypes_become_float64(self, rng):
+        techniques = [TechniqueId(0, "a")]
+        data = rng.random((1, 3, 4), dtype=np.float32)
+        assert SimilarityTensor(techniques, data).data is data
+        data = rng.random((1, 3, 4))
+        assert SimilarityTensor(techniques, data).data is data
+        for dtype in (np.float16, ">f4", np.int64):
+            got = SimilarityTensor(techniques, data.astype(dtype)).data
+            assert got.dtype == np.float64
+            assert np.array_equal(got, data.astype(dtype))
 
     def test_duplicate_names_rejected(self, rng):
         with pytest.raises(ValueError):

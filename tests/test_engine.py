@@ -29,14 +29,14 @@ from dynfuse.engine import (
     run_static_subset,
 )
 from dynfuse.errors import ConfigError, TooFewTechniquesError
-from dynfuse.evaluate import recall_at_k
+from dynfuse.evaluate import frame_separation_sweep, recall_at_k
 from dynfuse.fusion import (
     normalize_query_slices,
     ratio_rows,
     select_best_subset,
     window_error,
 )
-from conftest import random_tensor_data
+from conftest import FLOAT32_EDGES, random_tensor_data
 from reference_impl import (
     naive_best_single,
     naive_best_static_subset,
@@ -308,6 +308,23 @@ class TestBlockParity:
         assert all(r.valid for r in result.records)
         assert peak - output <= 4 << 20  # measured 2.4 MiB
 
+    def test_float32_tensor_peaks_no_higher(self, rng):
+        # the input of test_memory_does_not_grow_with_block_length: each
+        # chunk gathers its members from the tensor, in the tensor's dtype
+        data = rng.random((8, 256, 2048))
+        config = FusionConfig(r_window=2, frame_separation_f=256, min_subset_size=8)
+        techniques = [TechniqueId(i, f"t{i}") for i in range(len(data))]
+        peaks = []
+        for dtype in (np.float32, np.float64):
+            tensor = SimilarityTensor(techniques, data.astype(dtype))
+            tracemalloc.start()
+            try:
+                run_dyn_mpf(tensor, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], [p / 2**20 for p in peaks]
+
 
 def interleaved_data(rng, queries, d):
     """N = 3 techniques where technique 2 is constant on even queries and
@@ -573,6 +590,66 @@ class TestBaselineParity:
                 tracemalloc.stop()
             assert all(r.valid for r in result.records), name
             assert peak - output <= 6 << 20, name  # measured 2.3-5.3 MiB
+
+
+@st.composite
+def float32_cases(draw):
+    """float32 tensors of ordinary values at any scale, mixed with values
+    near +-3.4e38, subnormals and signed zeros, plus constant rows; a run
+    on them, ground truth and the knobs each strategy takes."""
+    n = draw(st.integers(2, 4))
+    queries = draw(st.integers(1, 10))
+    d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-42, 1.0, 1e37]))
+    data = (rng.standard_normal((n, queries, d)) * scale).astype(np.float32)
+    edges = rng.random(data.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    data[edges] = rng.choice(FLOAT32_EDGES, size=int(edges.sum()))
+    constant = rng.random((n, queries)) < draw(st.sampled_from([0.0, 0.3]))
+    data[constant] = rng.choice(FLOAT32_EDGES, size=int(constant.sum()))[:, None]
+    config = FusionConfig(r_window=draw(st.integers(0, d - 1)),
+                          frame_separation_f=draw(st.sampled_from([1, 2, 3])),
+                          rng_seed=draw(st.integers(0, 2**16)),
+                          tie_break=draw(st.sampled_from(TIE_BREAKS)))
+    subset = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    gt = [sorted(rng.choice(d, size=int(rng.integers(0, min(d, 3) + 1)), replace=False).tolist())
+          for _ in range(queries)]
+    gt[0] = gt[0] or [0]
+    return data, config, subset, GroundTruth.from_lists(gt, d)
+
+
+class TestFloat32Parity:
+    """A float32 tensor gives the same results, bit for bit, as its values
+    cast to float64: every strategy reads raw values only through
+    minmax_rows or exact comparisons."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(float32_cases())
+    def test_every_strategy_equals_the_float64_cast(self, case):
+        data, config, subset, gt = case
+        techniques = [TechniqueId(i, f"t{i}") for i in range(len(data))]
+        tensors = [SimilarityTensor(techniques, data.astype(dtype))
+                   for dtype in (np.float32, np.float64)]
+        runs = {
+            "dyn-mpf": lambda t: run_dyn_mpf(t, config),
+            "dyn-mpf uniform": lambda t: run_dyn_mpf(t, config, uniform_weights=True),
+            "full-mpf": lambda t: run_full_mpf(t, config),
+            "static-subset": lambda t: run_static_subset(t, config, subset),
+            "random-pair": lambda t: run_random_pair(t, config),
+            "hier-mpf": lambda t: run_hier_mpf(t, config),
+            "best-single-oracle": lambda t: run_best_single_oracle(t, config, gt),
+        }
+        for name, run in runs.items():
+            with np.errstate(over="raise"):  # np.ptp overflows float32 here
+                got, want = (run(t) for t in tensors)
+            assert got.records == want.records, name
+            assert got.params == want.params, name
+            assert got.fused.tobytes() == want.fused.tobytes(), name
+            got_recall, want_recall = (recall_at_k(r, r.fused, gt, ks=[1, 2])
+                                       for r in (got, want))
+            assert got_recall == want_recall, name
+        got, want = (frame_separation_sweep(t, gt, config, [1, 2, 5]) for t in tensors)
+        assert got == want
 
 
 class TestFullMpf:

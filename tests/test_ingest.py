@@ -272,13 +272,14 @@ class TestStreamingLoader:
                 .astype(np.float32) for _ in range(3)]
         want = np.stack([m.astype(np.float64) for m in mats])
         tensor = load_similarity_tensor(write_similarities(tmp_path, mats))
-        assert tensor.data.dtype == np.float64
-        assert tensor.data.tobytes() == want.tobytes()
+        assert tensor.data.dtype == np.float32
+        assert tensor.data.astype(np.float64).tobytes() == want.tobytes()
         listed = assemble_tensor(mats, ["a", "b", "c"])
-        assert listed.data.tobytes() == want.tobytes()
+        assert listed.data.dtype == np.float32
+        assert listed.data.astype(np.float64).tobytes() == want.tobytes()
 
     def test_loading_peaks_near_one_tensor(self, tmp_path, rng):
-        # (8, 256, 512) float64 is 8 MiB; one technique's payload is 0.5 MiB
+        # (8, 256, 512) float32 is 4 MiB; one technique's payload is 0.5 MiB
         entries = write_similarities(
             tmp_path, [rng.random((256, 512), dtype=np.float32) for _ in range(8)])
         tracemalloc.start()
@@ -287,8 +288,40 @@ class TestStreamingLoader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tensor.data.nbytes == 8 * MiB
-        assert peak <= 10 * MiB, peak / MiB
+        assert tensor.data.nbytes == 4 * MiB
+        assert peak <= 5 * MiB, peak / MiB  # measured 4.63 MiB
+
+    @pytest.mark.parametrize("at", [0, 7])
+    def test_descriptor_pair_makes_one_float64_tensor(self, tmp_path, rng, at):
+        # seven float32 similarity files and one descriptor pair, whose
+        # similarities are float64: an (8, 256, 512) float64 tensor of 8 MiB,
+        # never a float32 one beside it
+        mats = [rng.random((256, 512), dtype=np.float32) for _ in range(7)]
+        entries = write_similarities(tmp_path, mats)
+        q = DescriptorMatrix(rng.random((256, 16)), role="query")
+        db = DescriptorMatrix(rng.random((512, 16)), role="database")
+        write_matrix(tmp_path / "q.f32", q.data, role="query", technique="d")
+        write_matrix(tmp_path / "db.f32", db.data, role="database", technique="d")
+        entries.insert(at, {"name": "d", "query": str(tmp_path / "q.f32"),
+                            "database": str(tmp_path / "db.f32")})
+        want = [m.astype(np.float64) for m in mats]
+        want.insert(at, compute_similarity(q, db))
+        tracemalloc.start()
+        try:
+            tensor = load_similarity_tensor(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.data.dtype == np.float64
+        assert tensor.data.tobytes() == np.stack(want).tobytes()
+        assert peak <= 10 * MiB, peak / MiB  # measured 9.50 MiB
+
+    def test_wider_matrix_after_float32_casts_the_tensor(self, rng):
+        mats = [rng.random((3, 5), dtype=np.float32), rng.random((3, 5)),
+                rng.random((3, 5), dtype=np.float32)]
+        tensor = assemble_tensor(mats, "abc")
+        assert tensor.data.dtype == np.float64
+        assert tensor.data.tobytes() == np.stack(mats).astype(np.float64).tobytes()
 
     def test_list_path_allocates_one_tensor(self, rng):
         mats = [rng.random((256, 512), dtype=np.float32) for _ in range(8)]

@@ -40,3 +40,16 @@ def test_reports_the_child_peak_and_exit_code(tmp_path):
     assert (tmp_path / "out" / "run_summary.json").exists()
     code, report, _ = peak_rss("run", "--config", "missing.json", cwd=tmp_path)
     assert code == report["exit_code"] == 2
+
+
+def test_repo_picks_that_checkouts_code(tmp_path):
+    package = tmp_path / "other" / "src" / "dynfuse"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys\nprint('other checkout', sys.argv[1:])\nsys.exit(7)\n")
+    code, report, stderr = peak_rss("--repo", str(tmp_path / "other"), "run", "-x",
+                                    cwd=tmp_path)
+    assert code == report["exit_code"] == 7
+    assert report["command"] == "run"
+    assert "other checkout ['run', '-x']" in stderr
