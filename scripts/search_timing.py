@@ -29,8 +29,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SHAPES = ("4x4000", "8x300", "10x1000", "10x4000", "12x1000", "8x30000",
-          "10x30000", "4x100000")
+SHAPES = ("4x300", "6x1000", "4x4000", "8x300", "10x1000", "10x4000", "12x1000",
+          "8x30000", "10x30000", "4x100000")
 
 
 def _parse_shape(text: str) -> tuple[int, int]:

@@ -163,7 +163,8 @@ def recall_at_k(
             raise MissingRankingError(
                 f"scores cover {arr.shape[1]} database entries, K={max_k} requested"
             )
-        top = _top_k(arr[evaluated], max_k)
+        ranked = arr if evaluated == list(range(len(arr))) else arr[evaluated]
+        top = _top_k(ranked, max_k)
 
     hit = gt.hits(np.array(evaluated, dtype=np.intp)[:, None], top)
     prefix_hit = np.logical_or.accumulate(hit, axis=1)

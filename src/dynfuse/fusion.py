@@ -7,12 +7,10 @@ peak; a ratio near one means a rival location scores almost as well (the
 vector is perceptually aliased). Fused combinations of techniques are ranked
 by this ratio, and the combination that maximizes it is selected per query.
 
-The search fuses every subset on a bitmask row layout, one full-width row
-block at a time: row ``mask`` holds the sum of the techniques whose bits are
-set, a block is a base block over the low bits plus the techniques of its
-high bits, and each row repeats :func:`fuse_subset`'s left-to-right sum bit
-for bit. Each block is scored whole by :func:`ratio_rows`, so a row's peak
-and its best score outside the window come from one pass over the row.
+The search fuses every subset in full-width row blocks of a bitmask layout
+(row ``mask`` sums the techniques whose bits are set, as fuse_subset adds
+them), scores each block with one ``argmax`` and one ``maximum.reduceat``,
+and finishes every ratio once per search; ratio_rows runs the same steps.
 """
 
 from __future__ import annotations
@@ -48,22 +46,57 @@ def window_error(r_window: int, best: int, size: int) -> WindowCoversAllError:
     )
 
 
-def ratio_rows(block: np.ndarray, r_window: int, epsilon: float):
-    """ratio_score of every row of a (rows, D) block: returns
-    (ratios, argmax per row, mask of rows whose window covers all D entries).
-    A covered row's ratio is meaningless; callers report window_error.
-    ``r_window`` must be a non-negative integer (not a bool), as
-    FusionConfig.validate requires; anything else is a ValueError."""
+def _window_cuts(rows: int, d: int, r_window):
+    """(r, cut table, lower, upper) of :func:`_segment_maxima` for rows of
+    width d. r is ``r_window`` capped at d, which moves no window, as an
+    intp: ufuncs take it faster than a Python int. A bad ``r_window`` is a
+    ValueError, as FusionConfig.validate makes it."""
     if (isinstance(r_window, bool) or not isinstance(r_window, (int, np.integer))
             or r_window < 0):
         raise ValueError(f"r_window must be a non-negative integer, got {r_window!r}")
-    d = block.shape[1]
-    best = block.argmax(axis=1)
-    lo = np.maximum(best - r_window, 0)
-    hi = np.minimum(best + r_window + 1, d)
-    peak = block[np.arange(best.size), best]
-    ratios = peak / np.maximum(_max_outside(block, lo, hi), epsilon)
-    return ratios, best, (lo == 0) & (hi == d)
+    r = np.intp(min(r_window, d))
+    start = np.arange(0, rows * d, d)
+    cuts = np.empty((rows, 3), dtype=np.intp)
+    cuts[:, 0] = start
+    return r, cuts, start - r, start + (r + 1)
+
+
+def _segment_maxima(block, r, cuts, lower, upper, best, seg) -> None:
+    """Step one of scoring a (rows, D) ``block``: each row's argmax into
+    ``best``, and its max before the window, in it (the peak, bit for bit)
+    and after it into the (rows, 3) ``seg``, meaningless where empty. A cut
+    at the block's end would be out of range; without it the window's
+    segment runs to the end."""
+    block.argmax(axis=1, out=best)
+    np.maximum(best, r, out=cuts[:, 1])
+    cuts[:, 1] += lower
+    np.minimum(best, block.shape[1] - 1 - r, out=cuts[:, 2])
+    cuts[:, 2] += upper
+    n = cuts.size - 1 if cuts.size and cuts[-1, 2] == block.size else cuts.size
+    np.maximum.reduceat(block.reshape(-1), cuts.reshape(-1)[:n], out=seg.reshape(-1)[:n])
+
+
+def _finish_ratios(best, seg, d: int, r: int, epsilon: float):
+    """Step two, on any number of step one's rows of width d: ratio_rows'
+    (ratios, best, covered), with each row's best score outside its window
+    taken from its nonempty segments beside it."""
+    before, after = best > r, best < d - 1 - r
+    outside = np.where(before, seg[:, 0], -np.inf)
+    np.maximum(outside, seg[:, 2], out=outside, where=after)
+    np.maximum(outside, epsilon, out=outside)
+    return seg[:, 1] / outside, best, ~(before | after)
+
+
+def ratio_rows(block: np.ndarray, r_window: int, epsilon: float):
+    """ratio_score of every row of a (rows, D) block: returns
+    (ratios, argmax per row, mask of rows whose window covers all D entries),
+    by the search's two scoring steps. A covered row's ratio is meaningless;
+    callers report window_error. A bad ``r_window`` is a ValueError."""
+    rows, d = block.shape
+    r, cuts, lower, upper = _window_cuts(rows, d, r_window)
+    best, seg = np.empty(rows, dtype=np.intp), np.empty((rows, 3), dtype=block.dtype)
+    _segment_maxima(block, r, cuts, lower, upper, best, seg)
+    return _finish_ratios(best, seg, d, r, epsilon)
 
 
 def ratio_score(v, r_window: int, epsilon: float = 1e-12) -> float:
@@ -176,27 +209,6 @@ def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
         stack.extend(mask | 1 << b for b in reversed(range(mask.bit_length(), bits)))
 
 
-def _max_outside(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-row max of ``block`` over the columns outside [lo, hi) of that row.
-
-    A row whose window covers it whole gets -inf. One ``maximum.reduceat``
-    pass takes, per row, the max before the window, of the window and after
-    it; only the first and third are used.
-    """
-    width = block.shape[1]
-    flat = block.reshape(-1)
-    start = np.arange(0, flat.size, width)
-    cuts = np.empty((start.size, 3), dtype=np.intp)
-    cuts[:, 0] = start
-    cuts[:, 1] = start + lo
-    cuts[:, 2] = start + hi
-    # hi == width on the last row would index one past the end; that
-    # after-window segment is discarded either way
-    found = np.maximum.reduceat(flat, np.minimum(cuts.reshape(-1), flat.size - 1))
-    return np.maximum(np.where(lo > 0, found[0::3], -np.inf),
-                      np.where(hi < width, found[2::3], -np.inf))
-
-
 def select_best_subset(
     normalized: np.ndarray,
     config: FusionConfig,
@@ -222,9 +234,9 @@ def select_best_subset(
     block plus h's techniques in ascending order, made by adding h's top
     technique to its parent's block when the working block still holds it
     and rebuilt from the base block otherwise. Every row is thus the same
-    sum fuse_subset makes. Each block with an admissible row is scored whole
-    by :func:`ratio_rows`; a block without one is still built, as it can be
-    a parent.
+    sum fuse_subset makes. A block with an admissible row gets step one of
+    :func:`ratio_rows` into arrays over all masks (a block without one is
+    still built, as it can be a parent); step two then scores every mask.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
@@ -247,9 +259,11 @@ def select_best_subset(
     # popcount of each mask: the size of its subset
     size = np.zeros(1 << m, dtype=np.intp)
     for bit in range(m):
-        size[1 << bit:2 << bit] = size[:1 << bit] + 1
+        np.add(size[:1 << bit], 1, out=size[1 << bit:2 << bit])
     usable = (size >= low) & (size <= max_size)
-    ratio = np.empty(1 << m)
+    admissible = usable.reshape(-1, rows).any(axis=1).tolist()
+    r, cuts, lower, upper = _window_cuts(rows, d, config.r_window)
+    best, seg = np.zeros(1 << m, dtype=np.intp), np.zeros((1 << m, 3))
     high = available[k:]
     for h, extend in _high_masks(m - k):
         if h == 0:
@@ -261,12 +275,12 @@ def select_best_subset(
             block = np.add(base, normalized[members[0]], out=work)
             for t in members[1:]:
                 np.add(work, normalized[t], out=work)
-        at = slice(h << k, (h + 1) << k)
-        if usable[at].any():
-            ratio[at], _, covered = ratio_rows(block, config.r_window, config.epsilon)
-            usable[at] &= ~covered
+        if admissible[h]:
+            at = slice(h << k, (h + 1) << k)
+            _segment_maxima(block, r, cuts, lower, upper, best[at], seg[at])
+    ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
 
-    scored = np.flatnonzero(usable)
+    scored = np.flatnonzero(usable & ~covered)
     if scored.size == 0:
         raise WindowCoversAllError(
             "every candidate subset's exclusion window covered the whole vector"

@@ -45,6 +45,17 @@ class TestRatioScore:
         # both ends hold the max; the window centers on index 0
         assert ratio_score([1.0, 0.2, 0.5, 1.0], r_window=1) == pytest.approx(1.0)
 
+    def test_rows_match_scalar_score_when_the_last_row_peaks_at_the_end(self, rng):
+        # the last row's window runs to the end of the block's buffer, and
+        # row 1's starts at column 0
+        block = rng.random((5, 40))
+        block[-1, -1] = 2.0
+        block[1, 0] = 2.0
+        ratios, best, covered = fusion.ratio_rows(block, 2, 1e-12)
+        assert best[-1] == 39 and not covered.any()
+        assert ratios.tolist() == [ratio_score(row, 2) for row in block]
+        assert ratios.tolist() == [naive_ratio(row.tolist(), 2, 1e-12) for row in block]
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4,
                     max_size=30),
            st.integers(min_value=0, max_value=3))
@@ -342,6 +353,38 @@ class TestSearchParity:
                 got = select_best_subset(normalized, config, degenerate)
                 assert (got.subset, got.score) == expected, f"trial {trial}"
 
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_windows_at_block_edges_match_naive(self, tie_break, edge):
+        # Every technique peaks at column 0 (or D - 1), beside values that
+        # only the window excludes, so every window starts at column 0 (or
+        # ends at column D). With four-row blocks, that holds for the last
+        # row of the base block and of every working block, whose window
+        # then ends where the block's buffer does. Techniques 0 and 1 are
+        # the sharpest, so the winner is the base block's last row.
+        n, d, r = 7, 60, 2
+        rng = np.random.default_rng(d + len(edge))
+        raw = np.floor(rng.random((n, d)) * 6) / 6
+        raw[:2] /= 6
+        if edge == "first":
+            peak, inside = 0, slice(1, r + 1)
+        else:
+            peak, inside = d - 1, slice(d - r - 1, d - 1)
+        raw[:, inside] = 2.5
+        raw[:, peak] = 3.0
+        normalized, degenerate = normalize_query_slices(raw)
+        config = FusionConfig(r_window=r, tie_break=tie_break)
+        expected = naive_best_subset(
+            [list(row) for row in normalized], r, 1e-12, 2, n, degenerate, tie_break,
+        )
+        assert expected[0] == (0, 1)
+        with mock.patch.object(fusion, "_SCRATCH_BYTES", 2 * 4 * 8 * d):
+            assert fusion._low_bits(n, d) == 2
+            got, built = search_recording_blocks(normalized, config, degenerate)
+        assert any(h and not extend for h, extend in built), "none rebuilt"
+        assert any(extend for _, extend in built), "none extended"
+        assert (got.subset, got.score) == expected
+
     @settings(max_examples=300, deadline=None)
     @given(search_cases())
     def test_forced_chunking_matches_naive(self, case):
@@ -367,6 +410,18 @@ class TestSearchParity:
 
     def test_scratch_memory_is_bounded(self, rng):
         normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
+        config = FusionConfig(r_window=2)
+        tracemalloc.start()
+        try:
+            select_best_subset(normalized, config, degenerate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+    def test_scratch_memory_at_twelve_techniques_is_bounded(self, rng):
+        # the per-mask arrays of 2**12 entries fit beside the scratch
+        normalized, degenerate = normalize_query_slices(rng.random((12, 1000)))
         config = FusionConfig(r_window=2)
         tracemalloc.start()
         try:
