@@ -18,6 +18,11 @@ Output sets:
               ``dynfuse run`` as run-F1 on the spec with drift period 5,
               where dyn-mpf's subsets interleave (6 subsets in 25 runs),
               so queries grouped by subset are not consecutive
+  run-descriptors
+              ``dynfuse run`` as run-F1 on tech-00's similarity payload
+              beside two seeded descriptor pairs, one cosine and one
+              negative-euclidean, so the manifest's query/database entries
+              and the descriptor-to-similarity path show in the digest
   demo        scripts/run_synthetic_demo.py --out (result files and table)
   sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
 
@@ -119,11 +124,38 @@ def _synth(repo: Path, work: Path, spec: dict, spec_file: str, name: str) -> str
     return digest
 
 
-def _run_set(repo: Path, work: Path, data: str, f: int, out: Path) -> str:
-    """``dynfuse run`` on ``work/data``'s manifest at frame separation f,
-    written to ``out``; return its digest."""
+def _descriptor_manifest(work: Path, data: str, d: int) -> str:
+    """Write two seeded descriptor pairs of ``d`` database rows into
+    ``work/data``, where each query is a noisy copy of a database row it may
+    match, and a manifest that runs every strategy on tech-00's similarity
+    payload, a cosine pair (tech-01) and a negative-euclidean pair
+    (tech-02); return the manifest's path relative to ``work``."""
+    rng = np.random.default_rng(5)
+    folder = work / data
+    manifest = json.loads((folder / "manifest.json").read_text())
+    rows = [entry[0] for entry in json.loads((folder / "ground_truth.json").read_text())]
+    entries = [manifest["techniques"][0]]
+    for i, metric in ((1, "cosine"), (2, "negative-euclidean")):
+        database = rng.standard_normal((d, 16))
+        query = database[rows] + 0.8 * rng.standard_normal((len(rows), 16))
+        entry = {"name": f"tech-0{i}", "metric": metric}
+        for role, matrix in (("query", query), ("database", database)):
+            payload = folder / f"desc-0{i}-{role}.f32"
+            payload.write_bytes(matrix.astype("<f4").tobytes())
+            meta = {"rows": len(matrix), "cols": 16, "role": role, "technique": entry["name"]}
+            Path(f"{payload}.meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+            entry[role] = payload.name
+        entries.append(entry)
+    manifest["techniques"] = entries
+    (folder / "descriptors.json").write_text(json.dumps(manifest))
+    return f"{data}/descriptors.json"
+
+
+def _run_set(repo: Path, work: Path, manifest: str, f: int, out: Path) -> str:
+    """``dynfuse run`` on ``work/manifest`` at frame separation f, written to
+    ``out``; return its digest."""
     stdout = _run(repo, work, ["-m", "dynfuse.cli", "run", "--config",
-                               f"{data}/manifest.json", "--frame-sep", str(f),
+                               manifest, "--frame-sep", str(f),
                                "--workers", "1", "--out", str(out)])
     return _digest(work, [out], stdout)
 
@@ -132,12 +164,13 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                    f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
     """Run every output set on ``repo``'s code under the empty directory
     ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
-    unordered sweep, the drifting run and both demo scripts, for a quicker
-    run."""
+    unordered sweep, the drifting run, the descriptor run and both demo
+    scripts, for a quicker run."""
     repo, work = repo.resolve(), work.resolve()
     digests = {"synth": _synth(repo, work, spec, "spec.json", "data")}
     for f in f_values:
-        digests[f"run-F{f}"] = _run_set(repo, work, "data", f, work / f"run-F{f}")
+        digests[f"run-F{f}"] = _run_set(repo, work, "data/manifest.json", f,
+                                        work / f"run-F{f}")
     sweeps = {"sweep": "1,5,25"}
     if demos:
         sweeps["sweep-unordered"] = "25,1,5,5"
@@ -157,7 +190,11 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                                    "--out", str(out)])
         digests["sweep-demo"] = _digest(work, [out], stdout)
         _synth(repo, work, dict(spec, drift_period=5), "drift-spec.json", "drift")
-        digests["run-drift-F1"] = _run_set(repo, work, "drift", 1, work / "run-drift-F1")
+        digests["run-drift-F1"] = _run_set(repo, work, "drift/manifest.json", 1,
+                                           work / "run-drift-F1")
+        manifest = _descriptor_manifest(work, "data", spec["database_size"])
+        digests["run-descriptors"] = _run_set(repo, work, manifest, 1,
+                                              work / "run-descriptors")
     return digests
 
 

@@ -16,13 +16,13 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, evaluate, ingest, synth
-from .core import FusionConfig, GroundTruth, check_json_type
+from .core import FusionConfig, GroundTruth, json_field, read_json_object
 from .errors import ConfigError, DynfuseError
 
 log = logging.getLogger("dynfuse.cli")
@@ -38,97 +38,122 @@ MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass
+class TechniqueEntry:
+    """The JSON keys of one manifest technique entry. An entry stays the
+    dict it was read as, so run_summary.json echoes it."""
+
+    name: str = json_field(str, "a string")
+    similarity: str | None = json_field(str, "a path string", default=None)
+    query: str | None = json_field(str, "a path string", default=None)
+    database: str | None = json_field(str, "a path string", default=None)
+    metric: str = json_field(str, "a metric name", default=ingest.METRICS[0])
+
+
+_NAMES = (list, "a list of technique names", (str, "a technique name"))
+
+
+@dataclass
+class DynParams:
+    uniform_weights: bool | None = json_field((bool, type(None)), "true, false or null",
+                                              default=None)
+
+
+@dataclass
+class HierParams:
+    tiers: list | None = json_field((list, type(None)), "a list of lists",
+                                    items=_NAMES, default=None)
+    shortlist_fractions: list | None = json_field(
+        (list, type(None)), "a list of numbers", items=((int, float), "a number"),
+        default=None)
+
+
+@dataclass
+class StaticParams:
+    subset: list | None = json_field(*_NAMES, default=None)
+
+
+@dataclass
+class NoParams:
+    pass
+
+
+# The parameters each strategy reads; any other key is an error, so a
+# misspelled key cannot fall back to a default unnoticed.
+STRATEGY_PARAMS = {
+    engine.STRATEGY_DYN_MPF: DynParams,
+    engine.STRATEGY_HIER_MPF: HierParams,
+    engine.STRATEGY_STATIC_SUBSET: StaticParams,
+}
+
+
+@dataclass
 class RunManifest:
     """Validated run description: inputs, config, strategies, outputs."""
 
-    techniques: list
-    ground_truth: str
-    config: FusionConfig
-    strategies: dict
-    recall_k: list[int] = field(default_factory=lambda: [1, 5])
-    histogram_bins: int = 10
-    out_dir: str = "out"
+    techniques: list = json_field(list, "a non-empty list", items=(dict, "an object"))
+    ground_truth: str = json_field(str, "a path string")
+    # an object until from_dict replaces it with its FusionConfig
+    config: FusionConfig = json_field(dict, "an object", default_factory=dict)
+    strategies: dict = json_field((list, dict), "a list of names or a name->params object",
+                                  items=(str, "a strategy name"), default_factory=dict)
+    recall_k: list[int] = json_field(list, "a list of integers", items=(int, "an integer"),
+                                     default_factory=lambda: [1, 5])
+    histogram_bins: int = json_field(int, "an integer", default=10)
+    out_dir: str = json_field(str, "a path string", default="out")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunManifest":
-        """Build a manifest from parsed JSON, rejecting unknown keys and
-        values of the wrong type or range with ConfigError."""
-        if not isinstance(raw, dict):
-            raise ConfigError("manifest must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)}", field="manifest")
-        techniques = raw.get("techniques")
-        if not techniques or not isinstance(techniques, list):
+    def from_dict(cls, raw) -> "RunManifest":
+        """Build a manifest from the parsed JSON object ``raw`` with
+        read_json_object: every object in it (the manifest, its config, each
+        technique entry, each strategy's parameters) rejects unknown keys
+        and values of the wrong JSON type. Ranges are checked here, and a
+        technique entry takes one source, a ``similarity`` path or a
+        ``query``/``database`` pair, with ``metric`` only beside the pair.
+        Every error is a ConfigError."""
+        m = cls(**read_json_object(cls, raw, "manifest"))
+        if not m.techniques:
             raise ConfigError("must be a non-empty list", field="techniques")
-        for i, entry in enumerate(techniques):
+        for i, entry in enumerate(m.techniques):
             where = f"techniques[{i}]"
-            check_json_type(entry, dict, "an object", where)
-            if "name" not in entry:
-                raise ConfigError("missing 'name'", field=where)
-            check_json_type(entry["name"], str, "a string", f"{where}.name")
-            has_sim = "similarity" in entry
-            has_desc = "query" in entry and "database" in entry
-            if not (has_sim or has_desc):
-                raise ConfigError(
-                    "needs either 'similarity' or 'query'+'database' paths",
-                    field=where,
-                )
-            for key in ("similarity", "query", "database"):
-                if key in entry:
-                    _check_path(entry[key], f"{where}.{key}")
-            if entry.get("metric", ingest.METRICS[0]) not in ingest.METRICS:
-                raise ConfigError(
-                    f"must be one of {list(ingest.METRICS)}", field=f"{where}.metric"
-                )
-        names = [entry["name"] for entry in techniques]
+            read_json_object(TechniqueEntry, entry, where, f"{where}.")
+            sources = [key for key in ("similarity", "query", "database") if key in entry]
+            if sources not in (["similarity"], ["query", "database"]):
+                raise ConfigError("needs exactly one source: a 'similarity' path or "
+                                  "'query' and 'database' paths", field=where)
+            for key in sources:
+                _check_path(entry[key], f"{where}.{key}")
+            if "metric" in entry and ("similarity" in entry
+                                      or entry["metric"] not in ingest.METRICS):
+                raise ConfigError(f"must be one of {list(ingest.METRICS)}, beside "
+                                  f"'query' and 'database' only", field=f"{where}.metric")
+        names = [entry["name"] for entry in m.techniques]
         if len(set(names)) != len(names):
             raise ConfigError(f"technique names must be unique, got {names}",
                               field="techniques")
-        if "ground_truth" not in raw:
-            raise ConfigError("missing required path", field="ground_truth")
-        _check_path(raw["ground_truth"], "ground_truth")
-        config = FusionConfig.from_dict(raw.get("config", {}))
-        strategies = raw.get("strategies", {})
-        if isinstance(strategies, list):
-            for i, name in enumerate(strategies):
-                check_json_type(name, str, "a strategy name", f"strategies[{i}]")
-            strategies = {name: {} for name in strategies}
-        if not isinstance(strategies, dict):
-            raise ConfigError(
-                "must be a list of names or a name->params object",
-                field="strategies",
-            )
-        for name, params in strategies.items():
+        _check_path(m.ground_truth, "ground_truth")
+        m.config = FusionConfig.from_dict(m.config)
+        if isinstance(m.strategies, list):
+            m.strategies = {name: {} for name in m.strategies}
+        for name, params in m.strategies.items():
             _check_strategy_name(name, "strategies")
-            _check_strategy_params(name, params)
-        recall_k = _check_list(raw.get("recall_k", [1, 5]), int, "integers", "recall_k")
-        if not recall_k or any(k < 1 for k in recall_k):
+            where = f"strategies.{name}"
+            m.strategies[name] = read_json_object(STRATEGY_PARAMS.get(name, NoParams),
+                                                  {} if params is None else params,
+                                                  where, f"{where}.")
+        if not m.recall_k or any(k < 1 for k in m.recall_k):
             raise ConfigError("must be a non-empty list of positive integers",
                               field="recall_k")
-        bins = check_json_type(raw.get("histogram_bins", 10), int, "an integer",
-                               "histogram_bins")
-        if not 1 <= bins <= MAX_HISTOGRAM_BINS:
+        if not 1 <= m.histogram_bins <= MAX_HISTOGRAM_BINS:
             raise ConfigError(f"must lie in [1, {MAX_HISTOGRAM_BINS}]",
                               field="histogram_bins")
-        return cls(
-            techniques=techniques,
-            ground_truth=raw["ground_truth"],
-            config=config,
-            strategies=strategies,
-            recall_k=recall_k,
-            histogram_bins=bins,
-            out_dir=_check_path(raw.get("out_dir", "out"), "out_dir"),
-        )
+        _check_path(m.out_dir, "out_dir")
+        return m
 
 
-def _check_path(value, field: str) -> str:
-    check_json_type(value, str, "a path string", field)
+def _check_path(value: str, field: str) -> None:
     if not value or "\x00" in value:
         raise ConfigError("must be a non-empty path without NUL characters",
                           field=field)
-    return value
 
 
 def _check_strategy_name(name: str, field: str) -> None:
@@ -137,46 +162,6 @@ def _check_strategy_name(name: str, field: str) -> None:
             f"unknown strategy {name!r}; choose from {list(engine.STRATEGIES)}",
             field=field,
         )
-
-
-def _check_list(value, item_types, expected: str, field: str) -> list:
-    check_json_type(value, list, f"a list of {expected}", field)
-    for i, item in enumerate(value):
-        check_json_type(item, item_types, f"a list of {expected}", f"{field}[{i}]")
-    return value
-
-
-# The parameters each strategy reads; any other key is an error, so a
-# misspelled key cannot fall back to a default unnoticed.
-STRATEGY_PARAMS = {
-    engine.STRATEGY_DYN_MPF: ("uniform_weights",),
-    engine.STRATEGY_HIER_MPF: ("tiers", "shortlist_fractions"),
-    engine.STRATEGY_STATIC_SUBSET: ("subset",),
-}
-
-
-def _check_strategy_params(name: str, params) -> None:
-    """Reject unknown keys and type-check the parameters _run_strategy reads."""
-    field = f"strategies.{name}"
-    check_json_type(params, (dict, type(None)), "an object or null", field)
-    params = params or {}
-    for key in params:
-        if key not in STRATEGY_PARAMS.get(name, ()):
-            raise ConfigError(f"unknown parameter; {name} takes "
-                              f"{list(STRATEGY_PARAMS.get(name, ()))}",
-                              field=f"{field}.{key}")
-    if params.get("uniform_weights") is not None:
-        check_json_type(params["uniform_weights"], bool, "true or false",
-                        f"{field}.uniform_weights")
-    if params.get("tiers") is not None:
-        tiers = _check_list(params["tiers"], list, "lists", f"{field}.tiers")
-        for i, tier in enumerate(tiers):
-            _check_list(tier, str, "technique names", f"{field}.tiers[{i}]")
-    if params.get("shortlist_fractions") is not None:
-        _check_list(params["shortlist_fractions"], (int, float), "numbers",
-                    f"{field}.shortlist_fractions")
-    if params.get("subset") is not None:
-        _check_list(params["subset"], str, "technique names", f"{field}.subset")
 
 
 def _load_manifest(path: str) -> RunManifest:
@@ -337,9 +322,9 @@ def cmd_run(args) -> int:
     }
     total_start = time.perf_counter()
     for name in sorted(manifest.strategies):
-        params = manifest.strategies[name] or {}
         start = time.perf_counter()
-        result = _run_strategy(name, params, tensor, manifest.config, gt, workers)
+        result = _run_strategy(name, manifest.strategies[name], tensor, manifest.config,
+                               gt, workers)
         elapsed = time.perf_counter() - start
         report = evaluate.recall_at_k(result, result.fused, gt, manifest.recall_k)
         hist = evaluate.aliasing_histogram(result, gt, manifest.histogram_bins)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -28,30 +28,49 @@ TIE_BREAKS = (TIE_BREAK_LOWEST_INDEX, TIE_BREAK_SMALLEST_SUBSET)
 # stay far from float64 overflow.
 MIN_EPSILON = 1e-100
 
-# JSON value types accepted per FusionConfig field (see check_json_type).
-_CONFIG_FIELD_TYPES = {
-    "r_window": (int, "an integer"),
-    "frame_separation_f": (int, "an integer"),
-    "min_subset_size": (int, "an integer"),
-    "max_subset_size": ((int, type(None)), "an integer or null"),
-    "epsilon": ((int, float), "a number"),
-    "rng_seed": (int, "an integer"),
-    "tie_break": (str, "a string"),
-}
 
-
-def check_json_type(value, types, expected: str, field: str):
-    """Return ``value`` if it is an instance of ``types``, else raise
-    ConfigError naming ``field``. A bool passes only when ``types`` names
-    bool itself: JSON true is never a number, although Python counts it as
-    an int."""
+def check_json_type(value, field: str, types, expected: str, items=None) -> None:
+    """Raise ConfigError naming ``field`` unless ``value`` is one of
+    ``types``, called ``expected`` in the message. When ``value`` is a list,
+    ``items`` is the ``(types, expected[, items])`` each item is checked
+    against in turn, as ``field[i]``. A bool passes only when ``types``
+    names bool itself: JSON true is never a number, although Python counts
+    it as an int."""
     types = types if isinstance(types, tuple) else (types,)
     if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
-        raise ConfigError(
-            f"must be {expected}, got {type(value).__name__} {value!r}",
-            field=field,
-        )
-    return value
+        raise ConfigError(f"must be {expected}, got {type(value).__name__} {value!r}",
+                          field=field)
+    if items is not None and isinstance(value, list):
+        for i, item in enumerate(value):
+            check_json_type(item, f"{field}[{i}]", *items)
+
+
+def json_field(types, expected: str, items=None, **default):
+    """A dataclass field whose JSON value read_json_object checks with
+    check_json_type(value, key, types, expected, items). A field without a
+    default is a required key."""
+    return field(metadata={"json": (types, expected, items)}, **default)
+
+
+def read_json_object(cls, raw, where: str, prefix: str = "") -> dict:
+    """Check the parsed JSON ``raw`` against the json_field types of the
+    dataclass ``cls`` and return it. The ConfigError names ``where`` when
+    ``raw`` is not an object, and ``prefix + key`` for an unknown key, a
+    missing required key, or a value or list item (recursively) of the
+    wrong JSON type. Ranges are left to the caller."""
+    if not isinstance(raw, dict):
+        raise ConfigError("must be a JSON object", field=where)
+    known = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key; {where} takes {list(known)}",
+                              field=prefix + key)
+    for name, f in known.items():
+        if name in raw:
+            check_json_type(raw[name], prefix + name, *f.metadata["json"])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("missing required key", field=prefix + name)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -162,13 +181,14 @@ class FusionConfig:
     calibrates. ``epsilon`` clamps ratio denominators away from zero.
     """
 
-    r_window: int = 2
-    frame_separation_f: int = 1
-    min_subset_size: int = 2
-    max_subset_size: int | None = None
-    epsilon: float = 1e-12
-    rng_seed: int = 0
-    tie_break: str = TIE_BREAK_SMALLEST_SUBSET
+    r_window: int = json_field(int, "an integer", default=2)
+    frame_separation_f: int = json_field(int, "an integer", default=1)
+    min_subset_size: int = json_field(int, "an integer", default=2)
+    max_subset_size: int | None = json_field((int, type(None)), "an integer or null",
+                                             default=None)
+    epsilon: float = json_field((int, float), "a number", default=1e-12)
+    rng_seed: int = json_field(int, "an integer", default=0)
+    tie_break: str = json_field(str, "a string", default=TIE_BREAK_SMALLEST_SUBSET)
 
     def resolved_max_subset_size(self, n_techniques: int) -> int:
         return n_techniques if self.max_subset_size is None else self.max_subset_size
@@ -210,29 +230,15 @@ class FusionConfig:
             raise ConfigError("must be non-negative", field="rng_seed")
 
     def to_dict(self) -> dict:
-        return {
-            "r_window": self.r_window,
-            "frame_separation_f": self.frame_separation_f,
-            "min_subset_size": self.min_subset_size,
-            "max_subset_size": self.max_subset_size,
-            "epsilon": self.epsilon,
-            "rng_seed": self.rng_seed,
-            "tie_break": self.tie_break,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FusionConfig":
-        """Build a config from parsed JSON, rejecting unknown keys, values
-        of the wrong type and a positive epsilon below MIN_EPSILON with
-        ConfigError; other ranges are checked by validate."""
-        if not isinstance(d, dict):
-            raise ConfigError("must be a JSON object", field="config")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)}", field="config")
-        for name, value in d.items():
-            check_json_type(value, *_CONFIG_FIELD_TYPES[name], field=name)
+    def from_dict(cls, d) -> "FusionConfig":
+        """Build a config from the parsed JSON object ``d`` with
+        read_json_object, whose errors name the bare key. A positive epsilon
+        below MIN_EPSILON is a ConfigError too; other ranges are checked by
+        validate."""
+        read_json_object(cls, d, "config")
         if 0 < d.get("epsilon", MIN_EPSILON) < MIN_EPSILON:
             raise ConfigError(f"must be at least {MIN_EPSILON:g}", field="epsilon")
         return cls(**d)

@@ -239,7 +239,7 @@ def frame_separation_sweep(
     """
     f_values = list(f_values)
     for f in f_values:
-        check_json_type(f, int, "an integer", field="f_values")
+        check_json_type(f, "f_values", int, "an integer")
         if f < 1:
             raise ConfigError("frame separation must be positive", field="f_values")
     reports: dict[int, RecallReport] = {}

@@ -10,22 +10,17 @@ which is what makes ensembles complementary or adversarial on demand.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruth, SimilarityTensor, TechniqueId, check_json_type
+from .core import GroundTruth, SimilarityTensor, TechniqueId, json_field, read_json_object
 from .errors import ConfigError, InvalidSpecError
 
 _INT = (int, "an integer")
-_REALS = ((int, float, list), "a number or a list of numbers")
-
-
-def _typed(json_type, **default):
-    """A SynthSpec field that records the JSON value types it accepts (see
-    check_json_type); a field without a default is a required spec key."""
-    return field(metadata={"json": json_type}, **default)
+# the items of a list of reals must be numbers; validate checks ranges
+_REALS = ((int, float, list), "a number or a list of numbers", ((int, float), "a number"))
 
 
 def _is_int(value) -> bool:
@@ -60,26 +55,28 @@ class SynthSpec:
     index so window exclusion is exercised unambiguously.
     """
 
-    n_techniques: int = _typed(_INT)
-    queries: int = _typed(_INT)
-    database_size: int = _typed(_INT)
-    # the items of a list of reals must be numbers; validate checks ranges
-    peak_strength: object = _typed(_REALS, default=1.0)
-    alias_strength: object = _typed(_REALS, default=0.5)
-    alias_secondary: object = _typed(_REALS, default=0.0)
-    alias_correlation: object = _typed(_REALS, default=0.0)
-    noise_sigma: object = _typed(_REALS, default=0.0)
-    failure_schedule: list = _typed((list, "a list of lists of [start, stop] pairs"),
-                                    default_factory=list)
-    drift_period: int | None = _typed(((int, type(None)), "an integer or null"),
-                                      default=None)
-    r_window: int = _typed(_INT, default=0)
-    gt_tolerance: int = _typed(_INT, default=0)
-    seed: int = _typed(_INT, default=0)
-    names: list | None = _typed(((list, type(None)), "a list of strings or null"),
-                                default=None)
+    n_techniques: int = json_field(*_INT)
+    queries: int = json_field(*_INT)
+    database_size: int = json_field(*_INT)
+    peak_strength: object = json_field(*_REALS, default=1.0)
+    alias_strength: object = json_field(*_REALS, default=0.5)
+    alias_secondary: object = json_field(*_REALS, default=0.0)
+    alias_correlation: object = json_field(*_REALS, default=0.0)
+    noise_sigma: object = json_field(*_REALS, default=0.0)
+    failure_schedule: list = json_field(list, "a list of lists of [start, stop] pairs",
+                                        default_factory=list)
+    drift_period: int | None = json_field((int, type(None)), "an integer or null",
+                                          default=None)
+    r_window: int = json_field(*_INT, default=0)
+    gt_tolerance: int = json_field(*_INT, default=0)
+    seed: int = json_field(*_INT, default=0)
+    names: list | None = json_field((list, type(None)), "a list of strings or null",
+                                    default=None)
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[np.ndarray, ...]:
+        """Check the spec's ranges with InvalidSpecError. Returns the
+        per-technique arrays of peak_strength, alias_strength,
+        alias_secondary, alias_correlation and noise_sigma."""
         n, q, d = self.n_techniques, self.queries, self.database_size
         if n < 1:
             raise InvalidSpecError("n_techniques must be >= 1")
@@ -98,11 +95,12 @@ class SynthSpec:
                 f"database_size {d} too small for {n} well-separated "
                 f"distractor sites at r_window {self.r_window}"
             )
-        peak = _per_technique(self.peak_strength, n, "peak_strength", 0.0, 1.0)
-        alias = _per_technique(self.alias_strength, n, "alias_strength", 0.0, np.inf)
-        _per_technique(self.alias_secondary, n, "alias_secondary", 0.0, 1.0)
-        _per_technique(self.alias_correlation, n, "alias_correlation", 0.0, 1.0)
-        sigma = _per_technique(self.noise_sigma, n, "noise_sigma", 0.0, np.inf)
+        strengths = tuple(
+            _per_technique(getattr(self, name), n, name, 0.0, hi)
+            for name, hi in (("peak_strength", 1.0), ("alias_strength", np.inf),
+                             ("alias_secondary", 1.0), ("alias_correlation", 1.0),
+                             ("noise_sigma", np.inf)))
+        peak, alias, _, _, sigma = strengths
         # the peak, the distractor and its echo sit at distinct sites, on a
         # noise floor; the synth command writes float32 payloads
         if np.any(sigma > np.finfo(np.float32).max - np.maximum(peak, alias)):
@@ -149,6 +147,7 @@ class SynthSpec:
                 raise InvalidSpecError(
                     "names must be unique non-empty strings without '/' or NUL"
                 )
+        return strengths
 
     def technique_names(self) -> list[str]:
         if self.names is not None:
@@ -156,55 +155,24 @@ class SynthSpec:
         return [f"tech-{i:02d}" for i in range(self.n_techniques)]
 
     def to_dict(self) -> dict:
+        """The spec as JSON values: arrays, numpy scalars and (start, stop)
+        pairs become plain lists and numbers."""
         def plain(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return v
+            if isinstance(v, (list, tuple)):
+                return [plain(x) for x in v]
+            return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
 
-        return {
-            "n_techniques": self.n_techniques,
-            "queries": self.queries,
-            "database_size": self.database_size,
-            "peak_strength": plain(self.peak_strength),
-            "alias_strength": plain(self.alias_strength),
-            "alias_secondary": plain(self.alias_secondary),
-            "alias_correlation": plain(self.alias_correlation),
-            "noise_sigma": plain(self.noise_sigma),
-            "failure_schedule": [
-                [[int(a), int(b)] for a, b in ranges]
-                for ranges in self.failure_schedule
-            ],
-            "drift_period": self.drift_period,
-            "r_window": self.r_window,
-            "gt_tolerance": self.gt_tolerance,
-            "seed": self.seed,
-            "names": self.names,
-        }
+        return {name: plain(v) for name, v in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        """Build a spec from parsed JSON, rejecting unknown or missing keys
-        and values of the wrong JSON type with InvalidSpecError; ranges are
-        checked by validate."""
-        if not isinstance(d, dict):
-            raise InvalidSpecError("spec must be a JSON object")
-        json_types = {f.name: f.metadata["json"] for f in fields(cls)}
-        unknown = set(d) - set(json_types)
-        if unknown:
-            raise InvalidSpecError(f"unknown spec keys {sorted(unknown)}")
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING and f.default_factory is MISSING} - set(d)
-        if missing:
-            raise InvalidSpecError(f"missing spec keys {sorted(missing)}")
+    def from_dict(cls, d) -> "SynthSpec":
+        """Build a spec from a parsed JSON object with read_json_object,
+        raising its errors (unknown or missing keys, wrong JSON types) as
+        InvalidSpecError; ranges are checked by validate."""
         try:
-            for name, value in d.items():
-                check_json_type(value, *json_types[name], field=name)
-                if json_types[name] is _REALS and isinstance(value, list):
-                    for i, item in enumerate(value):
-                        check_json_type(item, (int, float), "a number", f"{name}[{i}]")
+            return cls(**read_json_object(cls, d, "spec"))
         except ConfigError as exc:
             raise InvalidSpecError(str(exc)) from None
-        return cls(**d)
 
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
@@ -280,15 +248,8 @@ def generate(spec: SynthSpec):
     techniques present identical two-peak aliasing. Output is bitwise
     reproducible for a fixed seed.
     """
-    spec.validate()
+    peak, alias, secondary, correlation, sigma = spec.validate()
     n, q_total, d = spec.n_techniques, spec.queries, spec.database_size
-    peak = _per_technique(spec.peak_strength, n, "peak_strength", 0.0, 1.0)
-    alias = _per_technique(spec.alias_strength, n, "alias_strength", 0.0, np.inf)
-    secondary = _per_technique(spec.alias_secondary, n, "alias_secondary", 0.0, 1.0)
-    correlation = _per_technique(
-        spec.alias_correlation, n, "alias_correlation", 0.0, 1.0
-    )
-    sigma = _per_technique(spec.noise_sigma, n, "noise_sigma", 0.0, np.inf)
     suppressed = _suppressed_mask(spec)
     gap = 2 * spec.r_window + 1
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import csv
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dynfuse.cli import main
+from dynfuse.cli import STRATEGY_PARAMS, RunManifest, TechniqueEntry, main
+from dynfuse.core import FusionConfig
 from dynfuse.ingest import write_matrix
 from dynfuse.synth import SynthSpec
 
@@ -259,6 +261,14 @@ class TestRunCommand:
          "strategies.dyn-mpf.uniform_weights"),
         ("strategies", {"dyn-mpf": {"uniform_weights": 1}},
          "strategies.dyn-mpf.uniform_weights"),
+        # an entry key nothing reads must not be dropped silently
+        ("techniques", [{"name": "t", "similarity": "tech-00.f32",
+                         "metrc": "negative-euclidean"}], "techniques[0].metrc"),
+        ("techniques", [{"name": "t", "similarity": "tech-00.f32",
+                         "query": "tech-01.f32", "database": "tech-02.f32"}],
+         "techniques[0]"),
+        ("techniques", [{"name": "t", "similarity": "tech-00.f32",
+                         "metric": "negative-euclidean"}], "techniques[0].metric"),
     ])
     def test_mistyped_manifest_value_is_config_error(self, tmp_path, capsys,
                                                      key, value, field):
@@ -594,12 +604,15 @@ JSON_VALUES = st.recursive(
 # Where a value may be swapped in; a missing last key is added.
 MANIFEST_PATHS = [
     ("techniques",), ("techniques", 0), ("techniques", 1, "name"),
-    ("techniques", 2, "similarity"), ("ground_truth",), ("config",),
+    ("techniques", 2, "similarity"), ("techniques", 0, "metric"),
+    ("techniques", 1, "query"), ("techniques", 1, "database"),
+    ("ground_truth",), ("config",),
     ("config", "r_window"), ("config", "frame_separation_f"),
-    ("config", "max_subset_size"), ("config", "epsilon"),
-    ("config", "rng_seed"), ("config", "tie_break"), ("strategies",),
-    ("strategies", "dyn-mpf"), ("strategies", "dyn-mpf", "uniform_weights"),
-    ("strategies", "hier-mpf", "tiers"),
+    ("config", "min_subset_size"), ("config", "max_subset_size"),
+    ("config", "epsilon"), ("config", "rng_seed"), ("config", "tie_break"),
+    ("strategies",), ("strategies", "dyn-mpf"),
+    ("strategies", "dyn-mpf", "uniform_weights"),
+    ("strategies", "hier-mpf", "tiers"), ("strategies", "hier-mpf", "tiers", 0),
     ("strategies", "hier-mpf", "shortlist_fractions"),
     ("strategies", "static-subset", "subset"), ("recall_k",),
     ("recall_k", 0), ("histogram_bins",), ("out_dir",),
@@ -647,6 +660,14 @@ def test_fuzzed_manifest_ends_in_one_json_line(tmp_path, mutations):
     assert code in (0, 2, 3), lines
     assert len(lines) == 1, lines
     assert isinstance(json.loads(lines[0]), dict)
+
+
+@pytest.mark.parametrize("cls", [FusionConfig, SynthSpec, RunManifest, TechniqueEntry,
+                                 *STRATEGY_PARAMS.values()])
+def test_every_read_field_declares_its_json_type(cls):
+    """read_json_object looks up each field's JSON types; an untyped field
+    would end in a KeyError traceback, not in the error JSON."""
+    assert all("json" in f.metadata for f in dataclasses.fields(cls))
 
 
 DELETE = object()
