@@ -25,6 +25,10 @@ Output sets:
               and the descriptor-to-similarity path show in the digest
   demo        scripts/run_synthetic_demo.py --out (result files and table)
   sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
+  synth-edges ``dynfuse synth`` as synth on a spec at r_window 0, with no
+              echo on some techniques, never or always shared distractors
+              on others, failure schedules, drift and a query count that
+              is not a multiple of the generator's noise chunk
 
 The inputs come from ``dynfuse synth`` with a fixed seed and noise on every
 vector, and the script stops if any (technique, query) vector is constant,
@@ -59,6 +63,18 @@ SPEC = {
     "peak_strength": 1.0, "alias_strength": 0.5, "alias_secondary": 0.5,
     "alias_correlation": 0.1, "noise_sigma": 0.3, "drift_period": 30,
     "r_window": 2, "gt_tolerance": 2, "seed": 11,
+}
+# 6 x 500 float64 rows fill the 1 MiB noise chunk in 43 queries; 100 is not
+# a multiple
+EDGE_SPEC = {
+    "n_techniques": 6, "queries": 100, "database_size": 500,
+    "peak_strength": [1.0, 0.9, 0.7, 1.0, 0.6, 0.8],
+    "alias_strength": [0.5, 0.8, 1.0, 0.4, 0.7, 0.9],
+    "alias_secondary": [0.5, 0.0, 0.8, 0.0, 0.3, 0.0],
+    "alias_correlation": [0.0, 1.0, 1.0, 0.0, 0.5, 1.0],
+    "noise_sigma": [0.3, 0.1, 0.2, 0.3, 0.05, 0.25],
+    "failure_schedule": [[[0, 10]], [], [[50, 60], [90, 100]], [], [], [[20, 30]]],
+    "drift_period": 7, "r_window": 0, "gt_tolerance": 1, "seed": 23,
 }
 STRATEGIES = {
     "best-single-oracle": {},
@@ -164,8 +180,8 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                    f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
     """Run every output set on ``repo``'s code under the empty directory
     ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
-    unordered sweep, the drifting run, the descriptor run and both demo
-    scripts, for a quicker run."""
+    unordered sweep, the drifting run, the descriptor run, both demo
+    scripts and synth-edges, for a quicker run."""
     repo, work = repo.resolve(), work.resolve()
     digests = {"synth": _synth(repo, work, spec, "spec.json", "data")}
     for f in f_values:
@@ -195,6 +211,7 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
         manifest = _descriptor_manifest(work, "data", spec["database_size"])
         digests["run-descriptors"] = _run_set(repo, work, manifest, 1,
                                               work / "run-descriptors")
+        digests["synth-edges"] = _synth(repo, work, EDGE_SPEC, "edges-spec.json", "edges")
     return digests
 
 

@@ -7,10 +7,13 @@ grow and two checkouts can be compared:
    "median_ms": ..., "digest": "..."}
 
 Each shape's inputs are 5 seeded random (N, D) arrays, min-max normalized
-per technique as every strategy does, with r_window = 2. Each is searched
-7 times; ``median_ms`` is the median of those 35 searches and ``digest`` a
-SHA-256 over every chosen subset and the exact bits of its score, so it is
-equal on two checkouts whose searches agree.
+per technique as every strategy does, with r_window = 2. Each sample times
+one loop over the 5 searches, and there are 7 samples, so ``searches`` is
+35; ``median_ms`` is the median sample divided by 5. A sample spans 5
+searches rather than one, so a pause of the host lands in fewer samples
+and moves the median less. ``digest`` is a SHA-256 over every chosen subset
+and the exact bits of its score, so it is equal on two checkouts whose
+searches agree.
 
 The timing runs in a child process on the code of the checkout given by
 ``--repo`` (default: the one holding this script):
@@ -57,17 +60,18 @@ def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
 
     rng = np.random.default_rng([n, d])
     config = FusionConfig(r_window=2)
-    sha = hashlib.sha256()
+    inputs = [normalize_query_slices(rng.random((n, d))) for _ in range(queries)]
     times = []
-    for _ in range(queries):
-        normalized, degenerate = normalize_query_slices(rng.random((n, d)))
-        for _ in range(repeats):
-            start = time.perf_counter()
-            best = select_best_subset(normalized, config, degenerate)
-            times.append(time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        bests = [select_best_subset(normalized, config, degenerate)
+                 for normalized, degenerate in inputs]
+        times.append(time.perf_counter() - start)
+    sha = hashlib.sha256()
+    for best in bests:
         sha.update(repr((best.subset, best.score.hex())).encode())
-    return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": len(times),
-            "median_ms": round(float(np.median(times)) * 1e3, 4),
+    return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": queries * repeats,
+            "median_ms": round(float(np.median(times)) / queries * 1e3, 4),
             "digest": sha.hexdigest()}
 
 

@@ -78,6 +78,8 @@ class SynthSpec:
         per-technique arrays of peak_strength, alias_strength,
         alias_secondary, alias_correlation and noise_sigma."""
         n, q, d = self.n_techniques, self.queries, self.database_size
+        if self.r_window < 0:
+            raise InvalidSpecError("r_window must be non-negative")
         if n < 1:
             raise InvalidSpecError("n_techniques must be >= 1")
         if q < 1:
@@ -203,34 +205,32 @@ def _suppressed_mask(spec: SynthSpec) -> np.ndarray:
     return mask
 
 
-def _echo_site(site: int, allowed: np.ndarray) -> int:
-    """Deterministic companion site: the allowed site half a ring away.
+# noise rows are drawn into a buffer of about this size, then scaled into
+# the tensor one chunk of queries at a time
+_NOISE_CHUNK_BYTES = 1 << 20
 
-    The map is a bijection on the allowed sites, so distinct distractors
-    always get distinct echoes and the echo never enters the protected
-    region around the ground-truth index.
+
+def _draw_pair(rng, low: int, shift: int, size: int, taken: bytearray, r: int):
+    """Draw a distractor site and its echo; return them and mark both taken.
+
+    The allowed sites are the runs [0, low) and [low + shift, D): the
+    ``size`` of them outside the protected region around the ground-truth
+    index. Allowed position p is site p, or p + shift past the first run;
+    the echo is the allowed site half a ring away, a bijection on the
+    allowed sites, so distinct distractors get distinct echoes. ``taken``
+    marks, offset by ``r``, every index within ``r`` of a reserved site, so
+    that neither the site nor its echo lands in another site's window.
     """
-    pos = int(np.searchsorted(allowed, site))
-    return int(allowed[(pos + allowed.size // 2) % allowed.size])
-
-
-def _draw_site(rng, allowed: np.ndarray, used: list, min_sep: int) -> int:
-    """Draw a site whose echo also fits, reserving both.
-
-    Both the site and its echo must sit more than the exclusion-window
-    radius away from every previously reserved site, so separately drawn
-    peaks can never shadow each other inside one window.
-    """
-    def fits(c: int) -> bool:
-        return all(abs(c - u) >= min_sep for u in used)
-
+    window = b"\x01" * (2 * r + 1)
     for _ in range(100_000):
-        site = int(allowed[rng.integers(allowed.size)])
-        echo = _echo_site(site, allowed)
-        if site != echo and fits(site) and fits(echo):
-            used.append(site)
-            used.append(echo)
-            return site
+        pos = int(rng.integers(size))
+        echo = (pos + size // 2) % size
+        site = pos + shift if pos >= low else pos
+        echo = echo + shift if echo >= low else echo
+        if site != echo and not taken[site + r] and not taken[echo + r]:
+            taken[site:site + 2 * r + 1] = window
+            taken[echo:echo + 2 * r + 1] = window
+            return site, echo
     raise InvalidSpecError("could not place well-separated distractor sites")
 
 
@@ -245,38 +245,60 @@ def generate(spec: SynthSpec):
     ``alias_correlation``) or at a site of its own; all sites drawn within
     one query are mutually distinct. A nonzero ``alias_secondary`` echoes
     the distractor at a deterministic companion site, which lets correlated
-    techniques present identical two-peak aliasing. Output is bitwise
-    reproducible for a fixed seed.
+    techniques present identical two-peak aliasing.
+
+    Output is bitwise reproducible for a fixed seed, and the files written
+    from it are part of the contract, so each query must consume the seed's
+    stream in this order: one ``random((N, D))`` noise draw, one
+    ``integers(size)`` per attempt at the shared site, one ``random(N)``
+    deciding which techniques share it, then one ``integers(size)`` per
+    attempt at each other technique's site, in technique order. Batching
+    draws across attempts or queries would reorder the stream.
     """
     peak, alias, secondary, correlation, sigma = spec.validate()
     n, q_total, d = spec.n_techniques, spec.queries, spec.database_size
+    try:
+        data = np.zeros((n, q_total, d), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise InvalidSpecError(
+            f"a ({n}, {q_total}, {d}) float64 tensor needs {n * q_total * d * 8} "
+            f"bytes, more than can be allocated"
+        ) from None
     suppressed = _suppressed_mask(spec)
-    gap = 2 * spec.r_window + 1
+    r = spec.r_window
+    gap = 2 * r + 1
 
     rng = np.random.default_rng(spec.seed)
-    data = np.zeros((n, q_total, d), dtype=np.float64)
     gt_indices = [(q * d) // q_total for q in range(q_total)]
-    all_sites = np.arange(d)
+    chunk = min(q_total, max(1, _NOISE_CHUNK_BYTES // (n * d * 8)))
+    noise = np.empty((chunk, n, d))
+    sites, echoes = [], []
 
-    for q in range(q_total):
-        gt = gt_indices[q]
-        noise = rng.random((n, d))
-        data[:, q, :] = noise * sigma[:, None]
+    for q, gt in enumerate(gt_indices):
+        rng.random(out=noise[q % chunk])
+        if q % chunk == chunk - 1 or q == q_total - 1:
+            first = q - q % chunk
+            np.multiply(noise[:q + 1 - first].transpose(1, 0, 2), sigma[:, None, None],
+                        out=data[:, first:q + 1])
 
-        allowed = all_sites[np.abs(all_sites - gt) > gap]
-        used: list[int] = []
-        min_sep = spec.r_window + 1
-        shared = _draw_site(rng, allowed, used, min_sep)
-        use_shared = rng.random(n) < correlation
+        low, high = max(0, gt - gap), gt + gap + 1
+        shift, size = high - low, low + max(0, d - high)
+        taken = bytearray(d + 2 * r)
+        shared = _draw_pair(rng, low, shift, size, taken, r)
+        for use_shared in (rng.random(n) < correlation).tolist():
+            site, echo = shared if use_shared else _draw_pair(rng, low, shift, size, taken, r)
+            sites.append(site)
+            echoes.append(echo)
 
-        for tech in range(n):
-            if not suppressed[tech, q]:
-                data[tech, q, gt] += peak[tech]
-            site = shared if use_shared[tech] else _draw_site(rng, allowed, used, min_sep)
-            data[tech, q, site] += alias[tech]
-            if secondary[tech] > 0.0:
-                echo = _echo_site(site, allowed)
-                data[tech, q, echo] += alias[tech] * secondary[tech]
+    # the ground-truth index, the site and its echo of one (technique,
+    # query) vector are distinct, so each entry gets at most one addition
+    techs, queries = np.nonzero(~suppressed)
+    data[techs, queries, np.asarray(gt_indices)[queries]] += peak[techs]
+    techs, queries = np.arange(n)[:, None], np.arange(q_total)
+    sites, echoes = (np.reshape(s, (q_total, n)).T for s in (sites, echoes))
+    data[techs, queries, sites] += alias[:, None]
+    echoed = secondary > 0.0
+    data[techs[echoed], queries, echoes[echoed]] += (alias * secondary)[echoed, None]
 
     techniques = [
         TechniqueId(index=i, name=name)

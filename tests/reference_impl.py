@@ -9,13 +9,16 @@ query-by-query strategy loops ``naive_run_dyn_mpf``, ``naive_run_simple_sum``
 and ``naive_run_hier_mpf``, whose means, standard deviations and z-scores
 are numpy's on one vector at a time. The baseline loops add one rule the
 former code lacked: a query whose fused techniques are all constant is
-invalid.
+invalid. ``naive_generate`` is the synthetic generator's former per-query
+loop, which fixes the order in which a seed's stream is consumed.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from dynfuse.errors import InvalidSpecError
 
 
 def naive_minmax(vec):
@@ -392,3 +395,71 @@ def naive_run_dyn_mpf(data, config, names, uniform_weights=False):
             record(q, subset, touched, weights, subset_ratio, int(np.argmax(fused)),
                    float(fused.mean()), float(std))
     return records, rows
+
+
+def _naive_echo_site(site, allowed):
+    pos = int(np.searchsorted(allowed, site))
+    return int(allowed[(pos + allowed.size // 2) % allowed.size])
+
+
+def _naive_draw_site(rng, allowed, used, min_sep):
+    def fits(c):
+        return all(abs(c - u) >= min_sep for u in used)
+
+    for _ in range(100_000):
+        site = int(allowed[rng.integers(allowed.size)])
+        echo = _naive_echo_site(site, allowed)
+        if site != echo and fits(site) and fits(echo):
+            used.append(site)
+            used.append(echo)
+            return site
+    raise InvalidSpecError("could not place well-separated distractor sites")
+
+
+def naive_generate(spec):
+    """The synthetic generator one query and one technique at a time: the
+    (N, Q, D) float64 tensor and each query's acceptable set."""
+    peak, alias, secondary, correlation, sigma = spec.validate()
+    n, q_total, d = spec.n_techniques, spec.queries, spec.database_size
+    suppressed = np.zeros((n, q_total), dtype=bool)
+    for tech, ranges in enumerate(spec.failure_schedule or []):
+        for start, stop in ranges:
+            for q in range(int(start), int(stop)):
+                suppressed[tech, q] = True
+    if spec.drift_period is not None:
+        for q in range(q_total):
+            block = q // spec.drift_period
+            for tech in range(n):
+                if tech not in (block % n, (block + 1) % n):
+                    suppressed[tech, q] = True
+    gap = 2 * spec.r_window + 1
+
+    rng = np.random.default_rng(spec.seed)
+    data = np.zeros((n, q_total, d), dtype=np.float64)
+    gt_indices = [(q * d) // q_total for q in range(q_total)]
+    all_sites = np.arange(d)
+
+    for q in range(q_total):
+        gt = gt_indices[q]
+        noise = rng.random((n, d))
+        data[:, q, :] = noise * sigma[:, None]
+
+        allowed = all_sites[np.abs(all_sites - gt) > gap]
+        used = []
+        min_sep = spec.r_window + 1
+        shared = _naive_draw_site(rng, allowed, used, min_sep)
+        use_shared = rng.random(n) < correlation
+
+        for tech in range(n):
+            if not suppressed[tech, q]:
+                data[tech, q, gt] += peak[tech]
+            site = shared if use_shared[tech] else _naive_draw_site(rng, allowed, used, min_sep)
+            data[tech, q, site] += alias[tech]
+            if secondary[tech] > 0.0:
+                echo = _naive_echo_site(site, allowed)
+                data[tech, q, echo] += alias[tech] * secondary[tech]
+
+    tol = spec.gt_tolerance
+    acceptable = tuple(frozenset(range(max(0, g - tol), min(d, g + tol + 1)))
+                       for g in gt_indices)
+    return data, acceptable

@@ -96,6 +96,7 @@ class TestSynthCommand:
         {"queries": 3},
         b"\xff\xfe{}",  # not UTF-8
         b'{"n_techniques": 3,',  # not JSON
+        tiny_spec_dict(queries=10, database_size=10**15),  # fails to allocate at once
     ])
     def test_mistyped_spec_is_invalid_spec_error(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "spec.json"

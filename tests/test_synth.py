@@ -1,6 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynfuse import synth
+from dynfuse.core import SimilarityTensor, TechniqueId
 from dynfuse.errors import InvalidSpecError
 from dynfuse.synth import (
     SynthSpec,
@@ -8,6 +15,7 @@ from dynfuse.synth import (
     drifting_fixture_spec,
     generate,
 )
+from reference_impl import naive_generate
 
 
 def clean_spec(**overrides):
@@ -140,6 +148,11 @@ class TestValidation:
         with pytest.raises(InvalidSpecError):
             generate(clean_spec(database_size=5, r_window=2))
 
+    def test_negative_r_window(self):
+        # the size checks, which assume r_window >= 0, pass at D = 100
+        with pytest.raises(InvalidSpecError, match="r_window"):
+            generate(clean_spec(database_size=100, r_window=-3))
+
     def test_peak_strength_bounds(self):
         with pytest.raises(InvalidSpecError):
             generate(clean_spec(peak_strength=1.5))
@@ -171,3 +184,95 @@ def test_spec_json_round_trip(tmp_path):
 def test_fixture_specs_validate():
     complementary_fixture_spec().validate()
     drifting_fixture_spec().validate()
+
+
+def _strengths(n, lo, hi, edges):
+    """A scalar or one value per technique, often at an edge of the range."""
+    value = st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+    return st.one_of(value, st.lists(value, min_size=n, max_size=n))
+
+
+@st.composite
+def valid_specs(draw):
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, 4))
+    q = draw(st.integers(1, 60))
+    # the smallest database validate accepts for n techniques at r_window r
+    d_min = max(2 * r + 2, 2 * (n + 1) * (r + 1) + 2 * (2 * r + 1) + 1)
+    ranges = st.integers(0, q - 1).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(start + 1, q)))
+    return SynthSpec(
+        n_techniques=n, queries=q, database_size=draw(st.integers(d_min, 400)),
+        peak_strength=draw(_strengths(n, 0.0, 1.0, [0.0, 1.0])),
+        alias_strength=draw(_strengths(n, 0.0, 2.0, [0.0, 0.5])),
+        alias_secondary=draw(_strengths(n, 0.0, 1.0, [0.0, -0.0, 1.0])),
+        alias_correlation=draw(_strengths(n, 0.0, 1.0, [0.0, 1.0])),
+        noise_sigma=draw(_strengths(n, 0.0, 1.0, [0.0, -0.0, 0.3])),
+        failure_schedule=draw(st.one_of(
+            st.just([]), st.lists(st.lists(ranges, max_size=2), min_size=n, max_size=n))),
+        drift_period=draw(st.one_of(st.none(), st.integers(1, q + 5))),
+        r_window=r,
+        gt_tolerance=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _outcome(fn, spec):
+    try:
+        return fn(spec)
+    except InvalidSpecError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=valid_specs(), chunk_rows=st.integers(1, 8))
+def test_generate_matches_the_per_query_loop(spec, chunk_rows):
+    """Same tensor bytes and ground truth as the former loop, which fixes the
+    order in which the seed's stream is consumed, for noise chunks of 1 to 8
+    queries, so query counts end mid-chunk."""
+    row_bytes = spec.n_techniques * spec.database_size * 8
+    with mock.patch.object(synth, "_NOISE_CHUNK_BYTES", chunk_rows * row_bytes):
+        fast = _outcome(generate, spec)
+    slow = _outcome(naive_generate, spec)
+    if isinstance(slow, str):
+        # near the smallest database, a seed can run out of attempts to
+        # place the sites; both fail after the same draws
+        assert fast == slow
+    else:
+        assert fast[0].data.tobytes() == slow[0].tobytes()
+        assert fast[1].acceptable == slow[1]
+
+
+# the benchmark's sweep-drift and baselines-bulk workload specs
+BENCHMARK_SPECS = {
+    "sweep-drift": dict(
+        n_techniques=8, queries=1000, database_size=300, alias_strength=0.6,
+        failure_schedule=[[(400, 450)]] * 8, drift_period=100),
+    "baselines-bulk": dict(
+        n_techniques=4, queries=250, database_size=4000, alias_strength=0.5,
+        failure_schedule=[[(100, 125)]] * 4, drift_period=50),
+}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
+def test_generate_memory_stays_near_the_per_query_loop(name):
+    spec = SynthSpec(peak_strength=1.0, alias_secondary=0.5, alias_correlation=0.1,
+                     noise_sigma=0.3, r_window=2, gt_tolerance=2, seed=7,
+                     **BENCHMARK_SPECS[name])
+
+    def per_query_loop():
+        data, _ = naive_generate(spec)
+        SimilarityTensor(techniques=[TechniqueId(i, str(i)) for i in range(len(data))],
+                         data=data)
+
+    # generate's one-chunk noise buffer is 1 MiB
+    assert _traced_peak(lambda: generate(spec)) <= _traced_peak(per_query_loop) + 2 * 2**20
