@@ -21,6 +21,19 @@ The timing runs in a child process on the code of the checkout given by
   python3 scripts/search_timing.py
   python3 scripts/search_timing.py --repo /path/to/parent/checkout
   python3 scripts/search_timing.py --shape 10x1000 --shape 12x1000
+
+One run cannot resolve a 10% change at the small shapes on a busy host: a
+slow spell of the host moves all of one child's samples. ``--against PATH``
+compares two checkouts: per shape, ``--rounds`` child runs of each (default
+5), the two checkouts' runs back to back and in alternating order. It
+prints per shape the median over the rounds of each checkout's
+``median_ms``, their ratio (``--repo`` over ``--against``, so below 1 is
+faster) and whether every round's digest agrees:
+
+  python3 scripts/search_timing.py --against /path/to/parent --rounds 9
+
+  {"shape": "10x1000", "n": 10, "d": 1000, "rounds": 9, "median_ms": ...,
+   "against_median_ms": ..., "ratio": ..., "digests_agree": true}
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +60,16 @@ def _parse_shape(text: str) -> tuple[int, int]:
     if shape[0] < 2 or shape[1] < 6:
         raise argparse.ArgumentTypeError(f"expected NxD with N >= 2, D >= 6: {text!r}")
     return shape
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return value
 
 
 def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
@@ -75,6 +99,41 @@ def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
             "digest": sha.hexdigest()}
 
 
+def _child(repo: Path, shapes, **run) -> subprocess.CompletedProcess:
+    """Time ``shapes`` in a child process on the code of ``repo``."""
+    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
+    command = [sys.executable, str(Path(__file__).resolve()), "--child"]
+    for n, d in shapes:
+        command += ["--shape", f"{n}x{d}"]
+    return subprocess.run(command, env=env, **run)
+
+
+def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
+    """Time each shape in ``rounds`` child runs of each checkout, the two
+    checkouts' runs of a shape back to back and in alternating order; print
+    one summary line per shape. Returns the first failing child's exit
+    code, or 0."""
+    for n, d in shapes:
+        runs: tuple[list, list] = ([], [])
+        for i in range(rounds):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                done = _child((repo, against)[side], [(n, d)], stdout=subprocess.PIPE,
+                              text=True)
+                if done.returncode:
+                    return done.returncode
+                runs[side].append(json.loads(done.stdout))
+        mine, theirs = runs
+        median, their_median = (statistics.median(r["median_ms"] for r in rows)
+                                for rows in runs)
+        print(json.dumps({
+            "shape": f"{n}x{d}", "n": n, "d": d, "rounds": rounds,
+            "median_ms": round(median, 4), "against_median_ms": round(their_median, 4),
+            "ratio": round(median / their_median, 3),
+            "digests_agree": len({r["digest"] for r in mine + theirs}) == 1,
+        }), flush=True)
+    return 0
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -82,6 +141,10 @@ def main() -> None:
                         help="checkout whose code runs (default: this one)")
     parser.add_argument("--shape", type=_parse_shape, action="append",
                         help=f"NxD, repeatable (default: {' '.join(SHAPES)})")
+    parser.add_argument("--against", type=Path,
+                        help="second checkout to compare with, over --rounds runs each")
+    parser.add_argument("--rounds", type=_positive, default=5,
+                        help="child runs per checkout with --against (default: 5)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     shapes = args.shape or [_parse_shape(s) for s in SHAPES]
@@ -89,11 +152,9 @@ def main() -> None:
         for n, d in shapes:
             print(json.dumps(time_shape(n, d)), flush=True)
         return
-    env = dict(os.environ, PYTHONPATH=str(args.repo.resolve() / "src"))
-    command = [sys.executable, str(Path(__file__).resolve()), "--child"]
-    for n, d in shapes:
-        command += ["--shape", f"{n}x{d}"]
-    sys.exit(subprocess.run(command, env=env).returncode)
+    if args.against is not None:
+        sys.exit(compare(args.repo, args.against, shapes, args.rounds))
+    sys.exit(_child(args.repo, shapes).returncode)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .core import (
 )
 from .errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
 from .fusion import (
-    normalize_query_slices,
     ratio_rows,
     select_best_subset,
     weighted_match_rows,
@@ -55,6 +54,7 @@ from .fusion import (
 from .core import minmax_normalize  # noqa: F401
 from .fusion import (  # noqa: F401
     fuse_subset,
+    normalize_query_slices,
     ratio_score,
     technique_weights,
     weighted_fuse_and_match,
@@ -102,9 +102,22 @@ def write_result_json(result: StrategyResult, names: list[str], path) -> None:
     Path(path).write_text(payload + "\n")
 
 
-# Bytes of the largest (members, queries, D) float64 slab a runner batches;
-# more queries go in further chunks, so memory does not grow with Q or F.
+# Bytes of the largest (members, queries, D) float64 normalized slab a runner
+# batches; more queries go in further chunks, so memory does not grow with Q
+# or F.
 _BLOCK_BYTES = 1 << 20
+# The same for the calibrations run_dyn_mpf normalizes together before their
+# searches. A quarter of _BLOCK_BYTES, as the slab lives beside the search's
+# scratch: on 60 queries at 10 x 1000 and F = 1, run_dyn_mpf's traced peak is
+# 1.43 MiB one calibration at a time, 1.58 MiB at a quarter and 2.67 MiB at
+# a whole _BLOCK_BYTES.
+_CALIBRATION_BYTES = _BLOCK_BYTES // 4
+
+
+def _slab_queries(members: int, d: int, budget: int) -> int:
+    """How many queries' float64 normalized (members, D) slabs fit in
+    ``budget`` bytes; at least one."""
+    return max(1, budget // (np.dtype(np.float64).itemsize * members * d))
 
 
 def _invalid(query: int, error: str, subset, touched) -> SelectionRecord:
@@ -129,7 +142,7 @@ def _fuse_groups(tensor, subsets, records, fuse) -> np.ndarray:
     rows = np.full((tensor.queries, tensor.database_size), np.nan)
     for subset, group in groups.items():
         group = np.array(group)
-        chunk = max(1, _BLOCK_BYTES // (8 * len(subset) * tensor.database_size))
+        chunk = _slab_queries(len(subset), tensor.database_size, _BLOCK_BYTES)
         for at in range(0, len(group), chunk):
             qs = group[at:at + chunk]
             scores, valid, chunk_records = fuse(subset, qs)
@@ -158,10 +171,12 @@ def run_dyn_mpf(
 
     Every calibration is searched first and gives its block's queries its
     subset; _fuse_groups then fuses all queries of one subset together
-    with _fuse_block, whichever blocks they come from. ``searches``
-    ({query: _search result}) carries searches across calls whose configs
-    differ only in F: each call reuses the ones it finds there and adds the
-    ones it makes.
+    with _fuse_block, whichever blocks they come from. The calibrations
+    still to search are normalized together, in chunks of at most
+    _CALIBRATION_BYTES, with the same bits as normalizing each alone.
+    ``searches`` ({query: _search result}) carries searches across calls
+    whose configs differ only in F: each call reuses the ones it finds
+    there and adds the ones it makes.
 
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
@@ -174,10 +189,16 @@ def run_dyn_mpf(
     records: list[SelectionRecord | None] = [None] * queries
     subsets: list[tuple[int, ...] | None] = [None] * queries
     calibrates = np.zeros(queries, dtype=bool)
+    pending = [start for start in range(0, queries, f) if start not in searches]
+    chunk = _slab_queries(n, d, _CALIBRATION_BYTES)
+    for at in range(0, len(pending), chunk):
+        qs = pending[at:at + chunk]
+        # the tensor is finite, so this is normalize_query_slices per query
+        normalized, constant = minmax_rows(tensor.data[:, qs])
+        for i, start in enumerate(qs):
+            searches[start] = _search(normalized[:, i], constant[:, i], config)
     for start in range(0, queries, f):
         stop = min(start + f, queries)
-        if start not in searches:
-            searches[start] = _search(tensor, config, start)
         best = searches[start]
         if isinstance(best, str):
             records[start] = _invalid(start, best, (), tuple(range(n)))
@@ -197,11 +218,12 @@ def run_dyn_mpf(
     )
 
 
-def _search(tensor, config, query):
-    """The search at ``query``: a SubsetScore, or its block's error text."""
-    normalized, degenerate = normalize_query_slices(tensor.query_slices(query))
+def _search(normalized, constant, config):
+    """The search on one calibration's normalized (N, D) vectors, whose
+    constant ones ``constant`` flags: a SubsetScore, or its block's error
+    text."""
     try:
-        return select_best_subset(normalized, config, degenerate)
+        return select_best_subset(normalized, config, np.flatnonzero(constant).tolist())
     except (WindowCoversAllError, TooFewTechniquesError) as exc:
         return f"{type(exc).__name__}: {exc}"
 

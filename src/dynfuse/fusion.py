@@ -9,13 +9,16 @@ by this ratio, and the combination that maximizes it is selected per query.
 
 The search fuses every subset in full-width row blocks of a bitmask layout
 (row ``mask`` sums the techniques whose bits are set, as fuse_subset adds
-them), scores each block with one ``argmax`` and one ``maximum.reduceat``,
-and finishes every ratio once per search; ratio_rows runs the same steps.
+them), in about 1 MiB of scratch, scores each block with one ``argmax`` and
+one ``maximum.reduceat``, and finishes every ratio once per search;
+ratio_rows runs the same steps. Which blocks a search builds depends only on
+its shape, so each shape is planned once and a call does only numpy work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -179,19 +182,31 @@ def normalize_query_slices(raw_slices: np.ndarray):
 
 
 # Scratch bytes for the fused rows the subset search holds at once; it sizes
-# the search's row blocks (see _low_bits).
-_SCRATCH_BYTES = 1 << 19
+# the search's row blocks (see _low_bits). At 1 MiB the whole grid of 8 x 300
+# or 6 x 1000 is one block. Beside it the search holds a tile of up to 64 KiB
+# per technique outside the base block (see _tile_rows).
+_SCRATCH_BYTES = 1 << 20
 
 
 def _low_bits(m: int, d: int) -> int:
     """How many of ``m`` available techniques the subset search's base block
-    spans: all m when the whole 2**m x ``d`` grid fits in _SCRATCH_BYTES,
-    otherwise the most for which the base block and one working block of
-    2**k rows fit in it together, but at least one row per block."""
-    row = 8 * d
+    spans: all m when the whole 2**m x ``d`` float64 grid fits in
+    _SCRATCH_BYTES, otherwise the most for which the base block and one
+    working block of 2**k rows fit in it together, but at least one row per
+    block."""
+    row = np.dtype(np.float64).itemsize * d
     if row << m <= _SCRATCH_BYTES:
         return m
     return max((_SCRATCH_BYTES // (2 * row)).bit_length() - 1, 0)
+
+
+def _tile_rows(k: int, d: int) -> int:
+    """How many rows of width ``d`` the subset search adds a technique to
+    at once in a working block of 2**k rows: the fewest, as a power of
+    two, whose entries exceed 4096, but at most the block. numpy adds a row
+    to each row of a block of rows of at most 4096 entries through its
+    8192-entry buffer, at about twice the cost per entry (numpy 2.4)."""
+    return min(1 << k, 1 << (4096 // d).bit_length())
 
 
 def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
@@ -207,6 +222,29 @@ def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
         yield mask, parent != 0 and parent == previous
         previous = mask
         stack.extend(mask | 1 << b for b in reversed(range(mask.bit_length(), bits)))
+
+
+@lru_cache(maxsize=64)
+def _plan(m: int, k: int, min_size: int, max_size: int):
+    """What a search over ``m`` available techniques whose base block spans
+    ``k`` of them (see _low_bits) does, whatever its data: a read-only mask of
+    the usable subsets (min_size to max_size members) by bitmask, and one
+    step per high mask h in depth-first preorder (see _high_masks). A step
+    is (h's rows of the per-mask arrays, whether its block extends its
+    parent's, h's set bits in ascending order, whether the block holds a
+    usable subset)."""
+    size = np.zeros(1 << m, dtype=np.intp)  # popcount of each mask
+    for bit in range(m):
+        np.add(size[:1 << bit], 1, out=size[1 << bit:2 << bit])
+    usable = (size >= min_size) & (size <= max_size)
+    usable.flags.writeable = False
+    admissible = usable.reshape(-1, 1 << k).any(axis=1).tolist()
+    steps = tuple(
+        (slice(h << k, (h + 1) << k), extend,
+         tuple(bit for bit in range(m - k) if h >> bit & 1), admissible[h])
+        for h, extend in _high_masks(m - k)
+    )
+    return usable, steps
 
 
 def select_best_subset(
@@ -225,59 +263,59 @@ def select_best_subset(
     smaller subset first, then lexicographic member order).
 
     All subsets are fused and scored with numpy in row blocks that span
-    every column, in scratch near _SCRATCH_BYTES. Bit j of a subset's mask
-    is the j-th available technique. The base block holds the 2**k masks
-    of the first k available techniques (see _low_bits): row 0 is zeros and
-    rows [2**j, 2**(j+1)) are rows [0, 2**j) plus technique j, one
-    ``np.add`` per technique. Each mask h of the other techniques, visited
-    in depth-first preorder (see _high_masks), has a working block: the base
-    block plus h's techniques in ascending order, made by adding h's top
-    technique to its parent's block when the working block still holds it
-    and rebuilt from the base block otherwise. Every row is thus the same
-    sum fuse_subset makes. A block with an admissible row gets step one of
-    :func:`ratio_rows` into arrays over all masks (a block without one is
-    still built, as it can be a parent); step two then scores every mask.
+    every column, in scratch near _SCRATCH_BYTES (1 MiB). Bit j of a
+    subset's mask is the j-th available technique. The base block holds the
+    2**k masks of the first k available techniques (see _low_bits): row 0
+    is zeros and rows [2**j, 2**(j+1)) are rows [0, 2**j) plus technique j,
+    one ``np.add`` per technique. Each mask h of the other techniques,
+    visited in depth-first preorder (see _high_masks), has a working block:
+    the base block plus h's techniques in ascending order, made by adding
+    h's top technique to its parent's block when the working block still
+    holds it and rebuilt from the base block otherwise; each technique
+    goes in as its row repeated over a few rows at once (see _tile_rows).
+    Every row is thus the same sum fuse_subset makes. A block with an
+    admissible row gets step one of :func:`ratio_rows` into arrays over all
+    masks (a block without one is still built, as it can be a parent);
+    step two then scores every mask. Which blocks are built and how
+    depends only on the number of available techniques, k and the size
+    bounds, so each such shape is planned once (see _plan) and a call does
+    only the numpy work.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
         raise ValueError("select_best_subset needs an N x D array with D >= 2")
     n, d = normalized.shape
-    low = config.min_subset_size
     max_size = config.resolved_max_subset_size(n)
-    available = _available_techniques(n, low, max_size, degenerate)
+    available = _available_techniques(n, config.min_subset_size, max_size, degenerate)
     m = len(available)
     k = _low_bits(m, d)
-    rows = 1 << k
+    usable, steps = _plan(m, k, config.min_subset_size, max_size)
+    vectors = [normalized[t] for t in available]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
-    blocks = np.empty((1 if k == m else 2, rows, d))
+    blocks = np.empty((1 if k == m else 2, 1 << k, d))
     base, work = blocks[0], blocks[-1]
     base[0] = 0.0
-    for bit, t in enumerate(available[:k]):
-        np.add(base[:1 << bit], normalized[t], out=base[1 << bit:2 << bit])
+    for bit in range(k):
+        np.add(base[:1 << bit], vectors[bit], out=base[1 << bit:2 << bit])
 
-    # popcount of each mask: the size of its subset
-    size = np.zeros(1 << m, dtype=np.intp)
-    for bit in range(m):
-        np.add(size[:1 << bit], 1, out=size[1 << bit:2 << bit])
-    usable = (size >= low) & (size <= max_size)
-    admissible = usable.reshape(-1, rows).any(axis=1).tolist()
-    r, cuts, lower, upper = _window_cuts(rows, d, config.r_window)
+    r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
     best, seg = np.zeros(1 << m, dtype=np.intp), np.zeros((1 << m, 3))
-    high = available[k:]
-    for h, extend in _high_masks(m - k):
-        if h == 0:
-            block = base
-        elif extend:
-            block = np.add(work, normalized[high[h.bit_length() - 1]], out=work)
-        else:
-            members = [t for bit, t in enumerate(high) if h >> bit & 1]
-            block = np.add(base, normalized[members[0]], out=work)
-            for t in members[1:]:
-                np.add(work, normalized[t], out=work)
-        if admissible[h]:
-            at = slice(h << k, (h + 1) << k)
-            _segment_maxima(block, r, cuts, lower, upper, best[at], seg[at])
+    # each high technique's vector repeated `tall` times, added to the
+    # blocks viewed as (2**k / tall, tall * D)
+    tall = _tile_rows(k, d)
+    tiles = vectors[k:] if tall == 1 else [np.tile(v, tall) for v in vectors[k:]]
+    base_tiles, work_tiles = (b.reshape(-1, tall * d) for b in (base, work))
+    for at, extend, bits, admissible in steps:
+        if extend:
+            np.add(work_tiles, tiles[bits[-1]], out=work_tiles)
+        elif bits:
+            np.add(base_tiles, tiles[bits[0]], out=work_tiles)
+            for bit in bits[1:]:
+                np.add(work_tiles, tiles[bit], out=work_tiles)
+        if admissible:
+            _segment_maxima(work if bits else base, r, cuts, lower, upper,
+                            best[at], seg[at])
     ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
 
     scored = np.flatnonzero(usable & ~covered)

@@ -90,9 +90,17 @@ class SynthSpec:
             )
         # each drawn distractor reserves its site plus a companion echo site;
         # sites stay outside the protected region around the ground-truth
-        # index and beyond window range of each other
+        # index and beyond window range of each other. A query draws at most
+        # n + 1 pairs, so a draw finds at most n placed. Among the allowed
+        # positions (see _draw_pair), a placed pair sits at p and
+        # p + size // 2 (mod size) and blocks the 2r + 1 positions around
+        # each for a new site. A new echo sits half a ring past its site, so
+        # the positions blocked for it are those shifted by half a ring: the
+        # same ones, and one more per pair where size is odd. So n pairs
+        # block at most n (4r + 3) positions, whatever the order of the
+        # draws, and this many allowed positions always leave one free.
         excluded = 2 * (2 * self.r_window + 1) + 1
-        if d - excluded < 2 * (n + 1) * (self.r_window + 1):
+        if d - excluded < n * (4 * self.r_window + 3) + 1:
             raise InvalidSpecError(
                 f"database_size {d} too small for {n} well-separated "
                 f"distractor sites at r_window {self.r_window}"

@@ -28,7 +28,7 @@ from dynfuse.engine import (
     run_random_pair,
     run_static_subset,
 )
-from dynfuse.errors import ConfigError, TooFewTechniquesError
+from dynfuse.errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
 from dynfuse.evaluate import frame_separation_sweep, recall_at_k
 from dynfuse.fusion import (
     normalize_query_slices,
@@ -459,6 +459,121 @@ class TestSubsetRuns:
         fresh = run_dyn_mpf(tensor, config)
         assert shared.records == fresh.records
         assert np.array_equal(shared.fused, fresh.fused, equal_nan=True)
+
+
+def searched_alone(tensor, config, starts):
+    """{calibration: search} at ``starts``, each calibration normalized on
+    its own by normalize_query_slices; a failed search is its error text."""
+    searches = {}
+    for q in starts:
+        normalized, degenerate = normalize_query_slices(tensor.query_slices(q))
+        try:
+            searches[q] = select_best_subset(normalized, config, degenerate)
+        except (WindowCoversAllError, TooFewTechniquesError) as exc:
+            searches[q] = f"{type(exc).__name__}: {exc}"
+    return searches
+
+
+def exact(searches):
+    """The searches with every score as its exact bits."""
+    return {q: s if isinstance(s, str) else (s.subset, s.score.hex())
+            for q, s in searches.items()}
+
+
+class TestCalibrationNormalization:
+    """run_dyn_mpf normalizes the calibrations it searches together, in
+    chunks of _CALIBRATION_BYTES; searches and runs equal those of each
+    calibration normalized alone, bit for bit."""
+
+    def run_both(self, tensor, configs, calibration_bytes=None):
+        """Runs ``configs`` in order, sharing one searches dict as the sweep
+        does, and checks them against the same runs given searches made one
+        calibration at a time. Returns the runs and the searches."""
+        searches = {}
+        with mock.patch.object(engine, "_CALIBRATION_BYTES",
+                               calibration_bytes or engine._CALIBRATION_BYTES):
+            got = [run_dyn_mpf(tensor, config, searches=searches) for config in configs]
+        alone = {}
+        for config in configs:
+            starts = range(0, tensor.queries, config.frame_separation_f)
+            alone.update(searched_alone(tensor, config, [q for q in starts if q not in alone]))
+        assert exact(searches) == exact(alone)
+        for config, result in zip(configs, got):
+            expected = run_dyn_mpf(tensor, config, searches=dict(alone))
+            assert result.records == expected.records
+            assert np.array_equal(result.fused, expected.fused, equal_nan=True)
+        return got, searches
+
+    def test_technique_constant_at_a_calibration(self, rng):
+        data = rng.random((4, 12, 30))
+        data[1, 0] = 0.3
+        data[2, 6] = -0.0
+        got, searches = self.run_both(make_tensor(data), [
+            FusionConfig(r_window=1, frame_separation_f=3)])
+        assert 1 not in searches[0].subset and 2 not in searches[6].subset
+        assert all(record.valid for record in got[0].records)
+
+    def test_too_few_usable_techniques_at_a_calibration(self, rng):
+        data = rng.random((4, 12, 30))
+        data[:3, 4] = rng.random((3, 1))
+        got, searches = self.run_both(make_tensor(data), [
+            FusionConfig(r_window=1, frame_separation_f=2)])
+        assert searches[4].startswith("TooFewTechniquesError")
+        assert [r.error for r in got[0].records[4:6]] == [searches[4]] * 2
+        assert all(r.valid for r in got[0].records if r.query not in (4, 5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_dtype(self, rng, dtype):
+        data = rng.random((5, 9, 40))
+        data[:, 3, :len(FLOAT32_EDGES)] = FLOAT32_EDGES  # ranges near float32's ends
+        data[3, 5] = 7.0
+        techniques = [TechniqueId(i, f"t{i}") for i in range(len(data))]
+        tensor = SimilarityTensor(techniques, data.astype(dtype))
+        self.run_both(tensor, [FusionConfig(r_window=2, frame_separation_f=1)])
+
+    def test_queries_not_a_multiple_of_the_chunk(self, rng):
+        # chunks of 3 calibrations: 3, 3, 3 and 1 of the 10
+        n, d = 4, 24
+        tensor = make_tensor(rng.random((n, 10, d)))
+        config = FusionConfig(r_window=1, frame_separation_f=1, max_subset_size=2)
+        with mock.patch.object(engine, "minmax_rows", wraps=engine.minmax_rows) as spy:
+            self.run_both(tensor, [config], calibration_bytes=3 * 8 * n * d)
+        # the runner's own calls; _fuse_block's gather at most 2 techniques
+        chunks = [call.args[0].shape[1] for call in spy.call_args_list
+                  if call.args[0].shape[0] == n]
+        assert chunks == [3, 3, 3, 1]
+
+    def test_searches_shared_across_f(self, rng):
+        # F = 5, then 2 (searches 2, 4, 6, 8, 12, ...), then 1
+        data = rng.random((4, 23, 16))
+        data[0, 6] = 0.5
+        data[1:, 12] = 0.25
+        configs = [FusionConfig(r_window=1, frame_separation_f=f) for f in (5, 2, 1)]
+        with mock.patch.object(engine, "select_best_subset",
+                               wraps=engine.select_best_subset) as spy:
+            _, searches = self.run_both(make_tensor(data), configs,
+                                        calibration_bytes=2 * 8 * 4 * 16)
+        assert sorted(searches) == list(range(23))
+        assert spy.call_count == 23
+
+    def test_memory_at_f_one_does_not_grow_with_queries(self, rng):
+        # every query calibrates; normalized at once, 96 calibrations of
+        # (5, 1000) would hold 3.7 MiB. Each query repeats query 0, so all
+        # choose one subset, and 64 KiB fuse chunks fill at either Q.
+        config = FusionConfig(r_window=2, frame_separation_f=1)
+        held = []
+        for queries in (24, 96):
+            tensor = make_tensor(np.repeat(rng.random((5, 1, 1000)), queries, axis=1))
+            with mock.patch.object(engine, "_BLOCK_BYTES", 64 << 10):
+                tracemalloc.start()
+                try:
+                    result = run_dyn_mpf(tensor, config)
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert all(r.valid for r in result.records)
+            held.append(peak - current)  # beyond the records and rows it returns
+        assert held[1] <= held[0] + (64 << 10), held
 
 
 @st.composite

@@ -247,19 +247,42 @@ def peak_columns(n_available, d):
     return d // chunks, d * (chunks - 1) // chunks
 
 
+def search_peak(normalized, degenerate):
+    """tracemalloc's peak over one select_best_subset call whose plan is
+    built in the call."""
+    fusion._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def beside_scratch(n, d):
+    """A bound on what a search over n techniques of width d holds beside
+    its scratch: numpy's 64 KiB buffer for adding a row to a block, 48
+    bytes per subset mask for its argmax, its three maxima and finishing
+    its ratio, and up to 64 KiB for the tile of each technique outside the
+    base block. Measured at 10 x 1000 and 12 x 1000: 298 and 612 KiB."""
+    return (64 << 10) + 48 * (1 << n) + (n - fusion._low_bits(n, d)) * (64 << 10)
+
+
 def search_recording_blocks(normalized, config, degenerate):
     """select_best_subset, plus the (high mask, extended from its parent)
-    pair of every row block it built."""
-    built = []
+    pair of every row block it built: the steps of the plan it ran."""
+    plans = []
 
-    def recorded(bits):
-        for block in high_masks(bits):
-            built.append(block)
-            yield block
+    def recorded(*shape):
+        plans.append(plan(*shape))
+        return plans[-1]
 
-    high_masks = fusion._high_masks
-    with mock.patch.object(fusion, "_high_masks", recorded):
-        return select_best_subset(normalized, config, degenerate), built
+    plan = fusion._plan
+    with mock.patch.object(fusion, "_plan", recorded):
+        got = select_best_subset(normalized, config, degenerate)
+    (_, steps), = plans
+    return got, [(at.start // (at.stop - at.start), extend)
+                 for at, extend, _, _ in steps]
 
 
 class TestSearchParity:
@@ -410,26 +433,21 @@ class TestSearchParity:
 
     def test_scratch_memory_is_bounded(self, rng):
         normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
-        config = FusionConfig(r_window=2)
-        tracemalloc.start()
-        try:
-            select_best_subset(normalized, config, degenerate)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+        peak = search_peak(normalized, degenerate)
+        assert peak <= fusion._SCRATCH_BYTES + beside_scratch(10, 1000)
 
     def test_scratch_memory_at_twelve_techniques_is_bounded(self, rng):
         # the per-mask arrays of 2**12 entries fit beside the scratch
         normalized, degenerate = normalize_query_slices(rng.random((12, 1000)))
-        config = FusionConfig(r_window=2)
-        tracemalloc.start()
-        try:
-            select_best_subset(normalized, config, degenerate)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+        peak = search_peak(normalized, degenerate)
+        assert peak <= fusion._SCRATCH_BYTES + beside_scratch(12, 1000)
+
+    @pytest.mark.parametrize("k, d, tall", [
+        (6, 1000, 8), (8, 300, 16), (4, 4000, 2), (6, 4096, 2), (6, 4097, 1),
+        (2, 300, 4), (0, 40, 1),
+    ])
+    def test_tiles_are_the_fewest_rows_past_4096_entries(self, k, d, tall):
+        assert fusion._tile_rows(k, d) == tall
 
     def test_scratch_memory_at_large_d_is_two_rows(self, rng):
         # two rows of 8 * D bytes outgrow _SCRATCH_BYTES: one-row blocks

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,30 @@ def test_bad_shape_is_a_usage_error():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "NxD" in done.stderr
+
+
+def test_against_compares_two_checkouts_per_shape(tmp_path):
+    args = ("--shape", "3x20", "--shape", "4x30", "--rounds", "2")
+    rows = search_timing(*args, "--against", str(REPO))
+    assert [(r["shape"], r["n"], r["d"], r["rounds"]) for r in rows] == [
+        ("3x20", 3, 20, 2), ("4x30", 4, 30, 2)]
+    assert all(r["median_ms"] > 0 and r["against_median_ms"] > 0 and r["ratio"] > 0
+               for r in rows)
+    assert all(r["digests_agree"] for r in rows)
+    # a checkout whose searches score differently
+    other = tmp_path / "other"
+    shutil.copytree(REPO / "src", other / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fusion = other / "src" / "dynfuse" / "fusion.py"
+    text = fusion.read_text()
+    assert text.count("score=float(best_score)") == 1
+    fusion.write_text(text.replace("score=float(best_score)", "score=float(best_score) + 1"))
+    rows = search_timing(*args, "--against", str(other))
+    assert [r["digests_agree"] for r in rows] == [False, False]
+
+
+def test_rounds_must_be_positive():
+    done = subprocess.run([sys.executable, str(SCRIPT), "--rounds", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "positive integer" in done.stderr

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -192,13 +193,19 @@ def _strengths(n, lo, hi, edges):
     return st.one_of(value, st.lists(value, min_size=n, max_size=n))
 
 
+def smallest_database(n, r):
+    """The smallest database_size validate accepts for n techniques at
+    r_window r: n(4r + 3) + 1 allowed sites beside the 2(2r + 1) + 1
+    protected ones."""
+    return n * (4 * r + 3) + 1 + 2 * (2 * r + 1) + 1
+
+
 @st.composite
 def valid_specs(draw):
     n = draw(st.integers(1, 8))
     r = draw(st.integers(0, 4))
     q = draw(st.integers(1, 60))
-    # the smallest database validate accepts for n techniques at r_window r
-    d_min = max(2 * r + 2, 2 * (n + 1) * (r + 1) + 2 * (2 * r + 1) + 1)
+    d_min = smallest_database(n, r)
     ranges = st.integers(0, q - 1).flatmap(
         lambda start: st.tuples(st.just(start), st.integers(start + 1, q)))
     return SynthSpec(
@@ -215,6 +222,51 @@ def valid_specs(draw):
         gt_tolerance=draw(st.integers(0, 3)),
         seed=draw(st.integers(0, 2**32)),
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 8), r=st.integers(0, 5), queries=st.integers(1, 12),
+       correlation=st.sampled_from([0.0, 0.5, 1.0]))
+def test_every_valid_spec_generates_at_its_smallest_database(n, r, queries,
+                                                            correlation):
+    """At the smallest database validate accepts, the distractor sites fit
+    on every seed, and one entry less is rejected."""
+    d = smallest_database(n, r)
+    spec = SynthSpec(n_techniques=n, queries=queries, database_size=d,
+                     alias_correlation=correlation, r_window=r)
+    with pytest.raises(InvalidSpecError, match="too small"):
+        replace(spec, database_size=d - 1).validate()
+    for seed in range(50):
+        generate(replace(spec, seed=seed))
+
+
+class _Walk:
+    """An rng whose integers(size) walks start, start + step, ... mod size:
+    with step +-1, each draw takes the first free position from one end."""
+
+    def __init__(self, start, step):
+        self.value, self.step = start, step
+
+    def integers(self, size):
+        value = self.value % size
+        self.value += self.step
+        return value
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_packed_draws_at_the_smallest_database_leave_a_free_site(n, r):
+    """Sites packed from either end of the allowed positions, around every
+    ground-truth index: the (n + 1)-th pair still finds a free position."""
+    d = smallest_database(n, r)
+    gap = 2 * r + 1
+    for gt in range(d):
+        low, high = max(0, gt - gap), gt + gap + 1
+        shift, size = high - low, low + max(0, d - high)
+        for start, step in ((0, 1), (-1, -1)):
+            taken = bytearray(d + 2 * r)
+            for _ in range(n + 1):
+                synth._draw_pair(_Walk(start, step), low, shift, size, taken, r)
 
 
 def _outcome(fn, spec):
