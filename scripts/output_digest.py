@@ -23,6 +23,10 @@ Output sets:
               beside two seeded descriptor pairs, one cosine and one
               negative-euclidean, so the manifest's query/database entries
               and the descriptor-to-similarity path show in the digest
+  run-recall-k5
+              ``dynfuse run`` as run-F1 with Recall@K at K = 1 and 5 only,
+              so the top-K ranking of finite rows takes its argmax passes
+              instead of the full sort that K = D needs
   demo        scripts/run_synthetic_demo.py --out (result files and table)
   sweep-demo  scripts/sweep_frame_separation.py --out (CSV and table)
   synth-edges ``dynfuse synth`` as synth on a spec at r_window 0, with no
@@ -180,8 +184,8 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
                    f_values=(1, 7, 25), demos: bool = True) -> dict[str, str]:
     """Run every output set on ``repo``'s code under the empty directory
     ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
-    unordered sweep, the drifting run, the descriptor run, both demo
-    scripts and synth-edges, for a quicker run."""
+    unordered sweep, the drifting run, the descriptor run, the small-K run,
+    both demo scripts and synth-edges, for a quicker run."""
     repo, work = repo.resolve(), work.resolve()
     digests = {"synth": _synth(repo, work, spec, "spec.json", "data")}
     for f in f_values:
@@ -211,6 +215,11 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
         manifest = _descriptor_manifest(work, "data", spec["database_size"])
         digests["run-descriptors"] = _run_set(repo, work, manifest, 1,
                                               work / "run-descriptors")
+        small_k = json.loads((work / "data" / "manifest.json").read_text())
+        small_k["recall_k"] = [1, 5]
+        (work / "data" / "recall-k5.json").write_text(json.dumps(small_k))
+        digests["run-recall-k5"] = _run_set(repo, work, "data/recall-k5.json", 1,
+                                            work / "run-recall-k5")
         digests["synth-edges"] = _synth(repo, work, EDGE_SPEC, "edges-spec.json", "edges")
     return digests
 

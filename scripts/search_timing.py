@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Time ``fusion.select_best_subset`` on seeded N x D shapes and print one
-JSON line per shape, so the subset search's cost can be followed as N and D
-grow and two checkouts can be compared:
+"""Time the subset search on seeded N x D shapes and print one JSON line per
+shape, so its cost can be followed as N and D grow and two checkouts can be
+compared:
 
   {"shape": "10x1000", "n": 10, "d": 1000, "searches": 35,
-   "median_ms": ..., "digest": "..."}
+   "median_ms": ..., "chunk_median_ms": ..., "digest": "..."}
 
 Each shape's inputs are 5 seeded random (N, D) arrays, min-max normalized
-per technique as every strategy does, with r_window = 2. Each sample times
-one loop over the 5 searches, and there are 7 samples, so ``searches`` is
-35; ``median_ms`` is the median sample divided by 5. A sample spans 5
-searches rather than one, so a pause of the host lands in fewer samples
-and moves the median less. ``digest`` is a SHA-256 over every chosen subset
-and the exact bits of its score, so it is equal on two checkouts whose
-searches agree.
+per technique as every strategy does, with r_window = 2. A sample times
+one loop of 5 ``fusion.select_best_subset`` calls, one per input, and then
+the 5 inputs as one ``fusion.select_best_subsets`` chunk, the path dyn-mpf
+takes (a checkout without it searches the chunk query by query). Each
+child takes 8 samples and drops the first, which carries one-off costs, so
+``searches`` is 35; ``median_ms`` and ``chunk_median_ms`` are the median
+samples divided by 5. A sample spans 5 searches rather than one, so a
+pause of the host lands in fewer samples and moves the median less.
+``digest`` is a SHA-256 over every chosen subset and the exact bits of its
+score, from the loop and from the chunk, so it is equal on two checkouts
+whose searches agree.
 
 The timing runs in a child process on the code of the checkout given by
 ``--repo`` (default: the one holding this script):
@@ -28,12 +32,16 @@ compares two checkouts: per shape, ``--rounds`` child runs of each (default
 5), the two checkouts' runs back to back and in alternating order. It
 prints per shape the median over the rounds of each checkout's
 ``median_ms``, their ratio (``--repo`` over ``--against``, so below 1 is
-faster) and whether every round's digest agrees:
+faster), the median over the rounds of each round's own ratio, which a
+slow spell spanning both runs of a round moves less, the same three for
+``chunk_median_ms``, and whether every round's digest agrees:
 
   python3 scripts/search_timing.py --against /path/to/parent --rounds 9
 
   {"shape": "10x1000", "n": 10, "d": 1000, "rounds": 9, "median_ms": ...,
-   "against_median_ms": ..., "ratio": ..., "digests_agree": true}
+   "against_median_ms": ..., "ratio": ..., "paired_ratio": ...,
+   "chunk_median_ms": ..., "against_chunk_median_ms": ..., "chunk_ratio": ...,
+   "chunk_paired_ratio": ..., "digests_agree": true}
 """
 
 from __future__ import annotations
@@ -79,23 +87,38 @@ def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
 
     import numpy as np
 
+    from dynfuse import fusion
     from dynfuse.core import FusionConfig
-    from dynfuse.fusion import normalize_query_slices, select_best_subset
 
     rng = np.random.default_rng([n, d])
     config = FusionConfig(r_window=2)
-    inputs = [normalize_query_slices(rng.random((n, d))) for _ in range(queries)]
-    times = []
-    for _ in range(repeats):
+    inputs = [fusion.normalize_query_slices(rng.random((n, d))) for _ in range(queries)]
+    chunk = np.stack([normalized for normalized, _ in inputs], axis=1)
+    constant = np.array([[t in degenerate for _, degenerate in inputs] for t in range(n)])
+
+    def search_each():
+        return [fusion.select_best_subset(normalized, config, degenerate)
+                for normalized, degenerate in inputs]
+
+    def search_chunk():
+        if hasattr(fusion, "select_best_subsets"):
+            return fusion.select_best_subsets(chunk, constant, config)
+        return search_each()
+
+    times, chunk_times = [], []
+    for _ in range(repeats + 1):
         start = time.perf_counter()
-        bests = [select_best_subset(normalized, config, degenerate)
-                 for normalized, degenerate in inputs]
-        times.append(time.perf_counter() - start)
+        bests = search_each()
+        middle = time.perf_counter()
+        chunk_bests = search_chunk()
+        times.append(middle - start)
+        chunk_times.append(time.perf_counter() - middle)
     sha = hashlib.sha256()
-    for best in bests:
+    for best in bests + chunk_bests:
         sha.update(repr((best.subset, best.score.hex())).encode())
     return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": queries * repeats,
-            "median_ms": round(float(np.median(times)) / queries * 1e3, 4),
+            "median_ms": round(float(np.median(times[1:])) / queries * 1e3, 4),
+            "chunk_median_ms": round(float(np.median(chunk_times[1:])) / queries * 1e3, 4),
             "digest": sha.hexdigest()}
 
 
@@ -106,6 +129,16 @@ def _child(repo: Path, shapes, **run) -> subprocess.CompletedProcess:
     for n, d in shapes:
         command += ["--shape", f"{n}x{d}"]
     return subprocess.run(command, env=env, **run)
+
+
+def _ratios(runs, key: str) -> dict:
+    """Per checkout, the median over the rounds of ``key``; their ratio and
+    the median of each round's own ratio."""
+    mine, theirs = ([r[key] for r in rows] for rows in runs)
+    median, their_median = statistics.median(mine), statistics.median(theirs)
+    paired = statistics.median(a / b for a, b in zip(mine, theirs))
+    return {key: round(median, 4), f"against_{key}": round(their_median, 4),
+            "ratio": round(median / their_median, 3), "paired_ratio": round(paired, 3)}
 
 
 def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
@@ -122,14 +155,14 @@ def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
                 if done.returncode:
                     return done.returncode
                 runs[side].append(json.loads(done.stdout))
-        mine, theirs = runs
-        median, their_median = (statistics.median(r["median_ms"] for r in rows)
-                                for rows in runs)
+        chunk = _ratios(runs, "chunk_median_ms")
         print(json.dumps({
             "shape": f"{n}x{d}", "n": n, "d": d, "rounds": rounds,
-            "median_ms": round(median, 4), "against_median_ms": round(their_median, 4),
-            "ratio": round(median / their_median, 3),
-            "digests_agree": len({r["digest"] for r in mine + theirs}) == 1,
+            **_ratios(runs, "median_ms"),
+            "chunk_median_ms": chunk["chunk_median_ms"],
+            "against_chunk_median_ms": chunk["against_chunk_median_ms"],
+            "chunk_ratio": chunk["ratio"], "chunk_paired_ratio": chunk["paired_ratio"],
+            "digests_agree": len({r["digest"] for r in runs[0] + runs[1]}) == 1,
         }), flush=True)
     return 0
 

@@ -123,7 +123,8 @@ def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # minimum becomes +0.0 whichever zero min() returned; min() picks -0.0
     # or +0.0 by SIMD lane, differently per dtype. A constant vector is
     # already all zeros here.
-    out = np.add(data, 0.0 - lo, dtype=np.float64)
+    out = data.astype(np.float64)
+    out += 0.0 - lo
     out /= np.where(flat, 1.0, span)  # cheaper than a masked divide
     return out, flat[..., 0]
 
@@ -142,11 +143,16 @@ def zscore_rows(data: np.ndarray):
     """Standardize every row of a finite 2-D array (see zscore_normalize);
     returns (standardized rows, row means, row sample stds)."""
     mean = data.mean(axis=1)
-    std = data.std(axis=1, ddof=1)
+    out = data - mean[:, None]
+    # np.std(ddof=1)'s own steps on the rows centered once: its count is an
+    # intp, which float32 sums divide by in float64
+    std = np.add.reduce(np.square(out), axis=1)
+    np.true_divide(std, np.intp(data.shape[1] - 1), out=std, casting="unsafe")
+    np.sqrt(std, out=std)
     # std underflows to 0 for constant input and for spreads below ~1e-162;
     # both carry no usable contrast, so the row passes through unchanged
     flat = std == 0.0
-    out = (data - mean[:, None]) / np.where(flat, 1.0, std)[:, None]
+    out /= np.where(flat, 1.0, std)[:, None]
     out[flat] = data[flat]
     return out, mean, std
 

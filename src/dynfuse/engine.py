@@ -42,10 +42,11 @@ from .core import (
     is_constant,
     minmax_rows,
 )
-from .errors import ConfigError, TooFewTechniquesError, WindowCoversAllError
+from .errors import ConfigError, TooFewTechniquesError
 from .fusion import (
+    SubsetScore,
     ratio_rows,
-    select_best_subset,
+    select_best_subsets,
     weighted_match_rows,
     window_error,
 )
@@ -56,6 +57,7 @@ from .fusion import (  # noqa: F401
     fuse_subset,
     normalize_query_slices,
     ratio_score,
+    select_best_subset,
     technique_weights,
     weighted_fuse_and_match,
 )
@@ -173,10 +175,11 @@ def run_dyn_mpf(
     subset; _fuse_groups then fuses all queries of one subset together
     with _fuse_block, whichever blocks they come from. The calibrations
     still to search are normalized together, in chunks of at most
-    _CALIBRATION_BYTES, with the same bits as normalizing each alone.
-    ``searches`` ({query: _search result}) carries searches across calls
-    whose configs differ only in F: each call reuses the ones it finds
-    there and adds the ones it makes.
+    _CALIBRATION_BYTES, with the same bits as normalizing each alone, and
+    each chunk is searched by one select_best_subsets call.
+    ``searches`` ({query: SubsetScore, or its search's error text}) carries
+    searches across calls whose configs differ only in F: each call reuses
+    the ones it finds there and adds the ones it makes.
 
     A failed calibration (window covering the database, or too few
     non-degenerate techniques) marks that calibration's whole block invalid
@@ -195,8 +198,9 @@ def run_dyn_mpf(
         qs = pending[at:at + chunk]
         # the tensor is finite, so this is normalize_query_slices per query
         normalized, constant = minmax_rows(tensor.data[:, qs])
-        for i, start in enumerate(qs):
-            searches[start] = _search(normalized[:, i], constant[:, i], config)
+        for start, best in zip(qs, select_best_subsets(normalized, constant, config)):
+            searches[start] = (best if isinstance(best, SubsetScore)
+                               else f"{type(best).__name__}: {best}")
     for start in range(0, queries, f):
         stop = min(start + f, queries)
         best = searches[start]
@@ -216,16 +220,6 @@ def run_dyn_mpf(
         strategy=STRATEGY_DYN_MPF, records=records, config=config, fused=rows,
         params={"uniform_weights": uniform_weights},
     )
-
-
-def _search(normalized, constant, config):
-    """The search on one calibration's normalized (N, D) vectors, whose
-    constant ones ``constant`` flags: a SubsetScore, or its block's error
-    text."""
-    try:
-        return select_best_subset(normalized, config, np.flatnonzero(constant).tolist())
-    except (WindowCoversAllError, TooFewTechniquesError) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def _fuse_block(tensor, config, subset, calibration, qs, uniform_weights):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FusionConfig, GroundTruth, SimilarityTensor, check_json_type
-from .engine import StrategyResult, run_dyn_mpf
+from .engine import _BLOCK_BYTES, StrategyResult, run_dyn_mpf
 from .errors import ConfigError, MissingRankingError
 
 
@@ -96,34 +96,36 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Per row, the indices of the k largest scores, ties to the lowest index.
 
     Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``, which
-    rows holding a non-finite value, and any k >= D, still use. Other rows
-    find their k-th largest value with a partition, keep the entries above
-    it plus the lowest-indexed entries equal to it, and sort only those.
+    any k >= D, and rows whose sum is not finite, still use. Other rows are
+    copied in chunks of at most _BLOCK_BYTES into one buffer, and each chunk
+    takes k argmax passes, every pick set to -inf before the next pass.
+    argmax returns the lowest index among equal maxima, which is where the
+    stable sort puts them, and a finite row keeps a finite entry above the
+    picks. A row with a NaN or an infinity has no finite sum; a finite row
+    whose sum overflows merely takes the sort.
     """
     d = scores.shape[1]
-    finite = np.isfinite(scores).all(axis=1)
-    if k >= d or not finite.any():
+    if k >= d:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    if not finite.all():
-        top = np.empty((scores.shape[0], k), dtype=np.intp)
-        top[finite] = _top_k(scores[finite], k)
-        top[~finite] = _top_k(scores[~finite], k)
-        return top
-    kth = np.partition(scores, d - k, axis=1)[:, d - k, None]
-    chosen = scores >= kth
-    # Ties at the k-th value can admit more than k entries; keep the
-    # lowest-indexed of the tied ones, as a stable sort would.
-    excess = np.flatnonzero(chosen.sum(axis=1) > k)
-    if excess.size:
-        above = scores[excess] > kth[excess]
-        tied = scores[excess] == kth[excess]
-        room = k - above.sum(axis=1, keepdims=True)
-        chosen[excess] = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = np.nonzero(chosen)[1].reshape(-1, k)  # ascending index per row
-    order = np.argsort(
-        -np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable"
-    )
-    return np.take_along_axis(cols, order, axis=1)
+    top = np.empty((k, scores.shape[0]), dtype=np.intp)  # one pass per row
+    # one buffer for every chunk: a fresh one would fault in its pages again
+    rows = max(1, _BLOCK_BYTES // (scores.itemsize * d))
+    buffer = np.empty((min(rows, len(scores)), d), dtype=scores.dtype)
+    for at in range(0, len(scores), rows):
+        chunk = buffer[:len(scores) - at]
+        np.copyto(chunk, scores[at:at + rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(chunk, axis=1))
+        sorted_rows = None if finite.all() else np.argsort(
+            -chunk[~finite], axis=1, kind="stable")[:, :k]
+        offsets = np.arange(0, chunk.size, d)
+        picks = top[:, at:at + rows]
+        for pick in picks:
+            chunk.argmax(axis=1, out=pick)
+            chunk.reshape(-1)[pick + offsets] = -np.inf
+        if sorted_rows is not None:
+            picks[:, ~finite] = sorted_rows.T
+    return top.T
 
 
 def recall_at_k(

@@ -10,9 +10,13 @@ by this ratio, and the combination that maximizes it is selected per query.
 The search fuses every subset in full-width row blocks of a bitmask layout
 (row ``mask`` sums the techniques whose bits are set, as fuse_subset adds
 them), in about 1 MiB of scratch, scores each block with one ``argmax`` and
-one ``maximum.reduceat``, and finishes every ratio once per search;
-ratio_rows runs the same steps. Which blocks a search builds depends only on
-its shape, so each shape is planned once and a call does only numpy work.
+one ``maximum.reduceat``, and finishes every ratio at once; ratio_rows runs
+the same steps. Which blocks a search builds depends only on its shape, so
+each shape is planned once and a call does only numpy work.
+select_best_subsets searches a chunk of queries: those with the same
+constant techniques share a batch, which allocates once and finishes its
+ratios and picks its winners once, while each query's grid is still built
+and scored alone. select_best_subset is a batch of one.
 """
 
 from __future__ import annotations
@@ -80,14 +84,14 @@ def _segment_maxima(block, r, cuts, lower, upper, best, seg) -> None:
 
 
 def _finish_ratios(best, seg, d: int, r: int, epsilon: float):
-    """Step two, on any number of step one's rows of width d: ratio_rows'
-    (ratios, best, covered), with each row's best score outside its window
-    taken from its nonempty segments beside it."""
+    """Step two, on any number of step one's rows of width d, in an array
+    of any shape: ratio_rows' (ratios, best, covered), with each row's best
+    score outside its window taken from its nonempty segments beside it."""
     before, after = best > r, best < d - 1 - r
-    outside = np.where(before, seg[:, 0], -np.inf)
-    np.maximum(outside, seg[:, 2], out=outside, where=after)
+    outside = np.where(before, seg[..., 0], -np.inf)
+    np.maximum(outside, seg[..., 2], out=outside, where=after)
     np.maximum(outside, epsilon, out=outside)
-    return seg[:, 1] / outside, best, ~(before | after)
+    return seg[..., 1] / outside, best, ~(before | after)
 
 
 def ratio_rows(block: np.ndarray, r_window: int, epsilon: float):
@@ -209,6 +213,21 @@ def _tile_rows(k: int, d: int) -> int:
     return min(1 << k, 1 << (4096 // d).bit_length())
 
 
+def _blocks_bytes(m: int, k: int, d: int) -> int:
+    """Bytes of the subset search's row blocks: the base block of 2**k rows
+    of width ``d`` and, unless it holds all ``m`` techniques, one working
+    block."""
+    return (1 if k == m else 2) * np.dtype(np.float64).itemsize * d << k
+
+
+def _batch_queries(m: int, k: int, d: int) -> int:
+    """How many queries over ``m`` available techniques one batch of
+    select_best_subsets searches: the most whose per-mask arrays (an argmax
+    and three segment maxima, 32 bytes a mask) fit in _SCRATCH_BYTES beside
+    the row blocks, but at least one."""
+    return max(1, (_SCRATCH_BYTES - _blocks_bytes(m, k, d)) // (32 << m))
+
+
 def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
     """Every mask over ``bits`` bits in depth-first preorder: a child sets one
     bit above its parent's top bit, and children come in ascending bit
@@ -262,76 +281,168 @@ def select_best_subset(
     propagates. Score ties resolve per ``config.tie_break`` (default:
     smaller subset first, then lexicographic member order).
 
-    All subsets are fused and scored with numpy in row blocks that span
-    every column, in scratch near _SCRATCH_BYTES (1 MiB). Bit j of a
-    subset's mask is the j-th available technique. The base block holds the
-    2**k masks of the first k available techniques (see _low_bits): row 0
-    is zeros and rows [2**j, 2**(j+1)) are rows [0, 2**j) plus technique j,
-    one ``np.add`` per technique. Each mask h of the other techniques,
-    visited in depth-first preorder (see _high_masks), has a working block:
-    the base block plus h's techniques in ascending order, made by adding
-    h's top technique to its parent's block when the working block still
-    holds it and rebuilt from the base block otherwise; each technique
-    goes in as its row repeated over a few rows at once (see _tile_rows).
-    Every row is thus the same sum fuse_subset makes. A block with an
-    admissible row gets step one of :func:`ratio_rows` into arrays over all
-    masks (a block without one is still built, as it can be a parent);
-    step two then scores every mask. Which blocks are built and how
-    depends only on the number of available techniques, k and the size
-    bounds, so each such shape is planned once (see _plan) and a call does
-    only the numpy work.
+    This is a batch of one of :func:`select_best_subsets`. All subsets are
+    fused and scored with numpy in row blocks that span every column, in
+    scratch near _SCRATCH_BYTES (1 MiB). Bit j of a subset's mask is the
+    j-th available technique. The base block holds the 2**k masks of the
+    first k available techniques (see _low_bits): row 0 is zeros and rows
+    [2**j, 2**(j+1)) are technique j copied in, plus rows [0, 2**j) added
+    in place. IEEE addition commutes, so that is rows [0, 2**j) plus
+    technique j bit for bit, without the buffer numpy adds a broadcast row
+    through. Each mask h of the other techniques, visited in depth-first
+    preorder (see _high_masks), has a working block: the base block plus
+    h's techniques in ascending order, made by adding h's top technique to
+    its parent's block when the working block still holds it and rebuilt
+    from the base block otherwise; each technique goes in as its row
+    repeated over a few rows at once (see _tile_rows). Every row is thus
+    the same sum fuse_subset makes. A block with an admissible row gets
+    step one of :func:`ratio_rows` into arrays over all masks (a block
+    without one is still built, as it can be a parent); step two then
+    scores every mask of the batch. Which blocks are built and how depends
+    only on the number of available techniques, k and the size bounds, so
+    each such shape is planned once (see _plan) and a call does only the
+    numpy work.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
         raise ValueError("select_best_subset needs an N x D array with D >= 2")
-    n, d = normalized.shape
-    max_size = config.resolved_max_subset_size(n)
-    available = _available_techniques(n, config.min_subset_size, max_size, degenerate)
-    m = len(available)
-    k = _low_bits(m, d)
-    usable, steps = _plan(m, k, config.min_subset_size, max_size)
-    vectors = [normalized[t] for t in available]
+    available = _available_techniques(
+        len(normalized), config.min_subset_size,
+        config.resolved_max_subset_size(len(normalized)), degenerate)
+    result, = _search_batch(normalized[:, None], available, [0], config)
+    if isinstance(result, WindowCoversAllError):
+        raise result
+    return result
+
+
+def _grid_segments(normalized, available, qs, k, steps, r_window):
+    """Step one of every subset of every query in ``qs``, one grid at a time
+    in the same scratch (see select_best_subset): (r, (queries, 2**m)
+    argmaxes, (queries, 2**m, 3) segment maxima), zero in the blocks with
+    no admissible row. The scratch, cut table and tiles live only here."""
+    m, d = len(available), normalized.shape[2]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
     blocks = np.empty((1 if k == m else 2, 1 << k, d))
     base, work = blocks[0], blocks[-1]
     base[0] = 0.0
-    for bit in range(k):
-        np.add(base[:1 << bit], vectors[bit], out=base[1 << bit:2 << bit])
-
-    r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
-    best, seg = np.zeros(1 << m, dtype=np.intp), np.zeros((1 << m, 3))
+    r, cuts, lower, upper = _window_cuts(1 << k, d, r_window)
+    best = np.zeros((len(qs), 1 << m), dtype=np.intp)
+    seg = np.zeros((len(qs), 1 << m, 3))
     # each high technique's vector repeated `tall` times, added to the
     # blocks viewed as (2**k / tall, tall * D)
     tall = _tile_rows(k, d)
-    tiles = vectors[k:] if tall == 1 else [np.tile(v, tall) for v in vectors[k:]]
+    tiles = np.empty((m - k, tall * d)) if tall > 1 and k < m else None
     base_tiles, work_tiles = (b.reshape(-1, tall * d) for b in (base, work))
-    for at, extend, bits, admissible in steps:
-        if extend:
-            np.add(work_tiles, tiles[bits[-1]], out=work_tiles)
-        elif bits:
-            np.add(base_tiles, tiles[bits[0]], out=work_tiles)
-            for bit in bits[1:]:
-                np.add(work_tiles, tiles[bit], out=work_tiles)
-        if admissible:
-            _segment_maxima(work if bits else base, r, cuts, lower, upper,
-                            best[at], seg[at])
-    ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
+    for i, q in enumerate(qs):
+        vectors = [normalized[t, q] for t in available]
+        for bit in range(k):
+            # copy, then add the parent rows in place: the parent plus the
+            # technique bit for bit, without numpy's broadcast buffer
+            rows = base[1 << bit:2 << bit]
+            rows[...] = vectors[bit]
+            rows += base[:1 << bit]
+        if tiles is None:
+            high = vectors[k:]
+        else:
+            high = tiles
+            for tile, vector in zip(tiles, vectors[k:]):
+                tile.reshape(tall, d)[...] = vector
+        for at, extend, bits, admissible in steps:
+            if extend:
+                np.add(work_tiles, high[bits[-1]], out=work_tiles)
+            elif bits:
+                np.add(base_tiles, high[bits[0]], out=work_tiles)
+                for bit in bits[1:]:
+                    np.add(work_tiles, high[bit], out=work_tiles)
+            if admissible:
+                _segment_maxima(work if bits else base, r, cuts, lower, upper,
+                                best[i, at], seg[i, at])
+    return r, best, seg
 
-    scored = np.flatnonzero(usable & ~covered)
-    if scored.size == 0:
-        raise WindowCoversAllError(
-            "every candidate subset's exclusion window covered the whole vector"
-        )
-    scores = ratio[scored]
-    best_score = scores.max()
-    tied = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
-            for mask in scored[scores == best_score].tolist()]
-    if config.tie_break == TIE_BREAK_SMALLEST_SUBSET:
-        subset = min(tied, key=lambda s: (len(s), s))
-    else:
-        subset = min(tied)
-    return SubsetScore(subset=subset, score=float(best_score))
+
+def select_best_subsets(
+    normalized: np.ndarray,
+    constant: np.ndarray,
+    config: FusionConfig,
+) -> list[SubsetScore | TooFewTechniquesError | WindowCoversAllError]:
+    """:func:`select_best_subset` for a chunk of B queries at once.
+
+    ``normalized`` is (N, B, D), one normalized vector per technique and
+    query, and ``constant`` the (N, B) mask of the degenerate ones. Returns,
+    per query, its SubsetScore or the TooFewTechniquesError or
+    WindowCoversAllError that select_best_subset would raise on it; results
+    equal select_best_subset's bit for bit.
+
+    Queries with the same constant techniques form batches of at most
+    _batch_queries queries. A batch looks up its plan and allocates its
+    scratch, cut table, tiles and per-mask arrays once; each query's grid
+    is then built and gets step one alone, as select_best_subset describes,
+    and step two and the winner's pick run once over the batch.
+    """
+    normalized = np.asarray(normalized, dtype=np.float64)
+    constant = np.asarray(constant, dtype=bool)
+    if normalized.ndim != 3 or normalized.shape[2] < 2:
+        raise ValueError("select_best_subsets needs an N x B x D array with D >= 2")
+    n, queries, d = normalized.shape
+    if constant.shape != (n, queries):
+        raise ValueError(f"constant must be an N x B mask, got shape {constant.shape}")
+    max_size = config.resolved_max_subset_size(n)
+    batches: dict[tuple[bool, ...], list[int]] = {}
+    for q, flags in enumerate(constant.T.tolist()):
+        batches.setdefault(tuple(flags), []).append(q)
+    results: list = [None] * queries
+    for flags, qs in batches.items():
+        degenerate = [t for t, flag in enumerate(flags) if flag]
+        try:
+            available = _available_techniques(n, config.min_subset_size, max_size,
+                                              degenerate)
+        except TooFewTechniquesError as exc:
+            for q in qs:
+                results[q] = exc
+            continue
+        m = len(available)
+        cap = _batch_queries(m, _low_bits(m, d), d)
+        for at in range(0, len(qs), cap):
+            batch = qs[at:at + cap]
+            for q, result in zip(batch, _search_batch(normalized, available, batch,
+                                                      config)):
+                results[q] = result
+    return results
+
+
+def _search_batch(normalized, available, qs, config):
+    """The results of the queries ``qs`` of an (N, B, D) ``normalized``
+    chunk, which share their ``available`` techniques: step one per grid,
+    then step two and the winner's pick once over the batch."""
+    m, d = len(available), normalized.shape[2]
+    k = _low_bits(m, d)
+    usable, steps = _plan(m, k, config.min_subset_size,
+                          config.resolved_max_subset_size(len(normalized)))
+    r, best, seg = _grid_segments(normalized, available, qs, k, steps, config.r_window)
+    ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
+    scored = np.greater(usable, covered)  # usable and not covered
+    scores = np.where(scored, ratio, -np.inf)
+    tops = np.maximum.reduce(scores, axis=1, keepdims=True)
+    tied: list[list[int]] = [[] for _ in qs]
+    rows, masks = ((scores == tops) & scored).nonzero()
+    for i, mask in zip(rows.tolist(), masks.tolist()):
+        tied[i].append(mask)
+    results = []
+    for winners, best_score in zip(tied, tops[:, 0].tolist()):
+        if not winners:
+            results.append(WindowCoversAllError(
+                "every candidate subset's exclusion window covered the whole vector"
+            ))
+            continue
+        subsets = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
+                   for mask in winners]
+        if config.tie_break == TIE_BREAK_SMALLEST_SUBSET:
+            subset = min(subsets, key=lambda s: (len(s), s))
+        else:
+            subset = min(subsets)
+        results.append(SubsetScore(subset=subset, score=best_score))
+    return results
 
 
 def technique_weights(

@@ -18,6 +18,7 @@ from dynfuse.core import (
     minmax_normalize,
     minmax_rows,
     zscore_normalize,
+    zscore_rows,
 )
 from dynfuse.errors import ConfigError
 from conftest import FLOAT32_EDGES
@@ -97,6 +98,73 @@ def test_minmax_rows_zeros_are_positive():
         out, flat = minmax_rows(data)
         assert not np.signbit(out).any()
         assert flat.tolist() == [False, True, True]
+
+
+def old_minmax_rows(data):
+    """minmax_rows as one broadcast add with a float64 dtype."""
+    lo = data.min(axis=-1, keepdims=True).astype(np.float64)
+    span = data.max(axis=-1, keepdims=True).astype(np.float64) - lo
+    flat = span == 0.0
+    out = np.add(data, 0.0 - lo, dtype=np.float64)
+    out /= np.where(flat, 1.0, span)
+    return out, flat[..., 0]
+
+
+def old_zscore_rows(data):
+    """zscore_rows through np.std, which centers the rows a second time."""
+    mean = data.mean(axis=1)
+    std = data.std(axis=1, ddof=1)
+    flat = std == 0.0
+    out = (data - mean[:, None]) / np.where(flat, 1.0, std)[:, None]
+    out[flat] = data[flat]
+    return out, mean, std
+
+
+@st.composite
+def rows_of_any_magnitude(draw, min_dims=2, max_dims=2):
+    """Finite float32 or float64 rows of any magnitude with signed zeros;
+    some rows constant, some spread below 1e-162 (float64) or over a few
+    subnormals (float32)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    entries = st.one_of(
+        st.floats(width=width, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    )
+    shape = draw(hnp.array_shapes(min_dims=min_dims, max_dims=max_dims, min_side=2,
+                                  max_side=12))
+    data = draw(hnp.arrays(dtype, shape, elements=entries)).reshape(-1, shape[-1])
+    tiny = np.finfo(np.float32).smallest_subnormal if width == 32 else 1e-170
+    for row in data:
+        kind = draw(st.sampled_from(["drawn", "drawn", "constant", "tiny"]))
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "tiny":
+            steps = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0, -3.0]),
+                                  min_size=len(row), max_size=len(row)))
+            row[:] = np.array(steps) * tiny
+    return data.reshape(shape)
+
+
+@given(rows_of_any_magnitude(max_dims=3))
+@settings(max_examples=300, deadline=None)
+def test_minmax_rows_equals_its_broadcast_formula(data):
+    got, got_flat = minmax_rows(data)
+    want, want_flat = old_minmax_rows(data)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_flat, want_flat)
+
+
+@given(rows_of_any_magnitude())
+@settings(max_examples=300, deadline=None)
+def test_zscore_rows_equals_the_np_std_formula(data):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = zscore_rows(data)
+        want = old_zscore_rows(data)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 def test_zscore_two_point_convention():

@@ -194,6 +194,22 @@ class TestTopK:
         scores = rng.random((30, 40))
         np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_finite_rows_whose_sum_overflows(self, k):
+        big = np.finfo(np.float64).max
+        scores = np.array([[big, 0.5, big, -1.0], [0.5, big, big, 0.5], [0.25, 0.5, 0.25, 1.0]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(scores.sum(axis=1)[:2]).any()
+        np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
+
+    def test_rows_in_several_chunks(self, rng):
+        # 2 rows of 40 float64 entries per chunk, NaN rows among them
+        scores = np.floor(rng.random((9, 40)) * 4)
+        scores[[2, 7], 5] = np.nan
+        with mock.patch.object(evaluate, "_BLOCK_BYTES", 2 * 8 * 40):
+            for k in (1, 6, 39):
+                np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
+
     def test_nan_rows(self):
         scores = np.array([
             [np.nan, np.nan, np.nan, np.nan],
@@ -295,10 +311,10 @@ class TestFrameSeparationSweep:
     def test_each_calibration_query_searched_once(self, rng, f_values, searches):
         tensor = make_tensor(random_tensor_data(rng, 3, 1000, 8))
         gt = GroundTruth.from_indices([int(i) for i in rng.integers(0, 8, 1000)], 0, 8)
-        with mock.patch.object(engine, "select_best_subset",
-                               wraps=engine.select_best_subset) as search:
+        with mock.patch.object(engine, "select_best_subsets",
+                               wraps=engine.select_best_subsets) as search:
             frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), f_values)
-        assert search.call_count == searches
+        assert sum(call.args[0].shape[1] for call in search.call_args_list) == searches
 
     @pytest.mark.parametrize("f_values", [[50, 1, 10], [5, 25, 5, 1, 25], [7, 7], [3, 2]])
     def test_sweep_equals_independent_runs(self, rng, f_values):

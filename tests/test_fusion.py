@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynfuse import fusion
-from dynfuse.core import FusionConfig, TIE_BREAK_LOWEST_INDEX, TIE_BREAKS
+from dynfuse.core import FusionConfig, TIE_BREAK_LOWEST_INDEX, TIE_BREAKS, minmax_rows
 from dynfuse.errors import TooFewTechniquesError, WindowCoversAllError
 from dynfuse.fusion import (
     enumerate_subsets,
@@ -16,6 +16,7 @@ from dynfuse.fusion import (
     normalize_query_slices,
     ratio_score,
     select_best_subset,
+    select_best_subsets,
     technique_weights,
     weighted_fuse_and_match,
 )
@@ -461,6 +462,157 @@ class TestSearchParity:
             tracemalloc.stop()
         assert 2 * 8 * d > fusion._SCRATCH_BYTES
         assert peak <= 2 * 8 * d + (64 << 10)
+
+
+def naive_outcome(normalized, degenerate, config):
+    """naive_best_subset's (subset, score) for one query, or the type of
+    the error select_best_subset raises instead."""
+    n = len(normalized)
+    if n - len(degenerate) < config.min_subset_size:
+        return TooFewTechniquesError
+    expected = naive_best_subset(
+        [list(row) for row in normalized], config.r_window, config.epsilon,
+        config.min_subset_size, config.resolved_max_subset_size(n),
+        frozenset(degenerate), config.tie_break,
+    )
+    return WindowCoversAllError if expected is None else expected
+
+
+def chunk_outcomes(chunk, constant, config):
+    """select_best_subsets on a chunk, each result as naive_outcome gives
+    it, after checking it against select_best_subset on the query alone."""
+    outcomes = []
+    for q, result in enumerate(select_best_subsets(chunk, constant, config)):
+        degenerate = np.flatnonzero(constant[:, q]).tolist()
+        if isinstance(result, Exception):
+            with pytest.raises(type(result)) as alone:
+                select_best_subset(chunk[:, q], config, degenerate)
+            assert str(alone.value) == str(result)
+            outcomes.append(type(result))
+        else:
+            assert result == select_best_subset(chunk[:, q], config, degenerate)
+            outcomes.append((result.subset, result.score))
+    return outcomes
+
+
+@st.composite
+def chunk_cases(draw):
+    """A chunk of 1 to 9 queries over quantized inputs, each query with its
+    own constant techniques, drawn from a few patterns so batches hold
+    queries that are not consecutive; any window and size bounds, and a
+    scratch from one-row blocks up to a single block."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(3, 40))
+    queries = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 4, 1000]))
+    chunk = rng.integers(0, levels, size=(n, queries, d)) / levels
+    patterns = rng.random((3, n)) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    constant = patterns[rng.integers(0, 3, queries)].T
+    chunk[constant] = 0.0
+    low = draw(st.integers(2, n))
+    config = FusionConfig(r_window=draw(st.integers(0, d - 1)), min_subset_size=low,
+                          max_subset_size=draw(st.one_of(st.none(), st.integers(low, n))),
+                          tie_break=draw(st.sampled_from(TIE_BREAKS)))
+    return chunk, constant, config, draw(st.integers(8, 1 << 16))
+
+
+class TestChunkedSearch:
+    """select_best_subsets, per query, against select_best_subset and the
+    naive oracle."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_mixed_chunk_matches_naive(self, tie_break):
+        n, d, r = 5, 11, 5
+        rng = np.random.default_rng(3)
+        chunk = np.floor(rng.random((n, 8, d)) * 4) / 4
+        chunk[:, :, 0] = 1.0  # peaks at column 0: windows leave columns 6 to 10
+        constant = np.zeros((n, 8), dtype=bool)
+        constant[1, [1, 6]] = True  # the same pattern, not consecutive
+        constant[[0, 3], 2] = True
+        chunk[:, 3] = 0.0
+        chunk[:, 3, 5] = 1.0  # every window around column 5 covers all 11
+        constant[1:, 4] = True  # one usable technique
+        chunk[:, 5] = chunk[0, 5]  # identical techniques: every subset ties
+        chunk[:, 7, 0] = 0.0
+        chunk[:, 7, 10] = 1.0  # peaks at the last column
+        chunk[constant] = 0.0
+        config = FusionConfig(r_window=r, tie_break=tie_break)
+        got = chunk_outcomes(chunk, constant, config)
+        assert got == [naive_outcome(chunk[:, q], np.flatnonzero(constant[:, q]), config)
+                       for q in range(8)]
+        assert got[3] is WindowCoversAllError and got[4] is TooFewTechniquesError
+        assert got[5][0] == (0, 1)
+
+    @pytest.mark.parametrize("scratch_bytes", [None, 1536 + 2 * 512])
+    def test_same_pattern_in_batches(self, rng, scratch_bytes):
+        # at 4 x 12 the grid is 1536 bytes and a query's per-mask arrays
+        # 512: the small scratch takes 2 queries a batch, so 5 need 3
+        chunk = np.floor(rng.random((4, 5, 12)) * 6) / 6
+        constant = np.zeros((4, 5), dtype=bool)
+        config = FusionConfig(r_window=1)
+        with mock.patch.object(fusion, "_SCRATCH_BYTES",
+                               scratch_bytes or fusion._SCRATCH_BYTES), \
+                mock.patch.object(fusion, "_search_batch",
+                                  wraps=fusion._search_batch) as batches:
+            got = chunk_outcomes(chunk, constant, config)
+        # then one batch of one per query, searched alone
+        sizes = [len(call.args[2]) for call in batches.call_args_list]
+        assert sizes == ([2, 2, 1] if scratch_bytes else [5]) + [1] * 5
+        assert got == [naive_outcome(chunk[:, q], [], config) for q in range(5)]
+
+    def test_one_query(self, rng):
+        normalized, degenerate = normalize_query_slices(rng.random((6, 50)))
+        constant = np.isin(np.arange(6), list(degenerate))[:, None]
+        config = FusionConfig(r_window=2)
+        got, = select_best_subsets(normalized[:, None], constant, config)
+        assert got == select_best_subset(normalized, config, degenerate)
+        assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
+
+    def test_empty_chunk(self):
+        assert select_best_subsets(np.zeros((4, 0, 10)), np.zeros((4, 0), bool),
+                                   FusionConfig(r_window=1)) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(chunk_cases())
+    def test_any_chunk_matches_naive(self, case):
+        chunk, constant, config, scratch_bytes = case
+        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+            got = chunk_outcomes(chunk, constant, config)
+        assert got == [naive_outcome(chunk[:, q], np.flatnonzero(constant[:, q]), config)
+                       for q in range(chunk.shape[1])]
+
+    @pytest.mark.parametrize("n, d", [(12, 1000), (12, 30), (8, 300), (10, 4000),
+                                      (4, 100_000)])
+    def test_batch_fits_beside_the_blocks(self, n, d):
+        k = fusion._low_bits(n, d)
+        batch = fusion._batch_queries(n, k, d)
+        assert batch >= 1
+        assert batch == 1 or fusion._blocks_bytes(n, k, d) + batch * (32 << n) \
+            <= fusion._SCRATCH_BYTES
+
+    def test_per_mask_arrays_at_twelve_techniques_stay_bounded(self, rng):
+        # a chunk of 8 queries holds no more than one query's search does
+        chunk, constant = minmax_rows(rng.random((12, 8, 1000)))
+        config = FusionConfig(r_window=2)
+        peaks = []
+        for queries in (1, 8):
+            fusion._plan.cache_clear()
+            tracemalloc.start()
+            try:
+                select_best_subsets(chunk[:, :queries], constant[:, :queries], config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= fusion._SCRATCH_BYTES + beside_scratch(12, 1000)
+        assert peaks[1] <= peaks[0] + (16 << 10)
+
+    def test_bad_shapes_are_value_errors(self):
+        config = FusionConfig(r_window=1)
+        with pytest.raises(ValueError, match="N x B x D"):
+            select_best_subsets(np.zeros((4, 10)), np.zeros((4, 1), bool), config)
+        with pytest.raises(ValueError, match="N x B mask"):
+            select_best_subsets(np.zeros((4, 2, 10)), np.zeros((4, 1), bool), config)
 
 
 class TestTechniqueWeights:

@@ -21,7 +21,7 @@ def test_one_json_line_per_shape_with_a_stable_digest():
     first = search_timing(*args, "--repo", str(REPO))
     assert [(r["shape"], r["n"], r["d"], r["searches"]) for r in first] == [
         ("3x20", 3, 20, 35), ("4x30", 4, 30, 35)]
-    assert all(r["median_ms"] > 0 for r in first)
+    assert all(r["median_ms"] > 0 and r["chunk_median_ms"] > 0 for r in first)
     assert all(re.fullmatch("[0-9a-f]{64}", r["digest"]) for r in first)
     assert first[0]["digest"] != first[1]["digest"]
     again = search_timing(*args)
@@ -40,8 +40,9 @@ def test_against_compares_two_checkouts_per_shape(tmp_path):
     rows = search_timing(*args, "--against", str(REPO))
     assert [(r["shape"], r["n"], r["d"], r["rounds"]) for r in rows] == [
         ("3x20", 3, 20, 2), ("4x30", 4, 30, 2)]
-    assert all(r["median_ms"] > 0 and r["against_median_ms"] > 0 and r["ratio"] > 0
-               for r in rows)
+    assert all(r[key] > 0 for r in rows for key in (
+        "median_ms", "against_median_ms", "ratio", "paired_ratio", "chunk_median_ms",
+        "against_chunk_median_ms", "chunk_ratio", "chunk_paired_ratio"))
     assert all(r["digests_agree"] for r in rows)
     # a checkout whose searches score differently
     other = tmp_path / "other"
@@ -49,8 +50,8 @@ def test_against_compares_two_checkouts_per_shape(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     fusion = other / "src" / "dynfuse" / "fusion.py"
     text = fusion.read_text()
-    assert text.count("score=float(best_score)") == 1
-    fusion.write_text(text.replace("score=float(best_score)", "score=float(best_score) + 1"))
+    assert text.count("SubsetScore(subset=subset, score=best_score)") == 1  # the one site
+    fusion.write_text(text.replace("score=best_score)", "score=best_score + 1)"))
     rows = search_timing(*args, "--against", str(other))
     assert [r["digests_agree"] for r in rows] == [False, False]
 
