@@ -8,10 +8,11 @@ compared:
 
 Each shape's inputs are 5 seeded random (N, D) arrays, min-max normalized
 per technique as every strategy does, with r_window = 2. A sample times
-one loop of 5 ``fusion.select_best_subset`` calls, one per input, and then
-the 5 inputs as one ``fusion.select_best_subsets`` chunk, the path dyn-mpf
-takes (a checkout without it searches the chunk query by query). Each
-child takes 8 samples and drops the first, which carries one-off costs, so
+one loop of 5 ``fusion.select_best_subset`` calls, one per input; a chunk
+sample times the 5 inputs as one ``fusion.select_best_subsets`` chunk, the
+path dyn-mpf takes (a checkout without it searches the chunk query by
+query). Each child takes 8 samples of each kind, the chunk's after the
+loop's, and drops the first of each, which carries one-off costs, so
 ``searches`` is 35; ``median_ms`` and ``chunk_median_ms`` are the median
 samples divided by 5. A sample spans 5 searches rather than one, so a
 pause of the host lands in fewer samples and moves the median less.
@@ -105,20 +106,23 @@ def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
             return fusion.select_best_subsets(chunk, constant, config)
         return search_each()
 
-    times, chunk_times = [], []
-    for _ in range(repeats + 1):
-        start = time.perf_counter()
-        bests = search_each()
-        middle = time.perf_counter()
-        chunk_bests = search_chunk()
-        times.append(middle - start)
-        chunk_times.append(time.perf_counter() - middle)
+    def sample(search):
+        """The last results of ``repeats`` + 1 timed calls, and the median
+        ms per search of all but the first call."""
+        times = []
+        for _ in range(repeats + 1):
+            start = time.perf_counter()
+            results = search()
+            times.append(time.perf_counter() - start)
+        return results, round(float(np.median(times[1:])) / queries * 1e3, 4)
+
+    bests, median_ms = sample(search_each)
+    chunk_bests, chunk_median_ms = sample(search_chunk)
     sha = hashlib.sha256()
     for best in bests + chunk_bests:
         sha.update(repr((best.subset, best.score.hex())).encode())
     return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": queries * repeats,
-            "median_ms": round(float(np.median(times[1:])) / queries * 1e3, 4),
-            "chunk_median_ms": round(float(np.median(chunk_times[1:])) / queries * 1e3, 4),
+            "median_ms": median_ms, "chunk_median_ms": chunk_median_ms,
             "digest": sha.hexdigest()}
 
 
@@ -131,14 +135,15 @@ def _child(repo: Path, shapes, **run) -> subprocess.CompletedProcess:
     return subprocess.run(command, env=env, **run)
 
 
-def _ratios(runs, key: str) -> dict:
+def _ratios(runs, key: str, prefix: str) -> dict:
     """Per checkout, the median over the rounds of ``key``; their ratio and
-    the median of each round's own ratio."""
+    the median of each round's own ratio, named with ``prefix``."""
     mine, theirs = ([r[key] for r in rows] for rows in runs)
     median, their_median = statistics.median(mine), statistics.median(theirs)
     paired = statistics.median(a / b for a, b in zip(mine, theirs))
     return {key: round(median, 4), f"against_{key}": round(their_median, 4),
-            "ratio": round(median / their_median, 3), "paired_ratio": round(paired, 3)}
+            f"{prefix}ratio": round(median / their_median, 3),
+            f"{prefix}paired_ratio": round(paired, 3)}
 
 
 def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
@@ -155,13 +160,10 @@ def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
                 if done.returncode:
                     return done.returncode
                 runs[side].append(json.loads(done.stdout))
-        chunk = _ratios(runs, "chunk_median_ms")
         print(json.dumps({
             "shape": f"{n}x{d}", "n": n, "d": d, "rounds": rounds,
-            **_ratios(runs, "median_ms"),
-            "chunk_median_ms": chunk["chunk_median_ms"],
-            "against_chunk_median_ms": chunk["against_chunk_median_ms"],
-            "chunk_ratio": chunk["ratio"], "chunk_paired_ratio": chunk["paired_ratio"],
+            **_ratios(runs, "median_ms", ""),
+            **_ratios(runs, "chunk_median_ms", "chunk_"),
             "digests_agree": len({r["digest"] for r in runs[0] + runs[1]}) == 1,
         }), flush=True)
     return 0

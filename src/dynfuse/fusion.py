@@ -423,20 +423,18 @@ def _search_batch(normalized, available, qs, config):
     ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
     scored = np.greater(usable, covered)  # usable and not covered
     scores = np.where(scored, ratio, -np.inf)
-    tops = np.maximum.reduce(scores, axis=1, keepdims=True)
-    tied: list[list[int]] = [[] for _ in qs]
-    rows, masks = ((scores == tops) & scored).nonzero()
-    for i, mask in zip(rows.tolist(), masks.tolist()):
-        tied[i].append(mask)
+    tops = np.maximum.reduce(scores, axis=1)
     results = []
-    for winners, best_score in zip(tied, tops[:, 0].tolist()):
-        if not winners:
-            results.append(WindowCoversAllError(
-                "every candidate subset's exclusion window covered the whole vector"
-            ))
-            continue
+    for i, (tied, best_score) in enumerate(zip(scores == tops[:, None], tops.tolist())):
+        if best_score == -np.inf:  # -inf also marks the subsets not scored
+            tied &= scored[i]
+            if not tied.any():
+                results.append(WindowCoversAllError(
+                    "every candidate subset's exclusion window covered the whole vector"
+                ))
+                continue
         subsets = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
-                   for mask in winners]
+                   for mask in tied.nonzero()[0].tolist()]
         if config.tie_break == TIE_BREAK_SMALLEST_SUBSET:
             subset = min(subsets, key=lambda s: (len(s), s))
         else:

@@ -175,7 +175,7 @@ def score_rows(draw, non_finite=False):
 
 
 class TestTopK:
-    """The partition-based top-K equals the stable argsort prefix exactly."""
+    """The top-K by argmax passes equals the stable argsort prefix exactly."""
 
     @settings(max_examples=120, deadline=None)
     @given(score_rows())
