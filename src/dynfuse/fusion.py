@@ -213,19 +213,14 @@ def _tile_rows(k: int, d: int) -> int:
     return min(1 << k, 1 << (4096 // d).bit_length())
 
 
-def _blocks_bytes(m: int, k: int, d: int) -> int:
-    """Bytes of the subset search's row blocks: the base block of 2**k rows
-    of width ``d`` and, unless it holds all ``m`` techniques, one working
-    block."""
-    return (1 if k == m else 2) * np.dtype(np.float64).itemsize * d << k
-
-
 def _batch_queries(m: int, k: int, d: int) -> int:
     """How many queries over ``m`` available techniques one batch of
     select_best_subsets searches: the most whose per-mask arrays (an argmax
     and three segment maxima, 32 bytes a mask) fit in _SCRATCH_BYTES beside
-    the row blocks, but at least one."""
-    return max(1, (_SCRATCH_BYTES - _blocks_bytes(m, k, d)) // (32 << m))
+    the row blocks (the base block of 2**k rows of width ``d`` and, unless
+    it holds all m techniques, one working block), but at least one."""
+    blocks = (1 if k == m else 2) * np.dtype(np.float64).itemsize * d << k
+    return max(1, (_SCRATCH_BYTES - blocks) // (32 << m))
 
 
 def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:

@@ -587,9 +587,10 @@ class TestChunkedSearch:
     def test_batch_fits_beside_the_blocks(self, n, d):
         k = fusion._low_bits(n, d)
         batch = fusion._batch_queries(n, k, d)
+        blocks = (1 if k == n else 2) * 8 * d << k
         assert batch >= 1
-        assert batch == 1 or fusion._blocks_bytes(n, k, d) + batch * (32 << n) \
-            <= fusion._SCRATCH_BYTES
+        assert batch == 1 or blocks + batch * (32 << n) <= fusion._SCRATCH_BYTES
+        assert blocks + (batch + 1) * (32 << n) > fusion._SCRATCH_BYTES
 
     def test_per_mask_arrays_at_twelve_techniques_stay_bounded(self, rng):
         # a chunk of 8 queries holds no more than one query's search does
