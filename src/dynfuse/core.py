@@ -28,6 +28,18 @@ TIE_BREAKS = (TIE_BREAK_LOWEST_INDEX, TIE_BREAK_SMALLEST_SUBSET)
 # stay far from float64 overflow.
 MIN_EPSILON = 1e-100
 
+# Bytes one batched step may hold (a runner's or dyn-mpf's calibration chunk,
+# the subset search's scratch, a top-k or noise buffer), so memory does not
+# grow with Q or F: a strategy holds at most 5 x this beyond its result.
+WORK_BYTES = 1 << 20
+
+
+def rows_within(row_bytes: int, beside: int = 0) -> int:
+    """How many rows of ``row_bytes`` fit in WORK_BYTES beside ``beside``
+    bytes already held; at least one. The only reader of WORK_BYTES, so
+    patching ``core.WORK_BYTES`` resizes every batched step."""
+    return max(1, (WORK_BYTES - beside) // row_bytes)
+
 
 def check_json_type(value, field: str, types, expected: str, items=None) -> None:
     """Raise ConfigError naming ``field`` unless ``value`` is one of

@@ -7,15 +7,16 @@ invalid instead of aborting the run. So does a query on which every fused
 technique is constant: its fused vector carries no place information.
 
 Every runner hands one batch loop, ``_fuse_groups``, each query's subset
-and a ``fuse(subset, qs)`` that scores a chunk of at most _BLOCK_BYTES of
-member vectors; ``_fuse_groups`` groups the queries by subset, however
-they interleave. Dynamic fusion searches every calibration first and gives
-each block its search's subset (``_fuse_block``). The plain-sum baselines
-give each query its subset and normalize only its members. Hierarchical
-fusion gives every query all techniques and runs its tiers on a (queries,
-survivors) block. Only the records are built per query; ``_invalid``
-builds every no-match record. The results equal a query-by-query run bit
-for bit (the loops are kept in tests/reference_impl.py).
+and a ``fuse(subset, qs)`` that scores a chunk of at most core.WORK_BYTES
+of float64 member vectors; ``_fuse_groups`` groups the queries by subset,
+however they interleave. Dynamic fusion searches every calibration first
+and gives each block its search's subset (``_fuse_block``). The plain-sum
+baselines give each query its subset and normalize only its members.
+Hierarchical fusion gives every query all techniques and runs its tiers on
+a (queries, survivors) block. Only the records are built per query;
+``_invalid`` builds every no-match record. The results equal a
+query-by-query run bit for bit (the loops are kept in
+tests/reference_impl.py).
 
 Parallelism contract: every runner is single-threaded and walks its
 batches in a fixed order. The ``workers`` parameter is accepted for
@@ -41,6 +42,7 @@ from .core import (
     SimilarityTensor,
     is_constant,
     minmax_rows,
+    rows_within,
 )
 from .errors import ConfigError, TooFewTechniquesError
 from .fusion import (
@@ -104,24 +106,6 @@ def write_result_json(result: StrategyResult, names: list[str], path) -> None:
     Path(path).write_text(payload + "\n")
 
 
-# Bytes of the largest (members, queries, D) float64 normalized slab a runner
-# batches; more queries go in further chunks, so memory does not grow with Q
-# or F.
-_BLOCK_BYTES = 1 << 20
-# The same for the calibrations run_dyn_mpf normalizes together before their
-# searches. A quarter of _BLOCK_BYTES, as the slab lives beside the search's
-# scratch: on 60 queries at 10 x 1000 and F = 1, run_dyn_mpf's traced peak is
-# 1.43 MiB one calibration at a time, 1.58 MiB at a quarter and 2.67 MiB at
-# a whole _BLOCK_BYTES.
-_CALIBRATION_BYTES = _BLOCK_BYTES // 4
-
-
-def _slab_queries(members: int, d: int, budget: int) -> int:
-    """How many queries' float64 normalized (members, D) slabs fit in
-    ``budget`` bytes; at least one."""
-    return max(1, budget // (np.dtype(np.float64).itemsize * members * d))
-
-
 def _invalid(query: int, error: str, subset, touched) -> SelectionRecord:
     """The record of a query that has no match."""
     return SelectionRecord(
@@ -133,10 +117,11 @@ def _invalid(query: int, error: str, subset, touched) -> SelectionRecord:
 def _fuse_groups(tensor, subsets, records, fuse) -> np.ndarray:
     """Group the queries by ``subsets[q]`` (None: in no group), in the order
     the subsets first occur, and call ``fuse(subset, qs)`` on each group in
-    chunks of at most _BLOCK_BYTES of member vectors; ``qs`` is an
-    ascending query array, not always consecutive. ``fuse`` returns the
-    chunk's (len(qs), D) scores, validity and records. Puts the records in
-    ``records`` by query; returns the (Q, D) scores, NaN where invalid."""
+    chunks of at most core.WORK_BYTES of float64 member vectors (at least
+    one query); ``qs`` is an ascending query array, not always consecutive.
+    ``fuse`` returns the chunk's (len(qs), D) scores, validity and records.
+    Puts the records in ``records`` by query; returns the (Q, D) scores, NaN
+    where invalid."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for q, subset in enumerate(subsets):
         if subset is not None:
@@ -144,7 +129,7 @@ def _fuse_groups(tensor, subsets, records, fuse) -> np.ndarray:
     rows = np.full((tensor.queries, tensor.database_size), np.nan)
     for subset, group in groups.items():
         group = np.array(group)
-        chunk = _slab_queries(len(subset), tensor.database_size, _BLOCK_BYTES)
+        chunk = rows_within(8 * len(subset) * tensor.database_size)
         for at in range(0, len(group), chunk):
             qs = group[at:at + chunk]
             scores, valid, chunk_records = fuse(subset, qs)
@@ -174,9 +159,9 @@ def run_dyn_mpf(
     Every calibration is searched first and gives its block's queries its
     subset; _fuse_groups then fuses all queries of one subset together
     with _fuse_block, whichever blocks they come from. The calibrations
-    still to search are normalized together, in chunks of at most
-    _CALIBRATION_BYTES, with the same bits as normalizing each alone, and
-    each chunk is searched by one select_best_subsets call.
+    still to search are normalized together, in chunks of at most a
+    quarter of core.WORK_BYTES, with the same bits as normalizing each
+    alone, and each chunk is searched by one select_best_subsets call.
     ``searches`` ({query: SubsetScore, or its search's error text}) carries
     searches across calls whose configs differ only in F: each call reuses
     the ones it finds there and adds the ones it makes.
@@ -193,7 +178,9 @@ def run_dyn_mpf(
     subsets: list[tuple[int, ...] | None] = [None] * queries
     calibrates = np.zeros(queries, dtype=bool)
     pending = [start for start in range(0, queries, f) if start not in searches]
-    chunk = _slab_queries(n, d, _CALIBRATION_BYTES)
+    # a quarter share, beside the search's scratch: at 10 x 1000, F = 1, the
+    # peak is 1.43 MiB one at a time, 1.58 at a quarter, 2.67 at the whole
+    chunk = rows_within(4 * 8 * n * d)
     for at in range(0, len(pending), chunk):
         qs = pending[at:at + chunk]
         # the tensor is finite, so this is normalize_query_slices per query

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FusionConfig, GroundTruth, SimilarityTensor, check_json_type
-from .engine import _BLOCK_BYTES, StrategyResult, run_dyn_mpf
+from .core import (FusionConfig, GroundTruth, SimilarityTensor, check_json_type,
+                   rows_within)
+from .engine import StrategyResult, run_dyn_mpf
 from .errors import ConfigError, MissingRankingError
 
 
@@ -97,8 +98,8 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
     Equal to ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``, which
     any k >= D, and rows whose sum is not finite, still use. Other rows are
-    copied in chunks of at most _BLOCK_BYTES into one buffer, and each chunk
-    takes k argmax passes, every pick set to -inf before the next pass.
+    copied in chunks of at most core.WORK_BYTES into one buffer, and each
+    chunk takes k argmax passes, every pick set to -inf before the next pass.
     argmax returns the lowest index among equal maxima, which is where the
     stable sort puts them, and a finite row keeps a finite entry above the
     picks. A row with a NaN or an infinity has no finite sum; a finite row
@@ -109,7 +110,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(-scores, axis=1, kind="stable")[:, :k]
     top = np.empty((k, scores.shape[0]), dtype=np.intp)  # one pass per row
     # one buffer for every chunk: a fresh one would fault in its pages again
-    rows = max(1, _BLOCK_BYTES // (scores.itemsize * d))
+    rows = rows_within(scores.itemsize * d)
     buffer = np.empty((min(rows, len(scores)), d), dtype=scores.dtype)
     for at in range(0, len(scores), rows):
         chunk = buffer[:len(scores) - at]
@@ -241,12 +242,12 @@ def frame_separation_sweep(
     """
     f_values = list(f_values)
     for f in f_values:
-        check_json_type(f, "f_values", int, "an integer")
+        check_json_type(f, "f_values", (int, np.integer), "an integer")
         if f < 1:
             raise ConfigError("frame separation must be positive", field="f_values")
     reports: dict[int, RecallReport] = {}
     searches: dict = {}  # {calibration query: search}, shared by every F
-    for f in dict.fromkeys(f_values):
+    for f in dict.fromkeys(int(f) for f in f_values):
         cfg = replace(config, frame_separation_f=f)
         result = run_dyn_mpf(tensor, cfg, workers=workers, searches=searches)
         reports[f] = recall_at_k(result, result.fused, gt, ks=[1])

@@ -32,6 +32,7 @@ from .core import (
     TIE_BREAK_SMALLEST_SUBSET,
     FusionConfig,
     minmax_rows,
+    rows_within,
     zscore_rows,
 )
 from .errors import TooFewTechniquesError, WindowCoversAllError
@@ -185,23 +186,17 @@ def normalize_query_slices(raw_slices: np.ndarray):
     return normalized, frozenset(np.flatnonzero(constant).tolist())
 
 
-# Scratch bytes for the fused rows the subset search holds at once; it sizes
-# the search's row blocks (see _low_bits). At 1 MiB the whole grid of 8 x 300
-# or 6 x 1000 is one block. Beside it the search holds a tile of up to 64 KiB
-# per technique outside the base block (see _tile_rows).
-_SCRATCH_BYTES = 1 << 20
-
-
 def _low_bits(m: int, d: int) -> int:
     """How many of ``m`` available techniques the subset search's base block
     spans: all m when the whole 2**m x ``d`` float64 grid fits in
-    _SCRATCH_BYTES, otherwise the most for which the base block and one
+    core.WORK_BYTES, otherwise the most for which the base block and one
     working block of 2**k rows fit in it together, but at least one row per
-    block."""
-    row = np.dtype(np.float64).itemsize * d
-    if row << m <= _SCRATCH_BYTES:
+    block. At 1 MiB the whole grid of 8 x 300 or 6 x 1000 is one block.
+    Beside the blocks the search holds a tile of up to 64 KiB per technique
+    outside the base block (see _tile_rows)."""
+    if rows_within(8 * d) >= 1 << m:
         return m
-    return max((_SCRATCH_BYTES // (2 * row)).bit_length() - 1, 0)
+    return rows_within(2 * 8 * d).bit_length() - 1
 
 
 def _tile_rows(k: int, d: int) -> int:
@@ -216,11 +211,12 @@ def _tile_rows(k: int, d: int) -> int:
 def _batch_queries(m: int, k: int, d: int) -> int:
     """How many queries over ``m`` available techniques one batch of
     select_best_subsets searches: the most whose per-mask arrays (an argmax
-    and three segment maxima, 32 bytes a mask) fit in _SCRATCH_BYTES beside
-    the row blocks (the base block of 2**k rows of width ``d`` and, unless
-    it holds all m techniques, one working block), but at least one."""
-    blocks = (1 if k == m else 2) * np.dtype(np.float64).itemsize * d << k
-    return max(1, (_SCRATCH_BYTES - blocks) // (32 << m))
+    and three segment maxima, 32 bytes a mask) fit in core.WORK_BYTES
+    beside the row blocks (the base block of 2**k rows of width ``d`` and,
+    unless it holds all m techniques, one working block), but at least
+    one."""
+    blocks = (1 if k == m else 2) * 8 * d << k
+    return rows_within(32 << m, beside=blocks)
 
 
 def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
@@ -278,7 +274,7 @@ def select_best_subset(
 
     This is a batch of one of :func:`select_best_subsets`. All subsets are
     fused and scored with numpy in row blocks that span every column, in
-    scratch near _SCRATCH_BYTES (1 MiB). Bit j of a subset's mask is the
+    scratch near core.WORK_BYTES (1 MiB). Bit j of a subset's mask is the
     j-th available technique. The base block holds the 2**k masks of the
     first k available techniques (see _low_bits): row 0 is zeros and rows
     [2**j, 2**(j+1)) are technique j copied in, plus rows [0, 2**j) added

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GroundTruth, SimilarityTensor, TechniqueId, json_field, read_json_object
+from .core import (GroundTruth, SimilarityTensor, TechniqueId, json_field,
+                   read_json_object, rows_within)
 from .errors import ConfigError, InvalidSpecError
 
 _INT = (int, "an integer")
@@ -213,11 +214,6 @@ def _suppressed_mask(spec: SynthSpec) -> np.ndarray:
     return mask
 
 
-# noise rows are drawn into a buffer of about this size, then scaled into
-# the tensor one chunk of queries at a time
-_NOISE_CHUNK_BYTES = 1 << 20
-
-
 def _draw_pair(rng, low: int, shift: int, size: int, taken: bytearray, r: int):
     """Draw a distractor site and its echo; return them and mark both taken.
 
@@ -278,7 +274,9 @@ def generate(spec: SynthSpec):
 
     rng = np.random.default_rng(spec.seed)
     gt_indices = [(q * d) // q_total for q in range(q_total)]
-    chunk = min(q_total, max(1, _NOISE_CHUNK_BYTES // (n * d * 8)))
+    # noise rows are drawn into a buffer of about core.WORK_BYTES, then
+    # scaled into the tensor one chunk of queries at a time
+    chunk = min(q_total, rows_within(n * d * 8))
     noise = np.empty((chunk, n, d))
     sites, echoes = [], []
 

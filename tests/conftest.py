@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,3 +42,15 @@ def random_tensor_data(rng, n, queries, d, constant_prob=0.0):
             if rng.random() < constant_prob:
                 data[tech, q, :] = rng.random()
     return data
+
+
+def traced(fn):
+    """Call ``fn()`` under tracemalloc. Returns (its result, the bytes still
+    traced after it, which include the result, the traced peak)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from dynfuse.core import (
     zscore_rows,
 )
 from dynfuse.errors import ConfigError
-from conftest import FLOAT32_EDGES
+from conftest import FLOAT32_EDGES, traced
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -305,16 +304,10 @@ class TestSimilarityTensor:
         data = rng.random((8, 256, 512))
         data[7, 255, 511] = np.inf
         techniques = [TechniqueId(i, f"t{i}") for i in range(8)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="non-finite"):
-                SimilarityTensor(techniques, data)
-            data[7, 255, 511] = 0.5
-            tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="non-finite"):
             SimilarityTensor(techniques, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data[7, 255, 511] = 0.5
+        _, _, peak = traced(lambda: SimilarityTensor(techniques, data))
         assert peak < 256 * 1024
 
 

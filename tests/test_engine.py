@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dynfuse import engine
+from dynfuse import core, engine
 from dynfuse.core import (
     TIE_BREAKS,
     FusionConfig,
@@ -36,7 +35,7 @@ from dynfuse.fusion import (
     select_best_subset,
     window_error,
 )
-from conftest import FLOAT32_EDGES, random_tensor_data
+from conftest import FLOAT32_EDGES, random_tensor_data, traced
 from reference_impl import (
     naive_best_single,
     naive_best_static_subset,
@@ -79,8 +78,9 @@ class TestCalibrationSchedule:
     def test_f_beyond_int64_is_one_block(self, rng, block_bytes):
         tensor = make_tensor(random_tensor_data(rng, 3, 10, 20))
         once = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=50))
-        # 1 byte makes every query its own chunk
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+        # a 1-byte budget makes every query its own _fuse_groups chunk and its
+        # own calibration chunk
+        with mock.patch.object(core, "WORK_BYTES", block_bytes or core.WORK_BYTES):
             huge = run_dyn_mpf(tensor, FusionConfig(r_window=1, frame_separation_f=2 ** 63))
         assert huge.records == once.records
         assert np.array_equal(huge.fused, once.fused, equal_nan=True)
@@ -213,8 +213,9 @@ class TestBlockParity:
     def test_matches_per_query_reference(self, case):
         data, config, uniform, block_bytes = case
         tensor = make_tensor(data)
-        # 1 and 200 bytes force chunks of one and a few queries
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+        # budgets of 1 and 200 bytes force _fuse_groups and calibration
+        # chunks of one and a few queries, and one-row search blocks
+        with mock.patch.object(core, "WORK_BYTES", block_bytes or core.WORK_BYTES):
             got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
         records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
         got_json = [r.to_json_dict(tensor.names) for r in got.records]
@@ -226,7 +227,8 @@ class TestBlockParity:
     def test_runs_of_blocks_match_per_query_reference(self, case):
         data, config, uniform, block_bytes = case
         tensor = make_tensor(data)
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+        # as above: every chunk and search block of run_dyn_mpf shrinks
+        with mock.patch.object(core, "WORK_BYTES", block_bytes or core.WORK_BYTES):
             got = run_dyn_mpf(tensor, config, uniform_weights=uniform)
         records, rows = naive_run_dyn_mpf(data, config, tensor.names, uniform)
         assert [r.to_json_dict(tensor.names) for r in got.records] == records
@@ -299,12 +301,7 @@ class TestBlockParity:
         tensor = make_tensor(data)
         config = FusionConfig(r_window=2, frame_separation_f=256, min_subset_size=8)
         output = 256 * 2048 * 8  # the returned (Q, D) fused rows
-        tracemalloc.start()
-        try:
-            result = run_dyn_mpf(tensor, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, _, peak = traced(lambda: run_dyn_mpf(tensor, config))
         assert all(r.valid for r in result.records)
         assert peak - output <= 4 << 20  # measured 2.4 MiB
 
@@ -317,12 +314,7 @@ class TestBlockParity:
         peaks = []
         for dtype in (np.float32, np.float64):
             tensor = SimilarityTensor(techniques, data.astype(dtype))
-            tracemalloc.start()
-            try:
-                run_dyn_mpf(tensor, config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced(lambda: run_dyn_mpf(tensor, config))[2])
         assert peaks[0] <= peaks[1], [p / 2**20 for p in peaks]
 
 
@@ -381,25 +373,21 @@ class TestSubsetRuns:
         tensor = make_tensor(data)
         config = FusionConfig(r_window=2, frame_separation_f=1, max_subset_size=2)
         output = 256 * 4096 * 8  # the returned (Q, D) fused rows
-        tracemalloc.start()
-        try:
-            result = run_dyn_mpf(tensor, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, _, peak = traced(lambda: run_dyn_mpf(tensor, config))
         assert [r.subset for r in result.records] == [(0, 1), (1, 2)] * 128
         assert all(r.valid for r in result.records)
         assert peak - output <= 4 << 20  # measured 3.3 MiB
 
     @pytest.mark.parametrize("block_bytes", [1, 200])
     def test_calibration_inside_a_chunk_keeps_its_search(self, rng, block_bytes):
-        # one group of 12 queries; 200 bytes of (2, q, 4) members is 3 queries
-        # a chunk, so the calibrations at 4 and 10 sit inside chunks
+        # one group of 12 queries; a 200-byte budget makes _fuse_groups
+        # chunks of 3 queries' (2, 4) members, so the calibrations at 4 and
+        # 10 sit inside chunks
         data = rng.random((3, 12, 4))
         data[:, 2::2] = data[:, [0]]
         tensor = make_tensor(data)
         config = FusionConfig(r_window=0, frame_separation_f=2, max_subset_size=2)
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes), \
+        with mock.patch.object(core, "WORK_BYTES", block_bytes), \
                 mock.patch.object(engine, "_fuse_block", wraps=engine._fuse_block) as spy:
             got = run_dyn_mpf(tensor, config)
         chunks = [call.args[4].tolist() for call in spy.call_args_list]
@@ -425,7 +413,8 @@ class TestSubsetRuns:
         data, config, uniform, block_bytes = case
         tensor = make_tensor(data)
         searches = {}
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+        # a small budget puts calibrations inside _fuse_groups chunks
+        with mock.patch.object(core, "WORK_BYTES", block_bytes or core.WORK_BYTES):
             got = run_dyn_mpf(tensor, config, uniform_weights=uniform, searches=searches)
         r, d = config.r_window, data.shape[2]
         for q, search in searches.items():
@@ -487,16 +476,19 @@ def exact(searches):
 
 class TestCalibrationNormalization:
     """run_dyn_mpf normalizes the calibrations it searches together, in
-    chunks of _CALIBRATION_BYTES; searches and runs equal those of each
-    calibration normalized alone, bit for bit."""
+    chunks of a quarter of core.WORK_BYTES; searches and runs equal those of
+    each calibration normalized alone, bit for bit."""
 
     def run_both(self, tensor, configs, calibration_bytes=None):
         """Runs ``configs`` in order, sharing one searches dict as the sweep
         does, and checks them against the same runs given searches made one
-        calibration at a time. Returns the runs and the searches."""
+        calibration at a time. Returns the runs and the searches.
+        ``calibration_bytes`` sizes the calibration chunks: the budget is
+        four times it."""
         searches = {}
-        with mock.patch.object(engine, "_CALIBRATION_BYTES",
-                               calibration_bytes or engine._CALIBRATION_BYTES):
+        with mock.patch.object(core, "WORK_BYTES",
+                               4 * calibration_bytes if calibration_bytes
+                               else core.WORK_BYTES):
             got = [run_dyn_mpf(tensor, config, searches=searches) for config in configs]
         alone = {}
         for config in configs:
@@ -564,18 +556,14 @@ class TestCalibrationNormalization:
     def test_memory_at_f_one_does_not_grow_with_queries(self, rng):
         # every query calibrates; normalized at once, 96 calibrations of
         # (5, 1000) would hold 3.7 MiB. Each query repeats query 0, so all
-        # choose one subset, and 64 KiB fuse chunks fill at either Q.
+        # choose one subset, and a 64 KiB budget's _fuse_groups chunks fill at
+        # either Q (its calibration chunks hold one query).
         config = FusionConfig(r_window=2, frame_separation_f=1)
         held = []
         for queries in (24, 96):
             tensor = make_tensor(np.repeat(rng.random((5, 1, 1000)), queries, axis=1))
-            with mock.patch.object(engine, "_BLOCK_BYTES", 64 << 10):
-                tracemalloc.start()
-                try:
-                    result = run_dyn_mpf(tensor, config)
-                    current, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+            with mock.patch.object(core, "WORK_BYTES", 64 << 10):
+                result, current, peak = traced(lambda: run_dyn_mpf(tensor, config))
             assert all(r.valid for r in result.records)
             held.append(peak - current)  # beyond the records and rows it returns
         assert held[1] <= held[0] + (64 << 10), held
@@ -629,8 +617,9 @@ class TestBaselineParity:
         names = tensor.names
         n, queries, d = data.shape
         gt = GroundTruth.from_lists(gt_lists, d)
-        # 1 and 200 bytes force chunks of one and a few queries
-        with mock.patch.object(engine, "_BLOCK_BYTES", block_bytes or engine._BLOCK_BYTES):
+        # budgets of 1 and 200 bytes force _fuse_groups chunks of one and a
+        # few queries
+        with mock.patch.object(core, "WORK_BYTES", block_bytes or core.WORK_BYTES):
             assert_same_run(run_full_mpf(tensor, config), names, naive_run_simple_sum(
                 data, config, [tuple(range(n))] * queries, names))
             assert_same_run(run_static_subset(tensor, config, subset), names,
@@ -702,12 +691,7 @@ class TestBaselineParity:
             "best-single-oracle": lambda: run_best_single_oracle(tensor, config, gt),
         }
         for name, run in runners.items():
-            tracemalloc.start()
-            try:
-                result = run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            result, _, peak = traced(run)
             assert all(r.valid for r in result.records), name
             assert peak - output <= 6 << 20, name  # measured 2.3-5.3 MiB
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynfuse import engine, evaluate
+from dynfuse import core, engine, evaluate
 from dynfuse.core import FusionConfig, GroundTruth, SelectionRecord
 from dynfuse.engine import StrategyResult, run_dyn_mpf, run_full_mpf
 from dynfuse.errors import ConfigError, MissingRankingError
@@ -203,10 +203,11 @@ class TestTopK:
         np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
 
     def test_rows_in_several_chunks(self, rng):
-        # 2 rows of 40 float64 entries per chunk, NaN rows among them
+        # a budget of 2 rows of 40 float64 entries per _top_k chunk, NaN rows
+        # among them
         scores = np.floor(rng.random((9, 40)) * 4)
         scores[[2, 7], 5] = np.nan
-        with mock.patch.object(evaluate, "_BLOCK_BYTES", 2 * 8 * 40):
+        with mock.patch.object(core, "WORK_BYTES", 2 * 8 * 40):
             for k in (1, 6, 39):
                 np.testing.assert_array_equal(_top_k(scores, k), argsort_top_k(scores, k))
 
@@ -296,7 +297,9 @@ class TestFrameSeparationSweep:
         with pytest.raises(ConfigError):
             frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), [0])
 
-    @pytest.mark.parametrize("f_values", [[2.5], [True], ["3"], [10, 0], [10, None]])
+    @pytest.mark.parametrize("f_values", [
+        [2.5], [True], ["3"], [10, 0], [10, None], [1.0], [np.True_],
+        np.array([1.0, 5.0])])
     def test_bad_f_rejected_before_any_run(self, rng, f_values):
         tensor = make_tensor(random_tensor_data(rng, 3, 5, 10))
         gt = GroundTruth.from_indices([0] * 5, 0, 10)
@@ -305,6 +308,25 @@ class TestFrameSeparationSweep:
             frame_separation_sweep(tensor, gt, FusionConfig(r_window=0), f_values)
         assert err.value.field == "f_values"
         run.assert_not_called()
+
+    def test_numpy_integer_f_values(self, rng):
+        tensor = make_tensor(random_tensor_data(rng, 3, 25, 20))
+        gt = GroundTruth.from_indices([int(i) for i in rng.integers(0, 20, 25)], 0, 20)
+        config = FusionConfig(r_window=0)
+        results = []
+
+        def run(*args, **kwargs):
+            results.append(run_dyn_mpf(*args, **kwargs))
+            return results[-1]
+
+        with mock.patch.object(evaluate, "run_dyn_mpf", side_effect=run):
+            got = frame_separation_sweep(tensor, gt, config, np.array([1, 5]))
+        want = frame_separation_sweep(tensor, gt, config, [1, 5])
+        assert [type(f) for f in got] == [int, int]
+        assert {f: r.to_json_dict() for f, r in got.items()} == {
+            f: r.to_json_dict() for f, r in want.items()}
+        for result in results:  # each run's result JSON serializes
+            json.dumps(result.to_json_dict(tensor.names))
 
     @pytest.mark.parametrize("f_values, searches", [
         ((10, 50), 100), ((1, 5, 10, 25, 50), 1000), ((50, 10, 50), 100)])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynfuse import fusion
+from dynfuse import core, fusion
 from dynfuse.core import FusionConfig, TIE_BREAK_LOWEST_INDEX, TIE_BREAKS, minmax_rows
 from dynfuse.errors import TooFewTechniquesError, WindowCoversAllError
 from dynfuse.fusion import (
@@ -20,6 +19,7 @@ from dynfuse.fusion import (
     technique_weights,
     weighted_fuse_and_match,
 )
+from conftest import traced
 from reference_impl import naive_best_subset, naive_ratio
 
 
@@ -252,12 +252,8 @@ def search_peak(normalized, degenerate):
     """tracemalloc's peak over one select_best_subset call whose plan is
     built in the call."""
     fusion._plan.cache_clear()
-    tracemalloc.start()
-    try:
-        select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(lambda: select_best_subset(normalized, FusionConfig(r_window=2),
+                                             degenerate))[2]
 
 
 def beside_scratch(n, d):
@@ -347,7 +343,8 @@ class TestSearchParity:
             [list(row) for row in normalized], 2, 1e-12, min_size,
             config.resolved_max_subset_size(n), degenerate, tie_break,
         )
-        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+        # the budget sizes the search's row blocks (_low_bits)
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes):
             got, built = search_recording_blocks(normalized, config, degenerate)
         assert len(built) >= 8
         if scratch_bytes == 16 * d:
@@ -402,7 +399,8 @@ class TestSearchParity:
             [list(row) for row in normalized], r, 1e-12, 2, n, degenerate, tie_break,
         )
         assert expected[0] == (0, 1)
-        with mock.patch.object(fusion, "_SCRATCH_BYTES", 2 * 4 * 8 * d):
+        # a budget of two four-row blocks: _low_bits gives k = 2
+        with mock.patch.object(core, "WORK_BYTES", 2 * 4 * 8 * d):
             assert fusion._low_bits(n, d) == 2
             got, built = search_recording_blocks(normalized, config, degenerate)
         assert any(h and not extend for h, extend in built), "none rebuilt"
@@ -415,7 +413,8 @@ class TestSearchParity:
         raw, config, scratch_bytes = case
         normalized, degenerate = normalize_query_slices(raw)
         n = raw.shape[0]
-        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+        # the budget sizes the search's row blocks (_low_bits)
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes):
             if n - len(degenerate) < config.min_subset_size:
                 with pytest.raises(TooFewTechniquesError):
                     select_best_subset(normalized, config, degenerate)
@@ -435,13 +434,13 @@ class TestSearchParity:
     def test_scratch_memory_is_bounded(self, rng):
         normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
         peak = search_peak(normalized, degenerate)
-        assert peak <= fusion._SCRATCH_BYTES + beside_scratch(10, 1000)
+        assert peak <= core.WORK_BYTES + beside_scratch(10, 1000)
 
     def test_scratch_memory_at_twelve_techniques_is_bounded(self, rng):
         # the per-mask arrays of 2**12 entries fit beside the scratch
         normalized, degenerate = normalize_query_slices(rng.random((12, 1000)))
         peak = search_peak(normalized, degenerate)
-        assert peak <= fusion._SCRATCH_BYTES + beside_scratch(12, 1000)
+        assert peak <= core.WORK_BYTES + beside_scratch(12, 1000)
 
     @pytest.mark.parametrize("k, d, tall", [
         (6, 1000, 8), (8, 300, 16), (4, 4000, 2), (6, 4096, 2), (6, 4097, 1),
@@ -451,16 +450,12 @@ class TestSearchParity:
         assert fusion._tile_rows(k, d) == tall
 
     def test_scratch_memory_at_large_d_is_two_rows(self, rng):
-        # two rows of 8 * D bytes outgrow _SCRATCH_BYTES: one-row blocks
+        # two rows of 8 * D bytes outgrow core.WORK_BYTES: one-row blocks
         d = 100_000
         normalized, degenerate = normalize_query_slices(rng.random((4, d)))
-        tracemalloc.start()
-        try:
-            select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 2 * 8 * d > fusion._SCRATCH_BYTES
+        _, _, peak = traced(lambda: select_best_subset(
+            normalized, FusionConfig(r_window=2), degenerate))
+        assert 2 * 8 * d > core.WORK_BYTES
         assert peak <= 2 * 8 * d + (64 << 10)
 
 
@@ -547,12 +542,12 @@ class TestChunkedSearch:
     @pytest.mark.parametrize("scratch_bytes", [None, 1536 + 2 * 512])
     def test_same_pattern_in_batches(self, rng, scratch_bytes):
         # at 4 x 12 the grid is 1536 bytes and a query's per-mask arrays
-        # 512: the small scratch takes 2 queries a batch, so 5 need 3
+        # 512: the small budget makes _batch_queries take 2 queries a batch,
+        # so 5 need 3
         chunk = np.floor(rng.random((4, 5, 12)) * 6) / 6
         constant = np.zeros((4, 5), dtype=bool)
         config = FusionConfig(r_window=1)
-        with mock.patch.object(fusion, "_SCRATCH_BYTES",
-                               scratch_bytes or fusion._SCRATCH_BYTES), \
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes or core.WORK_BYTES), \
                 mock.patch.object(fusion, "_search_batch",
                                   wraps=fusion._search_batch) as batches:
             got = chunk_outcomes(chunk, constant, config)
@@ -577,7 +572,8 @@ class TestChunkedSearch:
     @given(chunk_cases())
     def test_any_chunk_matches_naive(self, case):
         chunk, constant, config, scratch_bytes = case
-        with mock.patch.object(fusion, "_SCRATCH_BYTES", scratch_bytes):
+        # the budget sizes the row blocks and the batches (_batch_queries)
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes):
             got = chunk_outcomes(chunk, constant, config)
         assert got == [naive_outcome(chunk[:, q], np.flatnonzero(constant[:, q]), config)
                        for q in range(chunk.shape[1])]
@@ -589,8 +585,8 @@ class TestChunkedSearch:
         batch = fusion._batch_queries(n, k, d)
         blocks = (1 if k == n else 2) * 8 * d << k
         assert batch >= 1
-        assert batch == 1 or blocks + batch * (32 << n) <= fusion._SCRATCH_BYTES
-        assert blocks + (batch + 1) * (32 << n) > fusion._SCRATCH_BYTES
+        assert batch == 1 or blocks + batch * (32 << n) <= core.WORK_BYTES
+        assert blocks + (batch + 1) * (32 << n) > core.WORK_BYTES
 
     def test_per_mask_arrays_at_twelve_techniques_stay_bounded(self, rng):
         # a chunk of 8 queries holds no more than one query's search does
@@ -599,13 +595,9 @@ class TestChunkedSearch:
         peaks = []
         for queries in (1, 8):
             fusion._plan.cache_clear()
-            tracemalloc.start()
-            try:
-                select_best_subsets(chunk[:, :queries], constant[:, :queries], config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= fusion._SCRATCH_BYTES + beside_scratch(12, 1000)
+            peaks.append(traced(lambda: select_best_subsets(
+                chunk[:, :queries], constant[:, :queries], config))[2])
+        assert peaks[0] <= core.WORK_BYTES + beside_scratch(12, 1000)
         assert peaks[1] <= peaks[0] + (16 << 10)
 
     def test_bad_shapes_are_value_errors(self):

@@ -1,7 +1,6 @@
 import json
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from dynfuse.ingest import (
     sidecar_path,
     write_matrix,
 )
+from conftest import traced
 
 
 class TestMatrixFile:
@@ -282,12 +282,7 @@ class TestStreamingLoader:
         # (8, 256, 512) float32 is 4 MiB; one technique's payload is 0.5 MiB
         entries = write_similarities(
             tmp_path, [rng.random((256, 512), dtype=np.float32) for _ in range(8)])
-        tracemalloc.start()
-        try:
-            tensor = load_similarity_tensor(entries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tensor, _, peak = traced(lambda: load_similarity_tensor(entries))
         assert tensor.data.nbytes == 4 * MiB
         assert peak <= 5 * MiB, peak / MiB  # measured 4.63 MiB
 
@@ -306,12 +301,7 @@ class TestStreamingLoader:
                             "database": str(tmp_path / "db.f32")})
         want = [m.astype(np.float64) for m in mats]
         want.insert(at, compute_similarity(q, db))
-        tracemalloc.start()
-        try:
-            tensor = load_similarity_tensor(entries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tensor, _, peak = traced(lambda: load_similarity_tensor(entries))
         assert tensor.data.dtype == np.float64
         assert tensor.data.tobytes() == np.stack(want).tobytes()
         assert peak <= 10 * MiB, peak / MiB  # measured 9.50 MiB
@@ -325,12 +315,8 @@ class TestStreamingLoader:
 
     def test_list_path_allocates_one_tensor(self, rng):
         mats = [rng.random((256, 512), dtype=np.float32) for _ in range(8)]
-        tracemalloc.start()
-        try:
-            tensor = assemble_tensor(mats, [f"t{i}" for i in range(8)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        names = [f"t{i}" for i in range(8)]
+        tensor, _, peak = traced(lambda: assemble_tensor(mats, names))
         assert peak <= tensor.data.nbytes + 1.5 * MiB, peak / MiB
 
     @pytest.mark.parametrize("shapes, names, error, loaded", [

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynfuse import synth
+from dynfuse import core, synth
 from dynfuse.core import SimilarityTensor, TechniqueId
 from dynfuse.errors import InvalidSpecError
 from dynfuse.synth import (
@@ -16,6 +15,7 @@ from dynfuse.synth import (
     drifting_fixture_spec,
     generate,
 )
+from conftest import traced
 from reference_impl import naive_generate
 
 
@@ -283,7 +283,8 @@ def test_generate_matches_the_per_query_loop(spec, chunk_rows):
     order in which the seed's stream is consumed, for noise chunks of 1 to 8
     queries, so query counts end mid-chunk."""
     row_bytes = spec.n_techniques * spec.database_size * 8
-    with mock.patch.object(synth, "_NOISE_CHUNK_BYTES", chunk_rows * row_bytes):
+    # the budget sizes generate's noise buffer
+    with mock.patch.object(core, "WORK_BYTES", chunk_rows * row_bytes):
         fast = _outcome(generate, spec)
     slow = _outcome(naive_generate, spec)
     if isinstance(slow, str):
@@ -306,15 +307,6 @@ BENCHMARK_SPECS = {
 }
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name", sorted(BENCHMARK_SPECS))
 def test_generate_memory_stays_near_the_per_query_loop(name):
     spec = SynthSpec(peak_strength=1.0, alias_secondary=0.5, alias_correlation=0.1,
@@ -327,4 +319,4 @@ def test_generate_memory_stays_near_the_per_query_loop(name):
                          data=data)
 
     # generate's one-chunk noise buffer is 1 MiB
-    assert _traced_peak(lambda: generate(spec)) <= _traced_peak(per_query_loop) + 2 * 2**20
+    assert traced(lambda: generate(spec))[2] <= traced(per_query_loop)[2] + 2 * 2**20
