@@ -41,6 +41,26 @@ def rows_within(row_bytes: int, beside: int = 0) -> int:
     return max(1, (WORK_BYTES - beside) // row_bytes)
 
 
+def per_row(ufunc, data: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
+    """``ufunc(data, values, out=out)`` for per-row ``values`` of shape
+    (..., 1). numpy runs such an operand through its ufunc buffer when a
+    row has at most half the buffer's entries (8192 by default), at up to
+    twice the cost per entry (numpy 2.4); for more than one row this call
+    alone runs with a buffer of at most one row, which skips that path.
+    An element-wise op without a cast gives the same bits whatever the
+    buffer. The caller's size is restored after the call (numpy 1.x does
+    not scope it to np.errstate)."""
+    d = data.shape[-1]
+    size = np.getbufsize()
+    if data.size <= d or d > size // 2:
+        return ufunc(data, values, out=out)
+    np.setbufsize(max(16, d // 16 * 16))  # numpy takes multiples of 16
+    try:
+        return ufunc(data, values, out=out)
+    finally:
+        np.setbufsize(size)
+
+
 def check_json_type(value, field: str, types, expected: str, items=None) -> None:
     """Raise ConfigError naming ``field`` unless ``value`` is one of
     ``types``, called ``expected`` in the message. When ``value`` is a list,
@@ -127,7 +147,8 @@ def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``data`` may be float32 or float64: min and max are exact in either, and
     everything after them is float64, so float32 data and its float64 cast
     give the same bits (a span taken in float32 would round, or overflow
-    near 3.4e38)."""
+    near 3.4e38). The float64 copy gets the per-row add and divide in
+    place, through per_row."""
     lo = data.min(axis=-1, keepdims=True).astype(np.float64)
     span = data.max(axis=-1, keepdims=True).astype(np.float64) - lo
     flat = span == 0.0
@@ -136,8 +157,9 @@ def minmax_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # or +0.0 by SIMD lane, differently per dtype. A constant vector is
     # already all zeros here.
     out = data.astype(np.float64)
-    out += 0.0 - lo
-    out /= np.where(flat, 1.0, span)  # cheaper than a masked divide
+    per_row(np.add, out, 0.0 - lo, out=out)
+    # cheaper than a masked divide
+    per_row(np.divide, out, np.where(flat, 1.0, span), out=out)
     return out, flat[..., 0]
 
 
@@ -155,7 +177,7 @@ def zscore_rows(data: np.ndarray):
     """Standardize every row of a finite 2-D array (see zscore_normalize);
     returns (standardized rows, row means, row sample stds)."""
     mean = data.mean(axis=1)
-    out = data - mean[:, None]
+    out = per_row(np.subtract, data, mean[:, None])
     # np.std(ddof=1)'s own steps on the rows centered once: its count is an
     # intp, which float32 sums divide by in float64
     std = np.add.reduce(np.square(out), axis=1)
@@ -164,7 +186,7 @@ def zscore_rows(data: np.ndarray):
     # std underflows to 0 for constant input and for spreads below ~1e-162;
     # both carry no usable contrast, so the row passes through unchanged
     flat = std == 0.0
-    out /= np.where(flat, 1.0, std)[:, None]
+    per_row(np.divide, out, np.where(flat, 1.0, std)[:, None], out=out)
     out[flat] = data[flat]
     return out, mean, std
 
@@ -234,10 +256,12 @@ class FusionConfig:
         if require_subsets and not (
             self.min_subset_size <= max_size <= n_techniques
         ):
+            # an unset max_subset_size is N, so only min_subset_size is wrong
             raise ConfigError(
                 f"need min_subset_size <= max_subset_size <= {n_techniques}, "
                 f"got [{self.min_subset_size}, {max_size}]",
-                field="max_subset_size",
+                field="min_subset_size" if self.max_subset_size is None
+                else "max_subset_size",
             )
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError("must be positive and finite", field="epsilon")

@@ -119,21 +119,25 @@ def _fuse_groups(tensor, subsets, records, fuse) -> np.ndarray:
     the subsets first occur, and call ``fuse(subset, qs)`` on each group in
     chunks of at most core.WORK_BYTES of float64 member vectors (at least
     one query); ``qs`` is an ascending query array, not always consecutive.
-    ``fuse`` returns the chunk's (len(qs), D) scores, validity and records.
-    Puts the records in ``records`` by query; returns the (Q, D) scores, NaN
-    where invalid."""
+    ``fuse`` returns the chunk's (len(qs), D) scores, validity and records;
+    its scores' invalid rows become NaN, then the chunk goes into the
+    result in one write. Puts the records in ``records`` by query; returns
+    the (Q, D) scores, NaN where invalid (only the rows of queries in no
+    group are filled with NaN up front)."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for q, subset in enumerate(subsets):
         if subset is not None:
             groups.setdefault(subset, []).append(q)
-    rows = np.full((tensor.queries, tensor.database_size), np.nan)
+    rows = np.empty((tensor.queries, tensor.database_size))
+    rows[[q for q, subset in enumerate(subsets) if subset is None]] = np.nan
     for subset, group in groups.items():
         group = np.array(group)
         chunk = rows_within(8 * len(subset) * tensor.database_size)
         for at in range(0, len(group), chunk):
             qs = group[at:at + chunk]
             scores, valid, chunk_records = fuse(subset, qs)
-            rows[qs[valid]] = scores[valid]
+            scores[~valid] = np.nan
+            rows[qs] = scores
             for record in chunk_records:
                 records[record.query] = record
     return rows

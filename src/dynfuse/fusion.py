@@ -32,6 +32,7 @@ from .core import (
     TIE_BREAK_SMALLEST_SUBSET,
     FusionConfig,
     minmax_rows,
+    per_row,
     rows_within,
     zscore_rows,
 )
@@ -462,11 +463,15 @@ def technique_weights(
 def weighted_match_rows(members: np.ndarray, weights: np.ndarray):
     """weighted_fuse_and_match for b queries at once: ``members`` is (k, b, D),
     one normalized block per subset member in ascending order, ``weights``
-    (k, b). Each sum starts from zeros and adds the members left to right; a
-    non-finite sum is a ValueError. Returns per-query arrays."""
+    (k, b). Each sum starts from zeros and adds the members left to right,
+    each multiplied by its weight (through per_row) into one product
+    buffer, which is freed before the sum is standardized; a non-finite sum
+    is a ValueError. Returns per-query arrays."""
     fused = np.zeros(members.shape[1:])
+    product = np.empty_like(fused)
     for row, weight in zip(members, weights):
-        fused += weight[:, None] * row
+        fused += per_row(np.multiply, row, weight[:, None], out=product)
+    del product
     if not np.all(np.isfinite(fused)):
         raise ValueError("similarity vector contains non-finite entries")
     out, mean, std = zscore_rows(fused)

@@ -185,6 +185,25 @@ class TestRunCommand:
         assert out["error"] == "ConfigError"
         assert out["field"] == field
 
+    @pytest.mark.parametrize("config, field", [
+        ({"min_subset_size": 4}, "min_subset_size"),
+        ({"min_subset_size": 4, "max_subset_size": 4}, "max_subset_size"),
+    ])
+    def test_subset_bound_error_names_a_field_the_user_set(self, tmp_path, capsys,
+                                                           config, field):
+        data_dir = write_benchmark(tmp_path)  # 3 techniques
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["config"] = config
+        path = data_dir / "bad.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert (out["error"], out["field"]) == ("ConfigError", field)
+
     @pytest.mark.parametrize("epsilon, code", [
         (1e-310, 2), (1e-300, 2), (1e-200, 2), (1e-100, 0),
     ])

@@ -16,6 +16,7 @@ from dynfuse.core import (
     is_constant,
     minmax_normalize,
     minmax_rows,
+    per_row,
     zscore_normalize,
     zscore_rows,
 )
@@ -166,6 +167,93 @@ def test_zscore_rows_equals_the_np_std_formula(data):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.fixture
+def default_bufsize():
+    """Restore numpy's ufunc buffer size after a test that sets it."""
+    size = np.getbufsize()
+    yield size
+    np.setbufsize(size)
+
+
+PER_ROW_UFUNCS = [np.add, np.subtract, np.multiply, np.divide]
+DOUBLE = np.finfo(np.float64)
+DOUBLE_EDGES = np.array([0.0, -0.0, DOUBLE.smallest_subnormal, -DOUBLE.smallest_subnormal,
+                         DOUBLE.smallest_normal / 3, -DOUBLE.smallest_normal,
+                         1.0, -1.0, DOUBLE.max, -DOUBLE.max])
+
+
+@given(ufunc=st.sampled_from(PER_ROW_UFUNCS),
+       d=st.sampled_from([2, 15, 16, 17, 300, 2048, 2049, 4096, 4097, 8193]),
+       rows=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=64, max_size=64),
+       into_out=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_per_row_equals_the_broadcast_expression(ufunc, d, rows, seed, values,
+                                                 into_out):
+    # finite doubles of every exponent, a quarter of them signed zeros,
+    # subnormals and extremes; hypothesis' floats cover the same in values
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(rows, d), dtype=np.uint64)
+    data = np.where(np.isfinite(bits.view(np.float64)), bits.view(np.float64), 1.0)
+    edges = rng.random((rows, d)) < 0.25
+    data[edges] = rng.choice(DOUBLE_EDGES, size=int(edges.sum()))
+    column = np.array(values[:rows])[:, None]
+    seen = []
+
+    def spy(a, b, out=None):
+        seen.append(np.getbufsize())
+        return ufunc(a, b, out=out)
+
+    with np.errstate(all="ignore"):
+        want = ufunc(data, column)
+        out = np.empty_like(data) if into_out else None
+        got = per_row(spy, data, column, out=out)
+    assert got is out or out is None
+    assert got.tobytes() == want.tobytes()
+    # a buffer of at most one row, for this call only
+    scoped = rows > 1 and d <= 4096
+    assert seen == [max(16, d // 16 * 16) if scoped else 8192]
+    assert np.getbufsize() == 8192
+
+
+@pytest.mark.parametrize("caller, d, inside", [
+    (4096, 300, 288),    # a smaller row: scoped, then the caller's size back
+    (4096, 2049, 4096),  # more than half the caller's buffer: untouched
+    (1024, 8, 16),       # numpy takes multiples of 16 only
+])
+def test_per_row_restores_the_callers_buffer_size(default_bufsize, caller, d, inside):
+    np.setbufsize(caller)
+    seen = []
+
+    def spy(a, b, out=None):
+        seen.append(np.getbufsize())
+        return np.add(a, b, out=out)
+
+    per_row(spy, np.ones((3, d)), np.ones((3, 1)))
+    assert seen == [inside]
+    assert np.getbufsize() == caller
+
+
+def test_per_row_restores_the_buffer_size_when_the_ufunc_raises(default_bufsize):
+    np.setbufsize(4096)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        per_row(np.multiply, np.full((4, 300), 1e300), np.full((4, 1), 1e300))
+    assert np.getbufsize() == 4096
+
+
+@pytest.mark.parametrize("normalize", [minmax_rows, zscore_rows])
+@pytest.mark.parametrize("shape", [(2, 300), (1, 4000), (16, 4000), (2, 8, 300)])
+def test_row_normalizers_leave_the_buffer_size_alone(default_bufsize, normalize, shape):
+    data = np.random.default_rng(3).random(shape)
+    if normalize is zscore_rows:
+        data = data.reshape(-1, shape[-1])
+    for caller in (8192, 2048):
+        np.setbufsize(caller)
+        normalize(data)
+        assert np.getbufsize() == caller
+
+
 def test_zscore_two_point_convention():
     # sample (n-1) standard deviation: [0, 2] standardizes to +/- 1/sqrt(2)
     out = zscore_normalize([0.0, 2.0])
@@ -237,6 +325,18 @@ class TestFusionConfig:
             FusionConfig(max_subset_size=5).validate(4, 50)
         with pytest.raises(ConfigError):
             FusionConfig(min_subset_size=3, max_subset_size=2).validate(4, 50)
+
+    @pytest.mark.parametrize("config, field", [
+        # max_subset_size unset: it is N, so min_subset_size is what is wrong
+        (FusionConfig(min_subset_size=5), "min_subset_size"),
+        (FusionConfig(min_subset_size=5, max_subset_size=4), "max_subset_size"),
+        (FusionConfig(min_subset_size=3, max_subset_size=2), "max_subset_size"),
+        (FusionConfig(max_subset_size=5), "max_subset_size"),
+    ])
+    def test_subset_bound_error_names_a_field_the_user_set(self, config, field):
+        with pytest.raises(ConfigError) as info:
+            config.validate(4, 50)
+        assert info.value.field == field
 
     def test_frame_separation_positive(self):
         with pytest.raises(ConfigError):

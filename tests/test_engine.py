@@ -994,3 +994,37 @@ class TestRecordContents:
         tensor, _ = complementary
         res = run_dyn_mpf(tensor, fixture_config, workers=4)
         assert [r.query for r in res.records] == list(range(tensor.queries))
+
+
+class TestUfuncBufferSize:
+    """The per-row ops of every runner scope numpy's ufunc buffer size to
+    themselves (core.per_row); the caller's size is there after the run."""
+
+    RUNNERS = {
+        "dyn-mpf": lambda t, c, gt: run_dyn_mpf(t, c),
+        "dyn-mpf-f3": lambda t, c, gt: run_dyn_mpf(
+            t, FusionConfig(r_window=c.r_window, frame_separation_f=3)),
+        "full-mpf": lambda t, c, gt: run_full_mpf(t, c),
+        "random-pair": lambda t, c, gt: run_random_pair(t, c),
+        "hier-mpf": lambda t, c, gt: run_hier_mpf(t, c),
+        "static-subset": lambda t, c, gt: run_static_subset(t, c, (0, 2)),
+        "best-single-oracle": lambda t, c, gt: run_best_single_oracle(t, c, gt),
+    }
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("caller", [8192, 2048])
+    def test_runner_leaves_the_buffer_size_alone(self, rng, runner, caller):
+        data = random_tensor_data(rng, 4, 12, 300, constant_prob=0.3)
+        tensor = make_tensor(data)
+        gt = GroundTruth.from_indices(range(0, 300, 25), 2, 300)
+        size = np.getbufsize()
+        np.setbufsize(caller)
+        try:
+            result = self.RUNNERS[runner](tensor, FusionConfig(r_window=2), gt)
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(size)
+        # one write per chunk: NaN exactly in the invalid queries' rows
+        invalid = [not r.valid for r in result.records]
+        assert np.isnan(result.fused).all(axis=1).tolist() == invalid
+        assert not np.isnan(result.fused[~np.array(invalid)]).any()

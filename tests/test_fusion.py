@@ -18,6 +18,7 @@ from dynfuse.fusion import (
     select_best_subsets,
     technique_weights,
     weighted_fuse_and_match,
+    weighted_match_rows,
 )
 from conftest import traced
 from reference_impl import naive_best_subset, naive_ratio
@@ -670,6 +671,38 @@ class TestWeightedFuseAndMatch:
         assert mean == pytest.approx(fused.mean())
         assert std == pytest.approx(fused.std(ddof=1))
         assert abs(out.mean()) < 1e-9
+
+
+class TestWeightedMatchRows:
+    @staticmethod
+    def old_weighted_match_rows(members, weights):
+        """The broadcast formula with a fresh product per member."""
+        fused = np.zeros(members.shape[1:])
+        for row, weight in zip(members, weights):
+            fused += weight[:, None] * row
+        out, mean, std = core.zscore_rows(fused)
+        return out, fused.argmax(axis=1), mean, std
+
+    @given(k=st.integers(1, 4), b=st.integers(1, 20),
+           d=st.sampled_from([2, 17, 300, 4000, 4097]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_broadcast_formula(self, k, b, d, seed):
+        rng = np.random.default_rng(seed)
+        members = minmax_rows(rng.random((k, b, d)))[0]
+        weights = rng.random((k, b)) * 10.0 ** rng.integers(-3, 4, (k, b))
+        weights[rng.random((k, b)) < 0.2] = 0.0
+        got = weighted_match_rows(members, weights)
+        for a, want in zip(got, self.old_weighted_match_rows(members, weights)):
+            assert a.tobytes() == want.tobytes()
+        assert np.getbufsize() == 8192
+
+    def test_buffer_size_restored_when_the_sum_is_not_finite(self):
+        size = np.getbufsize()
+        members = np.full((2, 4, 300), 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_match_rows(members, np.full((2, 4), np.inf))
+        assert np.getbufsize() == size
 
 
 class TestScaleInvariance:
