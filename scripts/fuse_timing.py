@@ -15,13 +15,13 @@ Child-process timing (scripts/search_timing.py) puts a slow spell of a
 shared host into all of one child's samples. Here each checkout's
 ``src/dynfuse`` is copied to a temporary directory under a package name of
 its own and imported, so the two run side by side: each round calls one
-side, then the other, in alternating order. Fields are ``--repo`` (default:
-the checkout holding this script) against ``--against``:
+side, then the other, in alternating order. Fields are the checkout holding
+this script against ``--against``:
 
   median_ms          each side's median call (``against_median_ms``)
   paired_ratio       the median over the rounds of the round's own ratio,
-                     ``--repo`` over ``--against``, so below 1 is faster
-  rounds_won         rounds whose ``--repo`` call was the faster
+                     this checkout over ``--against``, so below 1 is faster
+  rounds_won         rounds whose call on this checkout was the faster
   minflt_per_call    mean minor page faults of a call (ru_minflt)
   peak_mib           tracemalloc peak of one traced call beyond what it
                      leaves allocated, its result included
@@ -52,18 +52,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from search_timing import _positive  # scripts/ is this script's first path entry
+
 HERE = Path(__file__).resolve().parents[1]
-SIDES = ("dynfuse_repo", "dynfuse_against")
-
-
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
-    return value
+SIDES = ("dynfuse_here", "dynfuse_against")
 
 
 def load_package(checkout: Path, name: str, into: Path):
@@ -177,8 +169,6 @@ def compare(packages, name: str, spec: dict, f: int, seed: int, rounds: int,
 def main() -> None:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--repo", type=Path, default=HERE,
-                        help="checkout whose code is timed (default: this one)")
     parser.add_argument("--against", type=Path, required=True,
                         help="second checkout to compare with")
     parser.add_argument("--spec", type=Path,
@@ -194,8 +184,8 @@ def main() -> None:
     sys.path.insert(0, str(HERE / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        packages = [load_package(checkout.resolve(), name, tmp / "packages")
-                    for checkout, name in zip((args.repo, args.against), SIDES)]
+        packages = [load_package(checkout, name, tmp / "packages")
+                    for checkout, name in zip((HERE, args.against.resolve()), SIDES)]
         for name, (spec, f) in workloads.items():
             work = tmp / name
             work.mkdir()
