@@ -39,12 +39,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import importlib.util
 import io
 import json
 import resource
-import shutil
 import statistics
 import sys
 import tempfile
@@ -52,22 +50,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from search_timing import _positive  # scripts/ is this script's first path entry
+# scripts/ is this script's first path entry
+from search_timing import _positive, load_package
 
 HERE = Path(__file__).resolve().parents[1]
 SIDES = ("dynfuse_here", "dynfuse_against")
-
-
-def load_package(checkout: Path, name: str, into: Path):
-    """Import ``checkout``'s src/dynfuse as the package ``name`` from a copy
-    in ``into``; the package imports its modules relatively."""
-    shutil.copytree(checkout / "src" / "dynfuse", into / name,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    sys.path.insert(0, str(into))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(into))
 
 
 def benchmark_specs() -> dict:

@@ -11,31 +11,32 @@ per technique as every strategy does, with r_window = 2. A sample times
 one loop of 5 ``fusion.select_best_subset`` calls, one per input; a chunk
 sample times the 5 inputs as one ``fusion.select_best_subsets`` chunk, the
 path dyn-mpf takes (a checkout without it searches the chunk query by
-query). Each child takes 8 samples of each kind, the chunk's after the
-loop's, and drops the first of each, which carries one-off costs, so
-``searches`` is 35; ``median_ms`` and ``chunk_median_ms`` are the median
-samples divided by 5. A sample spans 5 searches rather than one, so a
-pause of the host lands in fewer samples and moves the median less.
-``digest`` is a SHA-256 over every chosen subset and the exact bits of its
-score, from the loop and from the chunk, so it is equal on two checkouts
-whose searches agree.
+query). A run takes 8 samples of each kind, the chunk's after the loop's,
+and drops the first of each, which carries one-off costs, so ``searches``
+is 35; ``median_ms`` and ``chunk_median_ms`` are the median samples
+divided by 5. A sample spans 5 searches rather than one, so a pause of the
+host lands in fewer samples and moves the median less. ``digest`` is a
+SHA-256 over every chosen subset and the exact bits of its score, from the
+loop and from the chunk, so it is equal on two checkouts whose searches
+agree. Random inputs have no dominant peak, so the search's bound prunes
+little on them: they time its worst case.
 
-The timing runs in a child process on the code of the checkout given by
-``--repo`` (default: the one holding this script):
+The code timed is that of the checkout given by ``--repo`` (default: the
+one holding this script), copied to a temporary directory and imported
+under a package name of its own:
 
   python3 scripts/search_timing.py
   python3 scripts/search_timing.py --repo /path/to/parent/checkout
   python3 scripts/search_timing.py --shape 10x1000 --shape 12x1000
 
-One run cannot resolve a 10% change at the small shapes on a busy host: a
-slow spell of the host moves all of one child's samples. ``--against PATH``
-compares two checkouts: per shape, ``--rounds`` child runs of each (default
-5), the two checkouts' runs back to back and in alternating order. It
-prints per shape the median over the rounds of each checkout's
-``median_ms``, their ratio (``--repo`` over ``--against``, so below 1 is
-faster), the median over the rounds of each round's own ratio, which a
-slow spell spanning both runs of a round moves less, the same three for
-``chunk_median_ms``, and whether every round's digest agrees:
+``--against PATH`` compares two checkouts in one process: per shape,
+``--rounds`` runs of each (default 5), the two checkouts' runs of a round
+back to back and in alternating order, so a slow spell of the host lands
+on both. It prints per shape the median over the rounds of each
+checkout's ``median_ms``, their ratio (``--repo`` over ``--against``, so
+below 1 is faster), the median over the rounds of each round's own ratio,
+the same three for ``chunk_median_ms``, and whether every run's digest
+agrees:
 
   python3 scripts/search_timing.py --against /path/to/parent --rounds 9
 
@@ -48,13 +49,19 @@ slow spell spanning both runs of a round moves less, the same three for
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib
 import json
-import os
+import shutil
 import statistics
-import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
+import numpy as np
+
+HERE = Path(__file__).resolve().parents[1]
 SHAPES = ("4x300", "6x1000", "4x4000", "8x300", "10x1000", "10x4000", "12x1000",
           "8x30000", "10x30000", "4x100000")
 
@@ -81,18 +88,23 @@ def _positive(text: str) -> int:
     return value
 
 
-def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
-    """Time every search of one shape on the dynfuse that is importable."""
-    import hashlib
-    import time
+def load_package(checkout: Path, name: str, into: Path):
+    """Import ``checkout``'s src/dynfuse as the package ``name`` from a copy
+    in ``into``; the package imports its modules relatively."""
+    shutil.copytree(checkout / "src" / "dynfuse", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(into))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(into))
 
-    import numpy as np
 
-    from dynfuse import fusion
-    from dynfuse.core import FusionConfig
-
+def time_shape(package, n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
+    """Time every search of one shape on the dynfuse ``package``."""
+    fusion = package.fusion
     rng = np.random.default_rng([n, d])
-    config = FusionConfig(r_window=2)
+    config = package.core.FusionConfig(r_window=2)
     inputs = [fusion.normalize_query_slices(rng.random((n, d))) for _ in range(queries)]
     chunk = np.stack([normalized for normalized, _ in inputs], axis=1)
     constant = np.array([[t in degenerate for _, degenerate in inputs] for t in range(n)])
@@ -126,15 +138,6 @@ def time_shape(n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
             "digest": sha.hexdigest()}
 
 
-def _child(repo: Path, shapes, **run) -> subprocess.CompletedProcess:
-    """Time ``shapes`` in a child process on the code of ``repo``."""
-    env = dict(os.environ, PYTHONPATH=str(repo.resolve() / "src"))
-    command = [sys.executable, str(Path(__file__).resolve()), "--child"]
-    for n, d in shapes:
-        command += ["--shape", f"{n}x{d}"]
-    return subprocess.run(command, env=env, **run)
-
-
 def _ratios(runs, key: str, prefix: str) -> dict:
     """Per checkout, the median over the rounds of ``key``; their ratio and
     the median of each round's own ratio, named with ``prefix``."""
@@ -146,50 +149,44 @@ def _ratios(runs, key: str, prefix: str) -> dict:
             f"{prefix}paired_ratio": round(paired, 3)}
 
 
-def compare(repo: Path, against: Path, shapes, rounds: int) -> int:
-    """Time each shape in ``rounds`` child runs of each checkout, the two
-    checkouts' runs of a shape back to back and in alternating order; print
-    one summary line per shape. Returns the first failing child's exit
-    code, or 0."""
+def compare(packages, shapes, rounds: int) -> None:
+    """Time each shape in ``rounds`` runs of each package, the two runs of
+    a round back to back and in alternating order; print one summary line
+    per shape."""
     for n, d in shapes:
         runs: tuple[list, list] = ([], [])
         for i in range(rounds):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                done = _child((repo, against)[side], [(n, d)], stdout=subprocess.PIPE,
-                              text=True)
-                if done.returncode:
-                    return done.returncode
-                runs[side].append(json.loads(done.stdout))
+                runs[side].append(time_shape(packages[side], n, d))
         print(json.dumps({
             "shape": f"{n}x{d}", "n": n, "d": d, "rounds": rounds,
             **_ratios(runs, "median_ms", ""),
             **_ratios(runs, "chunk_median_ms", "chunk_"),
             "digests_agree": len({r["digest"] for r in runs[0] + runs[1]}) == 1,
         }), flush=True)
-    return 0
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
+    parser.add_argument("--repo", type=Path, default=HERE,
                         help="checkout whose code runs (default: this one)")
     parser.add_argument("--shape", type=_parse_shape, action="append",
                         help=f"NxD, repeatable (default: {' '.join(SHAPES)})")
     parser.add_argument("--against", type=Path,
                         help="second checkout to compare with, over --rounds runs each")
     parser.add_argument("--rounds", type=_positive, default=5,
-                        help="child runs per checkout with --against (default: 5)")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+                        help="runs per checkout with --against (default: 5)")
     args = parser.parse_args()
     shapes = args.shape or [_parse_shape(s) for s in SHAPES]
-    if args.child:
-        for n, d in shapes:
-            print(json.dumps(time_shape(n, d)), flush=True)
-        return
-    if args.against is not None:
-        sys.exit(compare(args.repo, args.against, shapes, args.rounds))
-    sys.exit(_child(args.repo, shapes).returncode)
+    with tempfile.TemporaryDirectory() as tmp:
+        package = load_package(args.repo.resolve(), "dynfuse_timed", Path(tmp))
+        if args.against is None:
+            for n, d in shapes:
+                print(json.dumps(time_shape(package, n, d)), flush=True)
+            return
+        against = load_package(args.against.resolve(), "dynfuse_against", Path(tmp))
+        compare((package, against), shapes, args.rounds)
 
 
 if __name__ == "__main__":

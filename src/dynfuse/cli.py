@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +253,18 @@ def _technique_indices(names, tensor, field: str) -> list[int]:
 
 
 def _run_strategy(name, params, tensor, config, gt, workers):
+    """Run strategy ``name`` with its manifest ``params``. A ConfigError on
+    one of those parameters names it by its manifest path, as
+    strategies.<name>.<parameter>."""
+    try:
+        return _strategy_result(name, params, tensor, config, gt, workers)
+    except ConfigError as exc:
+        if exc.field not in {f.name for f in fields(STRATEGY_PARAMS.get(name, NoParams))}:
+            raise
+        raise ConfigError(exc.reason, field=f"strategies.{name}.{exc.field}") from exc
+
+
+def _strategy_result(name, params, tensor, config, gt, workers):
     if name == engine.STRATEGY_DYN_MPF:
         return engine.run_dyn_mpf(
             tensor, config, workers=workers,

@@ -173,16 +173,27 @@ def minmax_normalize(v) -> np.ndarray:
     return minmax_rows(as_similarity_vector(v))[0]
 
 
+def row_moments(data: np.ndarray, centered: bool = False):
+    """(row means, row sample stds, rows minus their means or None) of a
+    finite 2-D array: the bits of ``data.mean(axis=1)`` and
+    ``data.std(axis=1, ddof=1)``, but each row is centered once, through
+    per_row, where np.std centers the rows again through numpy's broadcast
+    buffer. Without ``centered`` the centered rows are squared in place,
+    which holds one array of ``data``'s shape less."""
+    mean = data.mean(axis=1)
+    out = per_row(np.subtract, data, mean[:, None])
+    # np.std(ddof=1)'s own steps on the centered rows: its count is an
+    # intp, which float32 sums divide by in float64
+    std = np.add.reduce(np.square(out, out=None if centered else out), axis=1)
+    np.true_divide(std, np.intp(data.shape[1] - 1), out=std, casting="unsafe")
+    np.sqrt(std, out=std)
+    return mean, std, out if centered else None
+
+
 def zscore_rows(data: np.ndarray):
     """Standardize every row of a finite 2-D array (see zscore_normalize);
     returns (standardized rows, row means, row sample stds)."""
-    mean = data.mean(axis=1)
-    out = per_row(np.subtract, data, mean[:, None])
-    # np.std(ddof=1)'s own steps on the rows centered once: its count is an
-    # intp, which float32 sums divide by in float64
-    std = np.add.reduce(np.square(out), axis=1)
-    np.true_divide(std, np.intp(data.shape[1] - 1), out=std, casting="unsafe")
-    np.sqrt(std, out=std)
+    mean, std, out = row_moments(data, centered=True)
     # std underflows to 0 for constant input and for spreads below ~1e-162;
     # both carry no usable contrast, so the row passes through unchanged
     flat = std == 0.0

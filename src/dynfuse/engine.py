@@ -42,6 +42,7 @@ from .core import (
     SimilarityTensor,
     is_constant,
     minmax_rows,
+    row_moments,
     rows_within,
 )
 from .errors import ConfigError, TooFewTechniquesError
@@ -284,9 +285,9 @@ def _summed_records(config, qs, subset, fused, match, valid):
     error = (f"TooFewTechniquesError: 0 non-constant techniques among the "
              f"{len(subset)} fused, need at least 1")
     records = []
+    mean, std, _ = row_moments(fused)
     columns = zip(qs.tolist(), valid.tolist(), ratios.tolist(), covered.tolist(),
-                  match.tolist(), fused.mean(axis=1).tolist(),
-                  fused.std(axis=1, ddof=1).tolist())
+                  match.tolist(), mean.tolist(), std.tolist())
     for q, ok, ratio, window_covers_all, m, mu, sigma in columns:
         if not ok:
             records.append(_invalid(q, error, subset, subset))

@@ -12,6 +12,7 @@ class ConfigError(DynfuseError):
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
+        self.reason = message  # the message without the field
         if field:
             message = f"{field}: {message}"
         super().__init__(message)

@@ -11,12 +11,22 @@ The search fuses every subset in full-width row blocks of a bitmask layout
 (row ``mask`` sums the techniques whose bits are set, as fuse_subset adds
 them), in about 1 MiB of scratch, scores each block with one ``argmax`` and
 one ``maximum.reduceat``, and finishes every ratio at once; ratio_rows runs
-the same steps. Which blocks a search builds depends only on its shape, so
-each shape is planned once and a call does only numpy work.
+the same steps. Which blocks a search can build depends only on its shape,
+so each shape is planned once and a call does only numpy work.
 select_best_subsets searches a chunk of queries: those with the same
 constant techniques share a batch, which allocates once and finishes its
 ratios and picks its winners once, while each query's grid is still built
 and scored alone. select_best_subset is a batch of one.
+
+A grid of more than one block is also bounded, and stays exact (branch and
+bound). When some techniques' best matches agree, those subsets are scored
+first, exactly as the grid scores them. Every subset gets an upper bound
+on its ratio from its members' column-chunk maxima and its fused values at
+a few probe columns, built from rounded sums and quotients that can never
+round below the grid's own. A block whose usable subsets all bound below
+the best seed's score can neither beat nor tie the winner, so it is neither
+built nor scored. The winner, its score and every tie still come from the
+grid.
 """
 
 from __future__ import annotations
@@ -187,6 +197,11 @@ def normalize_query_slices(raw_slices: np.ndarray):
     return normalized, frozenset(np.flatnonzero(constant).tolist())
 
 
+# Columns per chunk of the subset search's bound on a subset's peak (see
+# _live_blocks); 16, 32 and 64 pruned about as well on peaked inputs.
+_CHUNK = 32
+
+
 def _low_bits(m: int, d: int) -> int:
     """How many of ``m`` available techniques the subset search's base block
     spans: all m when the whole 2**m x ``d`` float64 grid fits in
@@ -215,7 +230,9 @@ def _batch_queries(m: int, k: int, d: int) -> int:
     and three segment maxima, 32 bytes a mask) fit in core.WORK_BYTES
     beside the row blocks (the base block of 2**k rows of width ``d`` and,
     unless it holds all m techniques, one working block), but at least
-    one."""
+    one. The bound's tables (see _live_blocks) fill the blocks before the
+    grids are built, and its per-mask arrays are freed before the per-mask
+    arrays here are made, so they add nothing."""
     blocks = (1 if k == m else 2) * 8 * d << k
     return rows_within(32 << m, beside=blocks)
 
@@ -289,11 +306,22 @@ def select_best_subset(
     repeated over a few rows at once (see _tile_rows). Every row is thus
     the same sum fuse_subset makes. A block with an admissible row gets
     step one of :func:`ratio_rows` into arrays over all masks (a block
-    without one is still built, as it can be a parent); step two then
-    scores every mask of the batch. Which blocks are built and how depends
-    only on the number of available techniques, k and the size bounds, so
-    each such shape is planned once (see _plan) and a call does only the
-    numpy work.
+    without one is built only as the parent a later block extends); step
+    two then scores every mask of the batch. Which blocks can be built and
+    how depends only on the number of available techniques, k and the size
+    bounds, so each such shape is planned once (see _plan) and a call does
+    only the numpy work.
+
+    A grid of more than one block skips the blocks that cannot hold the
+    winner (see _live_blocks): each subset gets an upper bound on its
+    ratio, and a block whose usable subsets all bound below an exact score
+    the grid itself gives is neither scored nor built, unless as a parent.
+    The bound is at least the grid's ratio because IEEE rounding is
+    monotone: a left-to-right sum of the members' chunk maxima is at least
+    every fused entry, a second-largest fused value at probe columns more
+    than 2r apart is at most the best entry outside any window, and their
+    quotient rounds to at least the grid's. A pruned subset thus neither
+    beats nor ties the winner, and the result is the same bit for bit.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
@@ -307,18 +335,181 @@ def select_best_subset(
     return result
 
 
-def _grid_segments(normalized, available, qs, k, steps, r_window):
-    """Step one of every subset of every query in ``qs``, one grid at a time
-    in the same scratch (see select_best_subset): (r, (queries, 2**m)
-    argmaxes, (queries, 2**m, 3) segment maxima), zero in the blocks with
-    no admissible row. The scratch, cut table and tiles live only here."""
+def _probes_and_seeds(tops: list[int], r: int, sizes: range):
+    """From the argmax columns ``tops`` of one query's available techniques
+    (bit j's is tops[j]): the probe columns, pairwise more than 2r apart,
+    and the seed masks, the subsets with a size in ``sizes`` of techniques
+    whose argmaxes chain within r of each other, which agree on a peak."""
+    probes: list[int] = []
+    masks: list[int] = []
+    mask, previous = 0, None
+    for col, bit in sorted(zip(tops, range(len(tops)))):
+        if previous is not None and col - previous <= r:
+            mask |= 1 << bit
+        else:
+            if mask.bit_count() in sizes:
+                masks.append(mask)
+            mask = 1 << bit
+            if not probes or col - probes[-1] > 2 * r:
+                probes.append(col)
+        previous = col
+    if mask.bit_count() in sizes:
+        masks.append(mask)
+    return probes, masks
+
+
+def _seed_threshold(vectors, available, masks, rows, cut, best, seg, epsilon):
+    """The best ratio of the subsets ``masks`` of one query's (N, D)
+    ``vectors``, each summed into a row of ``rows`` as the grid sums it,
+    from 0.0 and left to right, and scored by the grid's two steps with
+    the window cut table ``cut`` for those rows: the grid's own score, bit
+    for bit. None if every window covers its vector. Rows beyond the masks
+    repeat the first."""
+    for row, mask in zip(rows, masks + masks[:1] * (len(rows) - len(masks))):
+        members = [t for bit, t in enumerate(available) if mask >> bit & 1]
+        np.add(0.0, vectors[members[0]], out=row)
+        for t in members[1:]:
+            row += vectors[t]
+    _segment_maxima(rows, *cut, best, seg)
+    ratios, _, covered = _finish_ratios(best, seg, rows.shape[1], cut[0], epsilon)
+    return None if covered.all() else ratios[~covered].max()
+
+
+def _table_bounds(start, terms, chunks: int, epsilon: float, scratch, out) -> None:
+    """The bound (see _live_blocks) of every subset of the rows of
+    ``terms``, each a technique's chunk maxima then probe values, added
+    left to right to the row ``start``, into ``out`` by bitmask (bit j is
+    row j). The sums fill ``scratch``: the low masks' by mask, made as the
+    grid's base block is, so each bit adds to rows apart from those it
+    reads; then every mask's as (high masks, columns, low masks), where
+    the columns reduce over rows of low masks and each high bit adds a
+    slab."""
+    bits, cols = len(terms), len(start)
+    low = min(bits, 8)
+    sums = scratch[:cols << low].reshape(1 << low, cols)
+    table = scratch[cols << low:(cols << low) + (cols << bits)].reshape(
+        1 << (bits - low), cols, 1 << low)
+    sums[0] = start
+    for bit in range(low):
+        rows = sums[1 << bit:2 << bit]
+        rows[...] = terms[bit]
+        rows += sums[:1 << bit]
+    table[0] = sums.T
+    for bit in range(low, bits):
+        slab = table[1 << (bit - low):2 << (bit - low)]
+        slab[...] = terms[bit][:, None]
+        slab += table[:1 << (bit - low)]
+    grid = out.reshape(1 << (bits - low), 1 << low)
+    table[:, :chunks].max(axis=1, out=grid)
+    values = table[:, chunks:]
+    top = values.max(axis=1)
+    np.copyto(values, -np.inf, where=values >= top[:, None])
+    outside = values.max(axis=1)
+    np.maximum(outside, epsilon, out=outside)
+    np.divide(grid, outside, out=grid)
+    np.maximum(grid, 0.0, out=grid)  # a negative peak has a ratio <= 0
+
+
+def _live_blocks(normalized, peaks, available, qs, k, usable, config, scratch):
+    """Which row blocks of each query's grid can hold its winner: a
+    (queries, 2**(m-k)) mask over high masks, False for a block whose usable
+    subsets all bound below an exact score, or None if no block is. The
+    bound's arrays fill the flat float64 ``scratch`` (the grid's blocks,
+    before they are built); ``peaks`` lists each query's argmaxes and
+    ``usable`` flags the subsets by bitmask (see _plan).
+
+    The exact score is the best of the seeds (see _probes_and_seeds),
+    summed as the grid sums them and scored by the grid's own steps. A
+    query without a seed, or whose seeds' windows all cover their
+    vectors, prunes nothing.
+
+    Subset S's bound is P / max(O, epsilon), at least 0. P is the most,
+    over column chunks, of the left-to-right sum of S's members' chunk
+    maxima: IEEE addition rounds monotonically, so P is at least every
+    entry of S's fused row, its peak included. O is the second largest of
+    S's fused values at the probe columns, summed as the grid sums them: a
+    window holds at most one probe, so O is at most the row's best score
+    outside its window (r is r_window capped at D, as in the grid). The
+    quotient then rounds to at least the row's ratio, so a pruned block
+    can neither beat nor tie the winner. The bounds of each block's subset
+    of all its techniques come first: when those subsets are usable and
+    none bounds below the threshold, no block can be pruned, and the
+    other bounds are not taken."""
+    n, d = normalized.shape[0], normalized.shape[2]
+    m = len(available)
+    r = min(config.r_window, d)
+    sizes = range(config.min_subset_size, config.resolved_max_subset_size(n) + 1)
+    # the scratch holds the seeds' rows, each technique's chunk maxima and
+    # probe values, then _table_bounds' sums
+    seeds = min(m // 2, 1 << k)
+    room = (scratch.size - seeds * d) // (n + max(1 << min(m, 8), 1 << (m - k))
+                                          + (1 << m))
+    live = None
+    for i, q in enumerate(qs):
+        tops = [peaks[q][t] for t in available]
+        probes, masks = _probes_and_seeds(tops, r, sizes)
+        del probes[room // 2:]
+        if len(probes) < 2 or not masks:
+            continue
+        if live is None:  # the first query with a seed
+            live = np.ones((len(qs), 1 << (m - k)), dtype=bool)
+            rows = scratch[:seeds * d].reshape(seeds, d)
+            cut = _window_cuts(seeds, d, config.r_window)
+            best, seg = np.empty(seeds, dtype=np.intp), np.empty((seeds, 3))
+            bound = np.empty(1 << m)
+            unusable = ~usable
+            whole = usable[(np.arange(1 << (m - k)) << k) | ((1 << k) - 1)]
+        vectors = normalized[:, q]
+        threshold = _seed_threshold(vectors, available, masks, rows, cut, best, seg,
+                                    config.epsilon)
+        if threshold is None:
+            continue
+        width = _CHUNK
+        while -(-d // width) + len(probes) > room:
+            width *= 2
+        chunks = -(-d // width)
+        cols = chunks + len(probes)
+        terms = scratch[seeds * d:seeds * d + n * cols].reshape(n, cols)
+        sums = scratch[seeds * d + n * cols:]
+        np.maximum.reduceat(vectors, np.arange(0, d, width), axis=1,
+                            out=terms[:, :chunks])
+        terms[:, chunks:] = vectors[:, probes]
+        terms = [terms[t] for t in available]
+        # each block's subset of all its techniques: its low ones summed
+        # left to right, then its high ones
+        start = np.zeros(cols)
+        for row in terms[:k]:
+            start += row
+        whole_bound = bound[:1 << (m - k)]
+        _table_bounds(start, terms[k:], chunks, config.epsilon, sums, whole_bound)
+        if np.all(whole & (whole_bound >= threshold)):
+            continue
+        _table_bounds(np.zeros(cols), terms, chunks, config.epsilon, sums, bound)
+        np.copyto(bound, -np.inf, where=unusable)
+        np.logical_not(bound.reshape(-1, 1 << k).max(axis=1) < threshold, out=live[i])
+    return None if live is None or live.all() else live
+
+
+def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
+    """Step one of every subset of every query in ``qs`` whose block can
+    hold the query's winner, one grid at a time in the same scratch (see
+    select_best_subset): (r, (queries, 2**m) argmaxes, (queries, 2**m, 3)
+    segment maxima, zero in the blocks not scored, and the
+    (queries, 2**(m-k)) mask of the blocks that may be scored, or None if
+    all may). The scratch, cut table and tiles live only here."""
     m, d = len(available), normalized.shape[2]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
     blocks = np.empty((1 if k == m else 2, 1 << k, d))
     base, work = blocks[0], blocks[-1]
+    # every query's bound first, in the blocks, before the arrays below
+    # take their memory; a grid of one block has nothing to skip
+    live = None if k == m else _live_blocks(normalized, peaks, available, qs, k,
+                                            usable, config, blocks.reshape(-1))
+    if live is not None:
+        highs = [at.start >> k for at, _, _, _ in steps]
     base[0] = 0.0
-    r, cuts, lower, upper = _window_cuts(1 << k, d, r_window)
+    r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
     best = np.zeros((len(qs), 1 << m), dtype=np.intp)
     seg = np.zeros((len(qs), 1 << m, 3))
     # each high technique's vector repeated `tall` times, added to the
@@ -340,17 +531,36 @@ def _grid_segments(normalized, available, qs, k, steps, r_window):
             high = tiles
             for tile, vector in zip(tiles, vectors[k:]):
                 tile.reshape(tall, d)[...] = vector
-        for at, extend, bits, admissible in steps:
+        todo = steps if live is None else _pruned_steps(steps, live[i, highs].tolist())
+        for at, extend, bits, scoring in todo:
             if extend:
                 np.add(work_tiles, high[bits[-1]], out=work_tiles)
             elif bits:
                 np.add(base_tiles, high[bits[0]], out=work_tiles)
                 for bit in bits[1:]:
                     np.add(work_tiles, high[bit], out=work_tiles)
-            if admissible:
+            if scoring:
                 _segment_maxima(work if bits else base, r, cuts, lower, upper,
                                 best[i, at], seg[i, at])
-    return r, best, seg
+    return r, best, seg, live
+
+
+def _pruned_steps(steps, live):
+    """The plan's ``steps`` that one query's grid builds, with whether each
+    is scored, given ``live``, each step's flag from _live_blocks: a block
+    is scored if it is admissible and live, and built if it is scored or
+    is the parent the next built step extends."""
+    todo = []
+    needed = False  # the step after this one extends it and is built
+    for (at, extend, bits, admissible), flag in zip(reversed(steps), reversed(live)):
+        scoring = admissible and flag
+        if scoring or needed:
+            todo.append((at, extend, bits, scoring))
+            needed = extend
+        else:
+            needed = False
+    todo.reverse()
+    return todo
 
 
 def select_best_subsets(
@@ -370,7 +580,10 @@ def select_best_subsets(
     _batch_queries queries. A batch looks up its plan and allocates its
     scratch, cut table, tiles and per-mask arrays once; each query's grid
     is then built and gets step one alone, as select_best_subset describes,
-    and step two and the winner's pick run once over the batch.
+    and step two and the winner's pick run once over the batch. Every
+    technique's argmax on every query is taken once for the chunk, when a
+    batch's grid has more than one block; such a batch takes all its
+    queries' bounds in its scratch before it builds their grids.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     constant = np.asarray(constant, dtype=bool)
@@ -384,6 +597,7 @@ def select_best_subsets(
     for q, flags in enumerate(constant.T.tolist()):
         batches.setdefault(tuple(flags), []).append(q)
     results: list = [None] * queries
+    peaks = None  # each query's argmax of every technique, once needed
     for flags, qs in batches.items():
         degenerate = [t for t, flag in enumerate(flags) if flag]
         try:
@@ -394,26 +608,35 @@ def select_best_subsets(
                 results[q] = exc
             continue
         m = len(available)
-        cap = _batch_queries(m, _low_bits(m, d), d)
+        k = _low_bits(m, d)
+        if peaks is None and k < m:
+            peaks = normalized.argmax(axis=2).T.tolist()
+        cap = _batch_queries(m, k, d)
         for at in range(0, len(qs), cap):
             batch = qs[at:at + cap]
             for q, result in zip(batch, _search_batch(normalized, available, batch,
-                                                      config)):
+                                                      config, peaks)):
                 results[q] = result
     return results
 
 
-def _search_batch(normalized, available, qs, config):
+def _search_batch(normalized, available, qs, config, peaks=None):
     """The results of the queries ``qs`` of an (N, B, D) ``normalized``
     chunk, which share their ``available`` techniques: step one per grid,
-    then step two and the winner's pick once over the batch."""
+    then step two and the winner's pick once over the batch. ``peaks`` lists
+    each query's argmax of every technique, taken here if None and needed."""
     m, d = len(available), normalized.shape[2]
     k = _low_bits(m, d)
     usable, steps = _plan(m, k, config.min_subset_size,
                           config.resolved_max_subset_size(len(normalized)))
-    r, best, seg = _grid_segments(normalized, available, qs, k, steps, config.r_window)
+    if peaks is None and k < m:
+        peaks = normalized.argmax(axis=2).T.tolist()
+    r, best, seg, live = _grid_segments(normalized, peaks, available, qs, k, usable,
+                                        steps, config)
     ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
     scored = np.greater(usable, covered)  # usable and not covered
+    if live is not None:
+        scored &= np.repeat(live, 1 << k, axis=1)  # and not pruned
     scores = np.where(scored, ratio, -np.inf)
     tops = np.maximum.reduce(scores, axis=1)
     results = []

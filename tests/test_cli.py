@@ -306,6 +306,32 @@ class TestRunCommand:
         assert out["error"] == "ConfigError"
         assert out["field"] == field
 
+    @pytest.mark.parametrize("strategy, params, field", [
+        ("hier-mpf", {"shortlist_fractions": [2.0, 0.1]},
+         "strategies.hier-mpf.shortlist_fractions"),
+        ("hier-mpf", {"tiers": [["tech-00"], ["tech-00"]]}, "strategies.hier-mpf.tiers"),
+        ("static-subset", {"subset": ["tech-00", "tech-00"]},
+         "strategies.static-subset.subset"),
+    ])
+    def test_strategy_parameter_out_of_range_names_its_path(self, tmp_path, capsys,
+                                                             strategy, params, field):
+        # well typed, so the runner finds the error, not the manifest reader
+        data_dir = write_benchmark(tmp_path)
+        capsys.readouterr()
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest["strategies"] = {strategy: params}
+        path = data_dir / "range.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert out["error"] == "ConfigError"
+        assert out["field"] == field
+        assert out["message"].startswith(field + ": ")
+        assert out["message"].count(field.rsplit(".", 1)[-1] + ":") == 1
+
     @pytest.mark.parametrize("value, recorded", [(True, True), (False, False),
                                                  (None, False)])
     def test_uniform_weights_flag_is_recorded(self, tmp_path, capsys, value,

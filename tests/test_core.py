@@ -17,6 +17,7 @@ from dynfuse.core import (
     minmax_normalize,
     minmax_rows,
     per_row,
+    row_moments,
     zscore_normalize,
     zscore_rows,
 )
@@ -165,6 +166,36 @@ def test_zscore_rows_equals_the_np_std_formula(data):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def wide_rows(draw):
+    """1 to 5 finite rows of D in {2, 300, 4000} entries, float32 or
+    float64, at magnitudes from 1e-3 to 1e30; some rows constant."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d = draw(st.sampled_from([2, 300, 4000]))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e30]))
+    data = ((rng.random((rows, d)) - 0.25) * scale).astype(dtype)
+    for row in data:
+        if draw(st.booleans()):
+            row[:] = row[0]
+    return data
+
+
+@given(wide_rows(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_moments_equals_the_numpy_expressions(data, centered):
+    # float32 squares of 1e30 overflow on both sides alike
+    with np.errstate(over="ignore"):
+        mean, std, out = row_moments(data, centered=centered)
+        assert mean.tobytes() == data.mean(axis=1).tobytes()
+        assert std.tobytes() == data.std(axis=1, ddof=1).tobytes()
+    if centered:
+        assert out.tobytes() == (data - data.mean(axis=1)[:, None]).tobytes()
+    else:
+        assert out is None
 
 
 @pytest.fixture

@@ -609,6 +609,172 @@ class TestChunkedSearch:
             select_best_subsets(np.zeros((4, 2, 10)), np.zeros((4, 1), bool), config)
 
 
+def structured_query(rng, n, d, kind):
+    """One query's (n, d) raw similarities of a ``kind``: "random";
+    "peaked", where techniques 0 and 1 share a peak and each other one
+    peaks alone; "aliased", where every technique also has a rival peak
+    at one shared column; "duplicated", where every technique repeats
+    technique 0 or 1; "identical", where the subsets of each size tie."""
+    raw = rng.random((n, d)) * 0.3
+    if kind == "random":
+        return rng.random((n, d))
+    sites = rng.choice(d, size=n, replace=d < n)
+    sites[1] = sites[0]
+    raw[np.arange(n), sites] = 1.0
+    if kind == "aliased":
+        raw[:, rng.integers(d)] = 0.9
+    elif kind == "duplicated":
+        raw = raw[rng.integers(0, 2, n)]
+    elif kind == "identical":
+        raw = raw[np.zeros(n, dtype=int)]
+    return raw
+
+
+@st.composite
+def bound_cases(draw):
+    """One query of any kind (see structured_query), float32-origin or not,
+    any window from 0 to D, epsilon up to 1, a chunk width and how many
+    techniques are summed into the bound table's start row."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(3, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = structured_query(rng, n, d, draw(st.sampled_from(
+        ["random", "peaked", "aliased", "duplicated"])))
+    if draw(st.booleans()):
+        raw = raw.astype(np.float32)
+    return (raw, draw(st.integers(0, d)), draw(st.sampled_from([1e-12, 1e-3, 0.5, 1.0])),
+            draw(st.sampled_from([1, 2, 3, 32, d])), draw(st.integers(0, n)))
+
+
+@st.composite
+def pruning_cases(draw):
+    """A chunk of 1 to 4 structured queries over 4 to 6 techniques at D of
+    40 to 200, some with a constant technique; any window and size bounds,
+    and a budget that splits the grid into blocks of 2**k rows."""
+    n = draw(st.integers(4, 6))
+    d = draw(st.integers(40, 200))
+    queries = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "peaked", "peaked", "aliased",
+                                           "duplicated", "identical"]),
+                          min_size=queries, max_size=queries))
+    chunk = np.stack([structured_query(rng, n, d, kind) for kind in kinds], axis=1)
+    constant = np.zeros((n, queries), dtype=bool)
+    constant[rng.integers(n), rng.random(queries) < 0.3] = True
+    chunk[constant] = 0.5
+    low = draw(st.integers(2, n))
+    config = FusionConfig(
+        r_window=draw(st.one_of(st.integers(0, 3), st.integers(0, d - 1))),
+        min_subset_size=low, max_subset_size=draw(st.one_of(st.none(), st.integers(low, n))),
+        tie_break=draw(st.sampled_from(TIE_BREAKS)))
+    normalized, constant = minmax_rows(chunk)
+    return normalized, constant, config, 2 * 8 * d << draw(st.integers(0, n - 2))
+
+
+class TestBoundAndPrune:
+    """The subset search's bound, its seeds and its pruning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_cases())
+    def test_bound_is_at_least_every_ratio(self, case):
+        raw, r_window, epsilon, width, summed = case
+        normalized, _ = minmax_rows(raw)
+        n, d = normalized.shape
+        probes, _ = fusion._probes_and_seeds(normalized.argmax(axis=1).tolist(),
+                                             min(r_window, d), range(2, n + 1))
+        starts = np.arange(0, d, width)
+        terms = np.concatenate([np.maximum.reduceat(normalized, starts, axis=1),
+                                normalized[:, probes]], axis=1)
+        start = np.zeros(terms.shape[1])
+        for row in terms[:summed]:
+            start += row
+        bits = n - summed
+        bound = np.empty(1 << bits)
+        scratch = np.empty(terms.shape[1] * ((1 << min(bits, 8)) + (1 << bits)))
+        fusion._table_bounds(start, list(terms[summed:]), len(starts), epsilon,
+                             scratch, bound)
+        for mask in range(1 << bits):
+            members = list(range(summed)) + [summed + b for b in range(bits)
+                                              if mask >> b & 1]
+            if not members:
+                continue
+            ratio, _, covered = fusion.ratio_rows(fuse_subset(normalized, members)[None],
+                                                  r_window, epsilon)
+            assert covered[0] or bound[mask] >= ratio[0], (mask, members)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(3, 300),
+           st.booleans(), st.sampled_from([1e-12, 0.5]), st.data())
+    def test_seed_score_is_the_grids_own(self, seed, n, d, single, epsilon, data):
+        rng = np.random.default_rng(seed)
+        normalized, _ = minmax_rows(rng.random((n, d)).astype(np.float32))
+        members = sorted(rng.choice(n, size=data.draw(st.integers(2, n)), replace=False))
+        r_window = data.draw(st.integers(0, d - 1))
+        mask = sum(1 << t for t in members)
+        rows = np.empty((1 if single else 3, d))
+        cut = fusion._window_cuts(len(rows), d, r_window)
+        best, seg = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 3))
+        got = fusion._seed_threshold(normalized, list(range(n)), [mask], rows, cut,
+                                     best, seg, epsilon)
+        # the grid's only candidate is the subset itself
+        config = FusionConfig(r_window=r_window, min_subset_size=len(members),
+                              max_subset_size=len(members), epsilon=epsilon)
+        others = [t for t in range(n) if t not in members]
+        with mock.patch.object(core, "WORK_BYTES", 16 * d):
+            if got is None:
+                with pytest.raises(WindowCoversAllError):
+                    select_best_subset(normalized, config, others)
+            else:
+                grid = select_best_subset(normalized, config, others)
+                assert grid.subset == tuple(members)
+                assert got.hex() == grid.score.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pruning_cases())
+    def test_pruned_chunks_match_naive(self, case):
+        normalized, constant, config, scratch_bytes = case
+        # the budget sizes the row blocks and the batches
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes):
+            got = chunk_outcomes(normalized, constant, config)
+        assert got == [naive_outcome(normalized[:, q], np.flatnonzero(constant[:, q]),
+                                     config) for q in range(normalized.shape[1])]
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_pruning_skips_blocks_on_a_peaked_query(self, rng, tie_break):
+        # techniques 0 and 1 share the peak at column 100; each other one
+        # peaks alone, in a column chunk of its own
+        n, d = 8, 300
+        raw = rng.random((n, d)) * 0.3
+        raw[:2, 100] = 1.0
+        raw[np.arange(2, n), [10, 45, 170, 205, 240, 275]] = 1.0
+        normalized, degenerate = normalize_query_slices(raw)
+        config = FusionConfig(r_window=2, tie_break=tie_break)
+        expected = naive_best_subset([list(row) for row in normalized], 2, 1e-12, 2, n,
+                                     degenerate, tie_break)
+        with mock.patch.object(core, "WORK_BYTES", 2 * 8 * d * 16):
+            k = fusion._low_bits(n, d)
+            admissible = sum(step[3] for step in fusion._plan(n, k, 2, n)[1])
+            with mock.patch.object(fusion, "_segment_maxima",
+                                   wraps=fusion._segment_maxima) as spy:
+                got = select_best_subset(normalized, config, degenerate)
+        assert (k, admissible) == (4, 16)
+        # one call scores the seeds, one each block not pruned
+        assert spy.call_count < admissible / 2
+        assert (got.subset, got.score) == expected == ((0, 1), expected[1])
+
+    def test_random_queries_skip_the_bound_table(self, rng):
+        # no two techniques' argmaxes agree: no seed, so no bound is taken
+        normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
+        tops = sorted(normalized.argmax(axis=1).tolist())
+        assert min(b - a for a, b in zip(tops, tops[1:])) > 2
+        with mock.patch.object(fusion, "_table_bounds") as table, \
+                mock.patch.object(fusion, "_seed_threshold") as threshold:
+            got = select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
+        assert table.call_count == threshold.call_count == 0
+        assert (got.subset, got.score) == naive_outcome(normalized, degenerate,
+                                                        FusionConfig(r_window=2))
+
+
 class TestTechniqueWeights:
     def test_identical_members_equal_weights(self):
         v = np.tile(np.array([0.2, 1.0, 0.1, 0.0]), (2, 1))

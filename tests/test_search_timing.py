@@ -56,6 +56,27 @@ def test_against_compares_two_checkouts_per_shape(tmp_path):
     assert [r["digests_agree"] for r in rows] == [False, False]
 
 
+def test_against_times_both_checkouts_in_one_process(tmp_path):
+    # each copy appends its importing process's id to a file on import
+    pids = tmp_path / "pids"
+    sides = []
+    for name in ("mine", "theirs"):
+        side = tmp_path / name
+        shutil.copytree(REPO / "src", side / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        init = side / "src" / "dynfuse" / "__init__.py"
+        init.write_text(init.read_text() + (
+            f"\nimport os as _os\nwith open({str(pids)!r}, 'a') as _f:\n"
+            "    _f.write(f'{_os.getpid()}\\n')\n"))
+        sides.append(side)
+    rows = search_timing("--shape", "3x20", "--rounds", "3", "--repo", str(sides[0]),
+                         "--against", str(sides[1]))
+    assert [(r["shape"], r["rounds"], r["digests_agree"]) for r in rows] == [
+        ("3x20", 3, True)]
+    imports = pids.read_text().split()
+    assert len(imports) == 2 and len(set(imports)) == 1
+
+
 def test_rounds_must_be_positive():
     done = subprocess.run([sys.executable, str(SCRIPT), "--rounds", "0"],
                           capture_output=True, text=True, timeout=60)
