@@ -19,7 +19,17 @@ host lands in fewer samples and moves the median less. ``digest`` is a
 SHA-256 over every chosen subset and the exact bits of its score, from the
 loop and from the chunk, so it is equal on two checkouts whose searches
 agree. Random inputs have no dominant peak, so the search's bound prunes
-little on them: they time its worst case.
+little on them: they time its worst case, and stay the default.
+
+``--spec FILE`` (repeatable) times the search on peaked inputs instead:
+every query of the ``dynfuse synth`` output for that spec at ``--seed``
+(default 7), written by this checkout's code and loaded as float32
+payloads the way ``scripts/fuse_timing.py --spec`` builds its inputs,
+each query's vectors normalized as above, with the spec's r_window. Its
+line also names the spec, and ``searches`` is 7 times the spec's query
+count. ``--shape`` and ``--spec`` can be given together:
+
+  python3 scripts/search_timing.py --spec peaked.json --against /path/to/parent
 
 The code timed is that of the checkout given by ``--repo`` (default: the
 one holding this script), copied to a temporary directory and imported
@@ -100,12 +110,35 @@ def load_package(checkout: Path, name: str, into: Path):
         sys.path.remove(str(into))
 
 
-def time_shape(package, n: int, d: int, queries: int = 5, repeats: int = 7) -> dict:
-    """Time every search of one shape on the dynfuse ``package``."""
-    fusion = package.fusion
+def random_inputs(n: int, d: int, queries: int = 5) -> dict:
+    """The seeded random inputs of the shape N x D."""
     rng = np.random.default_rng([n, d])
-    config = package.core.FusionConfig(r_window=2)
-    inputs = [fusion.normalize_query_slices(rng.random((n, d))) for _ in range(queries)]
+    return {"raws": [rng.random((n, d)) for _ in range(queries)], "r_window": 2}
+
+
+def spec_inputs(path: Path, seed: int, work: Path) -> dict:
+    """Every query's (N, D) similarities in the ``dynfuse synth`` output
+    for the spec file ``path`` at ``seed``, written in ``work``."""
+    import dynfuse  # this checkout's, on the path main sets
+    from fuse_timing import library_inputs, synth_inputs  # scripts/ leads the path
+
+    spec = json.loads(path.read_text())
+    r_window = spec.get("r_window", 0)
+    techniques = synth_inputs(spec, seed, work)
+    tensor, _ = library_inputs(dynfuse, work / "inputs", techniques,
+                               {"r_window": r_window})
+    return {"raws": list(tensor.data.transpose(1, 0, 2)), "r_window": r_window,
+            "spec": path.stem}
+
+
+def time_shape(package, case: dict, repeats: int = 7) -> dict:
+    """Time every search of one set of inputs (see random_inputs and
+    spec_inputs) on the dynfuse ``package``."""
+    fusion = package.fusion
+    config = package.core.FusionConfig(r_window=case["r_window"])
+    queries = len(case["raws"])
+    n, d = case["raws"][0].shape
+    inputs = [fusion.normalize_query_slices(raw) for raw in case["raws"]]
     chunk = np.stack([normalized for normalized, _ in inputs], axis=1)
     constant = np.array([[t in degenerate for _, degenerate in inputs] for t in range(n)])
 
@@ -133,9 +166,10 @@ def time_shape(package, n: int, d: int, queries: int = 5, repeats: int = 7) -> d
     sha = hashlib.sha256()
     for best in bests + chunk_bests:
         sha.update(repr((best.subset, best.score.hex())).encode())
-    return {"shape": f"{n}x{d}", "n": n, "d": d, "searches": queries * repeats,
-            "median_ms": median_ms, "chunk_median_ms": chunk_median_ms,
-            "digest": sha.hexdigest()}
+    return {"shape": f"{n}x{d}", "n": n, "d": d,
+            **({"spec": case["spec"]} if "spec" in case else {}),
+            "searches": queries * repeats, "median_ms": median_ms,
+            "chunk_median_ms": chunk_median_ms, "digest": sha.hexdigest()}
 
 
 def _ratios(runs, key: str, prefix: str) -> dict:
@@ -149,17 +183,19 @@ def _ratios(runs, key: str, prefix: str) -> dict:
             f"{prefix}paired_ratio": round(paired, 3)}
 
 
-def compare(packages, shapes, rounds: int) -> None:
-    """Time each shape in ``rounds`` runs of each package, the two runs of
-    a round back to back and in alternating order; print one summary line
-    per shape."""
-    for n, d in shapes:
+def compare(packages, sets, rounds: int) -> None:
+    """Time each set of inputs in ``rounds`` runs of each package, the two
+    runs of a round back to back and in alternating order; print one
+    summary line per set."""
+    for inputs in sets:
         runs: tuple[list, list] = ([], [])
         for i in range(rounds):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
-                runs[side].append(time_shape(packages[side], n, d))
+                runs[side].append(time_shape(packages[side], inputs))
+        first = runs[0][0]
         print(json.dumps({
-            "shape": f"{n}x{d}", "n": n, "d": d, "rounds": rounds,
+            **{key: first[key] for key in ("shape", "n", "d", "spec") if key in first},
+            "rounds": rounds,
             **_ratios(runs, "median_ms", ""),
             **_ratios(runs, "chunk_median_ms", "chunk_"),
             "digests_agree": len({r["digest"] for r in runs[0] + runs[1]}) == 1,
@@ -177,16 +213,26 @@ def main() -> None:
                         help="second checkout to compare with, over --rounds runs each")
     parser.add_argument("--rounds", type=_positive, default=5,
                         help="runs per checkout with --against (default: 5)")
+    parser.add_argument("--spec", type=Path, action="append",
+                        help="time every query of this synth spec's output, repeatable")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="synth seed for --spec (default: 7)")
     args = parser.parse_args()
-    shapes = args.shape or [_parse_shape(s) for s in SHAPES]
+    shapes = args.shape or ([] if args.spec else [_parse_shape(s) for s in SHAPES])
+    sys.path.insert(0, str(HERE / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        package = load_package(args.repo.resolve(), "dynfuse_timed", Path(tmp))
+        tmp = Path(tmp)
+        sets = [random_inputs(n, d) for n, d in shapes]
+        for i, path in enumerate(args.spec or []):
+            (tmp / f"spec{i}").mkdir()
+            sets.append(spec_inputs(path, args.seed, tmp / f"spec{i}"))
+        package = load_package(args.repo.resolve(), "dynfuse_timed", tmp)
         if args.against is None:
-            for n, d in shapes:
-                print(json.dumps(time_shape(package, n, d)), flush=True)
+            for inputs in sets:
+                print(json.dumps(time_shape(package, inputs)), flush=True)
             return
-        against = load_package(args.against.resolve(), "dynfuse_against", Path(tmp))
-        compare((package, against), shapes, args.rounds)
+        against = load_package(args.against.resolve(), "dynfuse_against", tmp)
+        compare((package, against), sets, args.rounds)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -455,8 +456,22 @@ def cmd_ingest_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_IO
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ConfigErrors, which main
+    prints as error JSON. The field is the flag argparse's message names,
+    else "argv". Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        named = re.fullmatch(r"argument (--[\w-]+): (.*)", message, re.DOTALL)
+        if named:
+            raise ConfigError(named[2], field=named[1])
+        missing = re.fullmatch(r"the following arguments are required: (--[\w-]+)",
+                               message)
+        raise ConfigError(message, field=missing[1] if missing else "argv")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynfuse",
         description="Dynamic multi-process fusion over precomputed similarity data",
     )
@@ -520,8 +535,8 @@ def _log_level() -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level(),
                             format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)

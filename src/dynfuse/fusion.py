@@ -19,14 +19,20 @@ ratios and picks its winners once, while each query's grid is still built
 and scored alone. select_best_subset is a batch of one.
 
 A grid of more than one block is also bounded, and stays exact (branch and
-bound). When some techniques' best matches agree, those subsets are scored
-first, exactly as the grid scores them. Every subset gets an upper bound
-on its ratio from its members' column-chunk maxima and its fused values at
-a few probe columns, built from rounded sums and quotients that can never
-round below the grid's own. A block whose usable subsets all bound below
-the best seed's score can neither beat nor tie the winner, so it is neither
-built nor scored. The winner, its score and every tie still come from the
-grid.
+bound). When some techniques' best matches agree, those subsets (the
+seeds) are scored first, each summed as its own row exactly as the grid
+sums it and scored by the grid's two steps. Every subset gets an upper
+bound on its ratio from its members' column-chunk maxima and its fused
+values at a few probe columns, built from rounded sums and quotients that
+can never round below the grid's own. A subset whose bound is below the
+best seed's score T can neither beat nor tie the winner: the winner's
+ratio is at least T, and any subset that ties or beats it has a bound at
+least its ratio. The usable subsets that survive are scored as rows of
+their own the same way, so no block is built, unless summing them takes
+more row additions (their total member count) than building the blocks
+that hold them (2**k rows each); then those blocks are built and scored
+as in the full grid. Either way the winner, its score and every tie are
+among the subsets scored, with the grid's bits.
 """
 
 from __future__ import annotations
@@ -198,8 +204,17 @@ def normalize_query_slices(raw_slices: np.ndarray):
 
 
 # Columns per chunk of the subset search's bound on a subset's peak (see
-# _live_blocks); 16, 32 and 64 pruned about as well on peaked inputs.
+# _live_subsets); 16, 32 and 64 pruned about as well on peaked inputs. At
+# most _MAX_CHUNKS chunks: the bound's table grows with them, and on peaked
+# 4 x 100000 queries a search with 49 chunks took 0.76 of its time with
+# 3125, and 196 to 782 chunks 0.78 to 0.82 (paired in-process rounds). A
+# pruned query scores its survivors as rows when their members number at
+# most the rows of the blocks it would build (see _grid_segments), with no
+# constant: on 55 peaked 12 x 1000 queries, each path forced, a fit gave
+# 0.62 us per gathered member row plus 0.50 us per scored row, against
+# 1.08 us per built block row (2-CPU host, numpy 2.4).
 _CHUNK = 32
+_MAX_CHUNKS = 64
 
 
 def _low_bits(m: int, d: int) -> int:
@@ -230,9 +245,14 @@ def _batch_queries(m: int, k: int, d: int) -> int:
     and three segment maxima, 32 bytes a mask) fit in core.WORK_BYTES
     beside the row blocks (the base block of 2**k rows of width ``d`` and,
     unless it holds all m techniques, one working block), but at least
-    one. The bound's tables (see _live_blocks) fill the blocks before the
+    one. The bound's tables (see _live_subsets) fill the blocks before the
     grids are built, and its per-mask arrays are freed before the per-mask
-    arrays here are made, so they add nothing."""
+    arrays here are made, so they add nothing. Beside the blocks the
+    pruned path then holds, per pruned query, a bool per mask for the
+    subsets that survive (1 byte a mask, not counted here), and while it
+    scores survivors as rows, in the blocks' two halves, its step one of a
+    block's rows (32 bytes a row) and each pass's sorted masks and member
+    table (a few KiB)."""
     blocks = (1 if k == m else 2) * 8 * d << k
     return rows_within(32 << m, beside=blocks)
 
@@ -252,6 +272,16 @@ def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
         stack.extend(mask | 1 << b for b in reversed(range(mask.bit_length(), bits)))
 
 
+@lru_cache(maxsize=16)
+def _popcounts(m: int) -> np.ndarray:
+    """The read-only popcount of every mask over ``m`` bits, by mask."""
+    size = np.zeros(1 << m, dtype=np.uint8)
+    for bit in range(m):
+        np.add(size[:1 << bit], 1, out=size[1 << bit:2 << bit])
+    size.flags.writeable = False
+    return size
+
+
 @lru_cache(maxsize=64)
 def _plan(m: int, k: int, min_size: int, max_size: int):
     """What a search over ``m`` available techniques whose base block spans
@@ -261,9 +291,7 @@ def _plan(m: int, k: int, min_size: int, max_size: int):
     is (h's rows of the per-mask arrays, whether its block extends its
     parent's, h's set bits in ascending order, whether the block holds a
     usable subset)."""
-    size = np.zeros(1 << m, dtype=np.intp)  # popcount of each mask
-    for bit in range(m):
-        np.add(size[:1 << bit], 1, out=size[1 << bit:2 << bit])
+    size = _popcounts(m)
     usable = (size >= min_size) & (size <= max_size)
     usable.flags.writeable = False
     admissible = usable.reshape(-1, 1 << k).any(axis=1).tolist()
@@ -312,16 +340,24 @@ def select_best_subset(
     bounds, so each such shape is planned once (see _plan) and a call does
     only the numpy work.
 
-    A grid of more than one block skips the blocks that cannot hold the
-    winner (see _live_blocks): each subset gets an upper bound on its
-    ratio, and a block whose usable subsets all bound below an exact score
-    the grid itself gives is neither scored nor built, unless as a parent.
-    The bound is at least the grid's ratio because IEEE rounding is
-    monotone: a left-to-right sum of the members' chunk maxima is at least
-    every fused entry, a second-largest fused value at probe columns more
-    than 2r apart is at most the best entry outside any window, and their
-    quotient rounds to at least the grid's. A pruned subset thus neither
-    beats nor ties the winner, and the result is the same bit for bit.
+    A grid of more than one block scores only the subsets that can hold
+    the winner (see _live_subsets): each subset gets an upper bound on its
+    ratio, and one whose bound is below T, the best exact score of the
+    seeds (subsets of techniques whose argmaxes agree), is dropped. The
+    bound is at least the grid's ratio because IEEE rounding is monotone:
+    a left-to-right sum of the members' chunk maxima is at least every
+    fused entry, a second-largest fused value at probe columns more than 2r
+    apart is at most the best entry outside any window, and their quotient
+    rounds to at least the grid's. The winner's ratio is at least T, so a
+    dropped subset (ratio <= bound < T) neither beats nor ties it, and the
+    pick sees the same winner and ties. The survivors are then summed as
+    rows of their own (see _score_rows): 0.0 plus the lowest member,
+    then the others added in place in ascending order, which is the grid's
+    sum bit for bit (its rows are a parent plus a member, and IEEE addition
+    commutes), and scored by the same two steps. Only when their member
+    count exceeds the rows of the blocks that hold them (those blocks and
+    the parents they extend: 2**k rows each) are the blocks built and
+    scored instead, skipping every block without a survivor.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2 or normalized.shape[1] < 2:
@@ -358,25 +394,8 @@ def _probes_and_seeds(tops: list[int], r: int, sizes: range):
     return probes, masks
 
 
-def _seed_threshold(vectors, available, masks, rows, cut, best, seg, epsilon):
-    """The best ratio of the subsets ``masks`` of one query's (N, D)
-    ``vectors``, each summed into a row of ``rows`` as the grid sums it,
-    from 0.0 and left to right, and scored by the grid's two steps with
-    the window cut table ``cut`` for those rows: the grid's own score, bit
-    for bit. None if every window covers its vector. Rows beyond the masks
-    repeat the first."""
-    for row, mask in zip(rows, masks + masks[:1] * (len(rows) - len(masks))):
-        members = [t for bit, t in enumerate(available) if mask >> bit & 1]
-        np.add(0.0, vectors[members[0]], out=row)
-        for t in members[1:]:
-            row += vectors[t]
-    _segment_maxima(rows, *cut, best, seg)
-    ratios, _, covered = _finish_ratios(best, seg, rows.shape[1], cut[0], epsilon)
-    return None if covered.all() else ratios[~covered].max()
-
-
 def _table_bounds(start, terms, chunks: int, epsilon: float, scratch, out) -> None:
-    """The bound (see _live_blocks) of every subset of the rows of
+    """The bound (see _live_subsets) of every subset of the rows of
     ``terms``, each a technique's chunk maxima then probe values, added
     left to right to the row ``start``, into ``out`` by bitmask (bit j is
     row j). The sums fill ``scratch``: the low masks' by mask, made as the
@@ -410,18 +429,79 @@ def _table_bounds(start, terms, chunks: int, epsilon: float, scratch, out) -> No
     np.maximum(grid, 0.0, out=grid)  # a negative peak has a ratio <= 0
 
 
-def _live_blocks(normalized, peaks, available, qs, k, usable, config, scratch):
-    """Which row blocks of each query's grid can hold its winner: a
-    (queries, 2**(m-k)) mask over high masks, False for a block whose usable
-    subsets all bound below an exact score, or None if no block is. The
-    bound's arrays fill the flat float64 ``scratch`` (the grid's blocks,
-    before they are built); ``peaks`` lists each query's argmaxes and
-    ``usable`` flags the subsets by bitmask (see _plan).
+def _flat_rows(normalized):
+    """An (N * B, D) view of the vectors of an (N, B, D) chunk, or a copy
+    if they are not laid out in either order, by how far apart in it each
+    technique's and each query's vectors lie: (rows, t step, q step).
+    Gathering rows from a view takes no copy of the chunk."""
+    n, queries, d = normalized.shape
+    swapped = normalized.transpose(1, 0, 2)
+    if swapped.flags.c_contiguous and not normalized.flags.c_contiguous:
+        return swapped.reshape(-1, d), 1, n
+    return np.ascontiguousarray(normalized).reshape(-1, d), queries, 1
+
+
+def _score_rows(scorer, techs, masks):
+    """Step one of the subsets ``masks`` (an int array) of one query, each
+    summed into a row as the grid sums it: 0.0 plus its lowest member, then
+    each other member added in place in ascending order. ``scorer`` is
+    (the chunk's vectors as rows (see _flat_rows), a window cut table,
+    rows, a gather buffer, argmaxes, segment maxima), the last five for as
+    many rows as ``rows`` holds (see _grid_segments), and bit j of a mask
+    is row techs[j] of the vectors. Within a pass larger subsets go first,
+    so each member step adds to a leading run of rows, after gathering its
+    members' rows into the buffer; long rows, or one row a pass, take each
+    member straight from the vectors instead. Yields per pass of up to
+    len(rows) subsets (its masks, their argmaxes, their segment maxima),
+    the last two views valid until the next pass."""
+    flat, (r, cuts, lower, upper), rows, gather, best, seg = scorer
+    sizes = _popcounts(len(techs))[masks]
+    bits = 1 << np.arange(len(techs))
+    # rows of more than 4096 entries need no tiles (see _tile_rows), and
+    # one row at a time needs no gather
+    one_by_one = len(rows) == 1 or flat.shape[1] > 4096
+    for at in range(0, len(masks), len(rows)):
+        order = np.argsort(sizes[at:at + len(rows)])[::-1] + at
+        part, count = masks[order], sizes[order].tolist()
+        c = taken = len(part)
+        # each row's members first, in ascending order
+        members = techs[((part[:, None] & bits) == 0).argsort(axis=1, kind="stable")]
+        if one_by_one:
+            for row, row_members, size in zip(rows, members.tolist(), count):
+                np.add(0.0, flat[row_members[0]], out=row)
+                for t in row_members[1:size]:
+                    row += flat[t]
+        else:
+            for j in range(count[0]):
+                while count[taken - 1] <= j:  # rows of no more than j members
+                    taken -= 1
+                into = gather[:taken]
+                # numpy buffers out for the default mode="raise"
+                np.take(flat, members[:taken, j], axis=0, out=into, mode="clip")
+                if j:
+                    np.add(rows[:taken], into, out=rows[:taken])
+                else:
+                    np.add(0.0, into, out=rows[:taken])
+        _segment_maxima(rows[:c], r, cuts[:c], lower[:c], upper[:c], best[:c], seg[:c])
+        yield part, best[:c], seg[:c]
+
+
+def _live_subsets(normalized, peaks, available, qs, usable, config, scorer, techs,
+                  scratch):
+    """Which subsets of each query's grid can hold its winner: per query of
+    ``qs``, a mask over subsets by bitmask, True for the usable subsets
+    whose bound is not below an exact score, or None where no subset is
+    pruned. ``peaks`` lists each query's argmaxes and ``usable`` flags the
+    subsets by bitmask (see _plan). The seeds are scored by ``scorer``, with
+    ``techs`` the rows of each query's techniques (see _score_rows), and
+    the bound's arrays then fill the flat float64 ``scratch``, which holds
+    the scorer's rows and gather buffer (the grid's blocks, before they
+    are built).
 
     The exact score is the best of the seeds (see _probes_and_seeds),
-    summed as the grid sums them and scored by the grid's own steps. A
-    query without a seed, or whose seeds' windows all cover their
-    vectors, prunes nothing.
+    summed and scored by _score_rows as the grid sums and scores them. A
+    query without a seed, or whose seeds' windows all cover their vectors,
+    prunes nothing.
 
     Subset S's bound is P / max(O, epsilon), at least 0. P is the most,
     over column chunks, of the left-to-right sum of S's members' chunk
@@ -430,86 +510,77 @@ def _live_blocks(normalized, peaks, available, qs, k, usable, config, scratch):
     S's fused values at the probe columns, summed as the grid sums them: a
     window holds at most one probe, so O is at most the row's best score
     outside its window (r is r_window capped at D, as in the grid). The
-    quotient then rounds to at least the row's ratio, so a pruned block
-    can neither beat nor tie the winner. The bounds of each block's subset
-    of all its techniques come first: when those subsets are usable and
-    none bounds below the threshold, no block can be pruned, and the
-    other bounds are not taken."""
-    n, d = normalized.shape[0], normalized.shape[2]
+    quotient then rounds to at least the row's ratio, so a pruned subset
+    can neither beat nor tie the winner. A NaN bound prunes nothing."""
+    n, _, d = normalized.shape
     m = len(available)
     r = min(config.r_window, d)
-    sizes = range(config.min_subset_size, config.resolved_max_subset_size(n) + 1)
-    # the scratch holds the seeds' rows, each technique's chunk maxima and
-    # probe values, then _table_bounds' sums
-    seeds = min(m // 2, 1 << k)
-    room = (scratch.size - seeds * d) // (n + max(1 << min(m, 8), 1 << (m - k))
-                                          + (1 << m))
-    live = None
+    span = range(config.min_subset_size, config.resolved_max_subset_size(n) + 1)
+    # the scratch holds each technique's chunk maxima and probe values,
+    # then _table_bounds' sums
+    room = scratch.size // (n + (1 << min(m, 8)) + (1 << m))
+    live = [None] * len(qs)
+    bound = None
     for i, q in enumerate(qs):
-        tops = [peaks[q][t] for t in available]
-        probes, masks = _probes_and_seeds(tops, r, sizes)
+        probes, seeds = _probes_and_seeds([peaks[q][t] for t in available], r, span)
         del probes[room // 2:]
-        if len(probes) < 2 or not masks:
+        if len(probes) < 2 or not seeds:
             continue
-        if live is None:  # the first query with a seed
-            live = np.ones((len(qs), 1 << (m - k)), dtype=bool)
-            rows = scratch[:seeds * d].reshape(seeds, d)
-            cut = _window_cuts(seeds, d, config.r_window)
-            best, seg = np.empty(seeds, dtype=np.intp), np.empty((seeds, 3))
-            bound = np.empty(1 << m)
-            unusable = ~usable
-            whole = usable[(np.arange(1 << (m - k)) << k) | ((1 << k) - 1)]
-        vectors = normalized[:, q]
-        threshold = _seed_threshold(vectors, available, masks, rows, cut, best, seg,
-                                    config.epsilon)
-        if threshold is None:
+        tops = []
+        for _, best, seg in _score_rows(scorer, techs[i], np.array(seeds)):
+            ratios, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
+            if not covered.all():
+                tops.append(ratios[~covered].max())
+        if not tops:
             continue
+        threshold = np.max(tops)
         width = _CHUNK
-        while -(-d // width) + len(probes) > room:
+        while -(-d // width) > min(_MAX_CHUNKS, room - len(probes)):
             width *= 2
         chunks = -(-d // width)
         cols = chunks + len(probes)
-        terms = scratch[seeds * d:seeds * d + n * cols].reshape(n, cols)
-        sums = scratch[seeds * d + n * cols:]
+        terms = scratch[:n * cols].reshape(n, cols)
+        vectors = normalized[:, q]
         np.maximum.reduceat(vectors, np.arange(0, d, width), axis=1,
                             out=terms[:, :chunks])
         terms[:, chunks:] = vectors[:, probes]
-        terms = [terms[t] for t in available]
-        # each block's subset of all its techniques: its low ones summed
-        # left to right, then its high ones
-        start = np.zeros(cols)
-        for row in terms[:k]:
-            start += row
-        whole_bound = bound[:1 << (m - k)]
-        _table_bounds(start, terms[k:], chunks, config.epsilon, sums, whole_bound)
-        if np.all(whole & (whole_bound >= threshold)):
-            continue
-        _table_bounds(np.zeros(cols), terms, chunks, config.epsilon, sums, bound)
-        np.copyto(bound, -np.inf, where=unusable)
-        np.logical_not(bound.reshape(-1, 1 << k).max(axis=1) < threshold, out=live[i])
-    return None if live is None or live.all() else live
+        if bound is None:
+            bound = np.empty(1 << m)
+        _table_bounds(np.zeros(cols), [terms[t] for t in available], chunks,
+                      config.epsilon, scratch[n * cols:], bound)
+        live[i] = np.greater(usable, bound < threshold)  # usable and not below
+    return live
 
 
 def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
-    """Step one of every subset of every query in ``qs`` whose block can
-    hold the query's winner, one grid at a time in the same scratch (see
+    """Step one of every subset of every query in ``qs`` that can hold the
+    query's winner, one query at a time in the same scratch (see
     select_best_subset): (r, (queries, 2**m) argmaxes, (queries, 2**m, 3)
-    segment maxima, zero in the blocks not scored, and the
-    (queries, 2**(m-k)) mask of the blocks that may be scored, or None if
-    all may). The scratch, cut table and tiles live only here."""
+    segment maxima, zero where not scored, and _live_subsets' per-query
+    masks of the subsets that may win, or None for a grid of one block).
+    A pruned query's survivors are scored as rows (see _score_rows) unless
+    their members outnumber the rows of the blocks that hold them. The
+    scratch, cut table and tiles live only here."""
     m, d = len(available), normalized.shape[2]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
     blocks = np.empty((1 if k == m else 2, 1 << k, d))
     base, work = blocks[0], blocks[-1]
-    # every query's bound first, in the blocks, before the arrays below
-    # take their memory; a grid of one block has nothing to skip
-    live = None if k == m else _live_blocks(normalized, peaks, available, qs, k,
-                                            usable, config, blocks.reshape(-1))
-    if live is not None:
+    cut = r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
+    live = None
+    if k < m:  # a grid of one block has nothing to skip
+        # a pruned query's rows and gather buffer, in the blocks; every
+        # query's bound is taken there first, before the arrays below
+        # take their memory
+        flat, t_step, q_step = _flat_rows(normalized)
+        scorer = (flat, cut, base, work, np.empty(1 << k, dtype=np.intp),
+                  np.empty((1 << k, 3)))
+        techs = [np.array(available) * t_step + q * q_step for q in qs]
+        live = _live_subsets(normalized, peaks, available, qs, usable, config, scorer,
+                             techs, blocks.reshape(-1))
+        sizes = _popcounts(m)
         highs = [at.start >> k for at, _, _, _ in steps]
     base[0] = 0.0
-    r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
     best = np.zeros((len(qs), 1 << m), dtype=np.intp)
     seg = np.zeros((len(qs), 1 << m, 3))
     # each high technique's vector repeated `tall` times, added to the
@@ -518,6 +589,20 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
     tiles = np.empty((m - k, tall * d)) if tall > 1 and k < m else None
     base_tiles, work_tiles = (b.reshape(-1, tall * d) for b in (base, work))
     for i, q in enumerate(qs):
+        todo = steps
+        if live is not None and live[i] is not None:
+            # score the survivors as rows unless their members outnumber
+            # the rows of the blocks _pruned_steps builds, which include
+            # every block holding a survivor
+            survivors = np.flatnonzero(live[i])
+            cost = int(sizes[survivors].sum())
+            flags = live[i].reshape(-1, 1 << k).any(axis=1)[highs].tolist()
+            todo = None if cost <= sum(flags) << k else _pruned_steps(steps, flags)
+            if todo is None or cost <= len(todo) << k:
+                for part, *step_one in _score_rows(scorer, techs[i], survivors):
+                    best[i, part], seg[i, part] = step_one
+                base[0] = 0.0
+                continue
         vectors = [normalized[t, q] for t in available]
         for bit in range(k):
             # copy, then add the parent rows in place: the parent plus the
@@ -531,7 +616,6 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
             high = tiles
             for tile, vector in zip(tiles, vectors[k:]):
                 tile.reshape(tall, d)[...] = vector
-        todo = steps if live is None else _pruned_steps(steps, live[i, highs].tolist())
         for at, extend, bits, scoring in todo:
             if extend:
                 np.add(work_tiles, high[bits[-1]], out=work_tiles)
@@ -547,9 +631,10 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
 
 def _pruned_steps(steps, live):
     """The plan's ``steps`` that one query's grid builds, with whether each
-    is scored, given ``live``, each step's flag from _live_blocks: a block
-    is scored if it is admissible and live, and built if it is scored or
-    is the parent the next built step extends."""
+    is scored, given ``live``, whether each step's block holds a subset
+    that _live_subsets keeps: a block is scored if it is admissible and
+    live, and built if it is scored or is the parent the next built step
+    extends."""
     todo = []
     needed = False  # the step after this one extends it and is built
     for (at, extend, bits, admissible), flag in zip(reversed(steps), reversed(live)):
@@ -583,7 +668,8 @@ def select_best_subsets(
     and step two and the winner's pick run once over the batch. Every
     technique's argmax on every query is taken once for the chunk, when a
     batch's grid has more than one block; such a batch takes all its
-    queries' bounds in its scratch before it builds their grids.
+    queries' bounds in its scratch before it scores their survivors or
+    builds their grids.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     constant = np.asarray(constant, dtype=bool)
@@ -636,7 +722,9 @@ def _search_batch(normalized, available, qs, config, peaks=None):
     ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
     scored = np.greater(usable, covered)  # usable and not covered
     if live is not None:
-        scored &= np.repeat(live, 1 << k, axis=1)  # and not pruned
+        for row, keep in zip(scored, live):
+            if keep is not None:
+                row &= keep  # and not pruned
     scores = np.where(scored, ratio, -np.inf)
     tops = np.maximum.reduce(scores, axis=1)
     results = []

@@ -951,6 +951,31 @@ def test_descriptor_pair_ingestion(tmp_path, capsys, rng):
     assert summary["strategies"]["static-subset"]["recall_at"]["1"] == 1.0
 
 
+@pytest.mark.parametrize("args, field", [
+    (["--seed", "abc"], "--seed"),
+    (["--workers", "x"], "--workers"),
+    (["--bogus", "1"], "argv"),
+    ([], "--config"),
+])
+def test_usage_errors_end_in_one_json_line(tmp_path, capsys, args, field):
+    # a bad flag value, an unknown flag or a missing --config: main returns
+    # the config exit code with one error JSON line, and prints no usage text
+    config = [] if field == "--config" else ["--config", str(tmp_path / "m.json")]
+    code = main(["run", *config, *args])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 2 and len(lines) == 1 and captured.err == ""
+    error = json.loads(lines[0])
+    assert (error["status"], error["error"], error["field"]) == ("error", "ConfigError", field)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_console_script_entry_point(tmp_path):
     import subprocess
     import sys

@@ -671,6 +671,31 @@ def pruning_cases(draw):
     return normalized, constant, config, 2 * 8 * d << draw(st.integers(0, n - 2))
 
 
+@st.composite
+def row_scorer_cases(draw):
+    """One query's (n, d) vectors: float32-origin normalized, raw with
+    negative values, signed zeros and NaN, or -0.0 and negative only, so a
+    fused peak is a sum of -0.0s; a set of its subsets of two or more
+    members by bitmask; the scorer's rows, from one to more than the
+    subsets; a window from 0 to D - 1 and an epsilon."""
+    n = draw(st.integers(2, 7))
+    d = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float32", "edges", "nonpositive"]))
+    if kind == "float32":
+        normalized, _ = minmax_rows(rng.random((n, d)).astype(np.float32))
+    elif kind == "edges":
+        edges = np.array([0.0, -0.0, -1.5, 2.0, np.nan, 0.25, -3e-300])
+        normalized = np.where(rng.random((n, d)) < 0.3, rng.choice(edges, (n, d)),
+                              rng.standard_normal((n, d)))
+    else:
+        normalized = np.where(rng.random((n, d)) < 0.5, -0.0, -rng.random((n, d)))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1).filter(lambda m: m.bit_count() > 1),
+                          min_size=1, max_size=12, unique=True))
+    return (normalized, masks, draw(st.integers(1, len(masks) + 1)),
+            draw(st.integers(0, d - 1)), draw(st.sampled_from([1e-12, 0.5])))
+
+
 class TestBoundAndPrune:
     """The subset search's bound, its seeds and its pruning."""
 
@@ -703,31 +728,46 @@ class TestBoundAndPrune:
             assert covered[0] or bound[mask] >= ratio[0], (mask, members)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(3, 300),
-           st.booleans(), st.sampled_from([1e-12, 0.5]), st.data())
-    def test_seed_score_is_the_grids_own(self, seed, n, d, single, epsilon, data):
-        rng = np.random.default_rng(seed)
-        normalized, _ = minmax_rows(rng.random((n, d)).astype(np.float32))
-        members = sorted(rng.choice(n, size=data.draw(st.integers(2, n)), replace=False))
-        r_window = data.draw(st.integers(0, d - 1))
-        mask = sum(1 << t for t in members)
-        rows = np.empty((1 if single else 3, d))
-        cut = fusion._window_cuts(len(rows), d, r_window)
-        best, seg = np.empty(len(rows), dtype=np.intp), np.empty((len(rows), 3))
-        got = fusion._seed_threshold(normalized, list(range(n)), [mask], rows, cut,
-                                     best, seg, epsilon)
-        # the grid's only candidate is the subset itself
-        config = FusionConfig(r_window=r_window, min_subset_size=len(members),
-                              max_subset_size=len(members), epsilon=epsilon)
-        others = [t for t in range(n) if t not in members]
-        with mock.patch.object(core, "WORK_BYTES", 16 * d):
-            if got is None:
+    @given(row_scorer_cases())
+    def test_seed_score_is_the_grids_own(self, case):
+        # every subset the row scorer scores, whatever the other subsets of
+        # its pass, gets the step one and the ratio of a grid whose only
+        # candidate is that subset
+        normalized, masks, height, r_window, epsilon = case
+        n, d = normalized.shape
+        flat, t_step, _ = fusion._flat_rows(normalized[:, None])
+        scorer = (flat, fusion._window_cuts(height, d, r_window), np.empty((height, d)),
+                  np.empty((height, d)), np.empty(height, dtype=np.intp),
+                  np.empty((height, 3)))
+        rows = {}
+        for part, best, seg in fusion._score_rows(scorer, np.arange(n) * t_step,
+                                                  np.array(masks)):
+            assert len(part) <= height
+            rows.update(zip(part.tolist(), zip(best.tolist(), seg.copy())))
+        assert sorted(rows) == sorted(masks)
+        for mask, (best, seg) in rows.items():
+            members = [t for t in range(n) if mask >> t & 1]
+            config = FusionConfig(r_window=r_window, min_subset_size=len(members),
+                                  max_subset_size=len(members), epsilon=epsilon)
+            m = len(members)
+            k = fusion._low_bits(m, d)
+            usable, steps = fusion._plan(m, k, m, m)
+            r, grid_best, grid_seg, _ = fusion._grid_segments(
+                normalized[:, None], None, members, [0], k, usable, steps, config)
+            # a segment beside an empty side of the window is meaningless
+            ratio, _, covered = fusion._finish_ratios(np.array(best), seg, d, r, epsilon)
+            grid = fusion._finish_ratios(grid_best[0, -1], grid_seg[0, -1], d, r, epsilon)
+            assert best == grid_best[0, -1] and covered == grid[2]
+            assert seg[1].tobytes() == grid_seg[0, -1, 1].tobytes()
+            assert ratio.tobytes() == grid[0].tobytes()
+            others = [t for t in range(n) if t not in members]
+            if covered:
                 with pytest.raises(WindowCoversAllError):
                     select_best_subset(normalized, config, others)
-            else:
-                grid = select_best_subset(normalized, config, others)
-                assert grid.subset == tuple(members)
-                assert got.hex() == grid.score.hex()
+            elif not np.isnan(ratio):  # a NaN score has no winner
+                got = select_best_subset(normalized, config, others)
+                assert got.subset == tuple(members)
+                assert got.score.hex() == float(ratio).hex()
 
     @settings(max_examples=200, deadline=None)
     @given(pruning_cases())
@@ -763,16 +803,61 @@ class TestBoundAndPrune:
         assert (got.subset, got.score) == expected == ((0, 1), expected[1])
 
     def test_random_queries_skip_the_bound_table(self, rng):
-        # no two techniques' argmaxes agree: no seed, so no bound is taken
+        # no two techniques' argmaxes agree: no seed, so nothing is scored
+        # as rows and no bound is taken
         normalized, degenerate = normalize_query_slices(rng.random((10, 1000)))
         tops = sorted(normalized.argmax(axis=1).tolist())
         assert min(b - a for a, b in zip(tops, tops[1:])) > 2
         with mock.patch.object(fusion, "_table_bounds") as table, \
-                mock.patch.object(fusion, "_seed_threshold") as threshold:
+                mock.patch.object(fusion, "_score_rows") as scorer:
             got = select_best_subset(normalized, FusionConfig(r_window=2), degenerate)
-        assert table.call_count == threshold.call_count == 0
+        assert table.call_count == scorer.call_count == 0
         assert (got.subset, got.score) == naive_outcome(normalized, degenerate,
                                                         FusionConfig(r_window=2))
+
+    def test_few_survivors_are_scored_as_rows_without_blocks(self, rng):
+        # techniques 0 and 1 share the peak at column 500; each other one
+        # peaks alone, in a column chunk of its own
+        n, d = 10, 1000
+        raw = rng.random((n, d)) * 0.3
+        raw[:2, 500] = 1.0
+        raw[np.arange(2, n), [50, 150, 250, 350, 650, 750, 850, 950]] = 1.0
+        normalized, degenerate = normalize_query_slices(raw)
+        config = FusionConfig(r_window=2)
+        k = fusion._low_bits(n, d)
+        with mock.patch.object(fusion, "_segment_maxima",
+                               wraps=fusion._segment_maxima) as spy:
+            got = select_best_subset(normalized, config, degenerate)
+        # the seed's row, then the survivors' rows: no block of 2**k rows
+        assert k < n
+        seeds, survivors = (call.args[0].shape for call in spy.call_args_list)
+        assert seeds == (1, d)
+        assert survivors[0] < 1 << k and survivors[1] == d
+        assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
+
+    def test_costly_survivors_go_through_the_pruned_blocks(self, rng):
+        # seven near-copies of one peaked vector and one that peaks
+        # elsewhere: the one seed is the seven, and most subsets bound at
+        # or above its score; their members outnumber the rows of their
+        # blocks
+        n, d = 8, 300
+        raw = rng.random(d) * 0.3 + rng.random((n, d)) * 0.01
+        raw[:7, 100] = 1.0
+        raw[7, 250] = 1.0
+        normalized, degenerate = normalize_query_slices(raw)
+        config = FusionConfig(r_window=2)
+        with mock.patch.object(core, "WORK_BYTES", 2 * 8 * d * 16), \
+                mock.patch.object(fusion, "_pruned_steps",
+                                  wraps=fusion._pruned_steps) as pruned, \
+                mock.patch.object(fusion, "_score_rows",
+                                  wraps=fusion._score_rows) as scorer:
+            k = fusion._low_bits(n, d)
+            got = select_best_subset(normalized, config, degenerate)
+        assert k == 4
+        (steps, flags), = (call.args for call in pruned.call_args_list)
+        assert not all(flags)  # some block is pruned
+        assert scorer.call_count == 1  # the seed alone
+        assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
 
 
 class TestTechniqueWeights:

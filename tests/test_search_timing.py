@@ -82,3 +82,19 @@ def test_rounds_must_be_positive():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "positive integer" in done.stderr
+
+
+def test_spec_times_peaked_queries_against_itself(tmp_path):
+    # 8 x 600 is a grid of two blocks, so the bound can prune
+    spec = {"n_techniques": 8, "queries": 4, "database_size": 600,
+            "peak_strength": 1.0, "alias_strength": 0.65, "alias_secondary": 0.5,
+            "alias_correlation": 0.05, "noise_sigma": 0.3, "drift_period": 6,
+            "failure_schedule": [[[1, 2]]] * 8, "r_window": 2, "gt_tolerance": 2}
+    (tmp_path / "peaked.json").write_text(json.dumps(spec))
+    args = ("--spec", str(tmp_path / "peaked.json"), "--seed", "3")
+    alone, = search_timing(*args)
+    assert (alone["shape"], alone["spec"], alone["searches"]) == ("8x600", "peaked", 28)
+    assert re.fullmatch("[0-9a-f]{64}", alone["digest"])
+    row, = search_timing(*args, "--rounds", "2", "--against", str(REPO))
+    assert (row["shape"], row["spec"], row["rounds"]) == ("8x600", "peaked", 2)
+    assert row["digests_agree"] and row["median_ms"] > 0 and row["chunk_median_ms"] > 0
