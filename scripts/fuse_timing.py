@@ -5,6 +5,7 @@ told from the host's noise:
 
   python3 scripts/fuse_timing.py --against /path/to/parent
   python3 scripts/fuse_timing.py --against /path/to/parent --rounds 20 --seed 7
+  python3 scripts/fuse_timing.py --against /path/to/parent --spec a.json --spec b.json
 
   {"workload": "baselines-bulk", "rounds": 20, "median_ms": ...,
    "against_median_ms": ..., "paired_ratio": ..., "rounds_won": ...,
@@ -30,9 +31,11 @@ The inputs are those of perfbench/workloads.py's specs (imported, not
 changed) at ``--seed``: ``dynfuse synth`` writes them with this checkout's
 code, and each side loads them as a library user does (float32 payloads,
 ``ingest.assemble_tensor``), with the workload's frame separation F and the
-spec's r_window. ``--spec FILE`` times a synth spec file of one's own
-instead, at F = 1. The script stops with exit code 1 if the two sides'
-records or ``fused`` arrays differ on any call.
+spec's r_window. ``--spec FILE`` (repeatable) times synth spec files of
+one's own instead, at F = 1, one line each, named by the file's stem, so
+several shapes share one process and one load of each checkout. The script
+stops with exit code 1 if the two sides' records or ``fused`` arrays differ
+on any call.
 """
 
 from __future__ import annotations
@@ -158,23 +161,23 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--against", type=Path, required=True,
                         help="second checkout to compare with")
-    parser.add_argument("--spec", type=Path,
-                        help="time this synth spec file at F = 1 instead")
+    parser.add_argument("--spec", type=Path, action="append",
+                        help="time this synth spec file at F = 1 instead, repeatable")
     parser.add_argument("--rounds", type=_positive, default=10,
                         help="timed calls per side and workload (default: 10)")
     parser.add_argument("--seed", type=int, default=7, help="synth seed (default: 7)")
     args = parser.parse_args()
-    if args.spec is not None:
-        workloads = {args.spec.stem: (json.loads(args.spec.read_text()), 1)}
+    if args.spec:
+        workloads = [(path.stem, json.loads(path.read_text()), 1) for path in args.spec]
     else:
-        workloads = benchmark_specs()
+        workloads = [(name, *spec) for name, spec in benchmark_specs().items()]
     sys.path.insert(0, str(HERE / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         packages = [load_package(checkout, name, tmp / "packages")
                     for checkout, name in zip((HERE, args.against.resolve()), SIDES)]
-        for name, (spec, f) in workloads.items():
-            work = tmp / name
+        for i, (name, spec, f) in enumerate(workloads):
+            work = tmp / f"workload{i}"  # two spec files may share a stem
             work.mkdir()
             line = compare(packages, name, spec, f, args.seed, args.rounds, work)
             if line is None:

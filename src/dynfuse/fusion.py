@@ -29,14 +29,16 @@ best seed's score T can neither beat nor tie the winner: the winner's
 ratio is at least T, and any subset that ties or beats it has a bound at
 least its ratio. The usable subsets that survive are scored as rows of
 their own the same way, so no block is built, unless summing them takes
-more row additions (their total member count) than building the blocks
-that hold them (2**k rows each); then those blocks are built and scored
-as in the full grid. Either way the winner, its score and every tie are
+more row additions (their total member count) than the whole grid has
+rows (2**m over m available techniques); then the whole grid is built and
+scored, as for a query that prunes nothing, and the dropped subsets are
+left out of the pick. Either way the winner, its score and every tie are
 among the subsets scored, with the grid's bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -47,6 +49,7 @@ import numpy as np
 from .core import (
     TIE_BREAK_SMALLEST_SUBSET,
     FusionConfig,
+    as_similarity_vector,
     minmax_rows,
     per_row,
     rows_within,
@@ -69,6 +72,13 @@ def window_error(r_window: int, best: int, size: int) -> WindowCoversAllError:
         f"exclusion window +/-{r_window} around index {best} covers all "
         f"{size} entries"
     )
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite. a . a is finite only if
+    every entry is, and BLAS takes it in a fraction of np.isfinite's time;
+    large finite entries whose squares overflow get the exact test."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def _window_cuts(rows: int, d: int, r_window):
@@ -133,11 +143,10 @@ def ratio_score(v, r_window: int, epsilon: float = 1e-12) -> float:
     yields a finite (large) score.
 
     Raises WindowCoversAllError when no index survives the exclusion, which
-    means the window is too wide for this database.
+    means the window is too wide for this database, and ValueError unless
+    ``v`` is a finite 1-D vector of length >= 2.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("ratio_score needs a 1-D vector of length >= 2")
+    arr = as_similarity_vector(v)
     ratios, best, covered = ratio_rows(arr[None], r_window, epsilon)
     if covered[0]:
         raise window_error(r_window, int(best[0]), arr.size)
@@ -209,10 +218,10 @@ def normalize_query_slices(raw_slices: np.ndarray):
 # 4 x 100000 queries a search with 49 chunks took 0.76 of its time with
 # 3125, and 196 to 782 chunks 0.78 to 0.82 (paired in-process rounds). A
 # pruned query scores its survivors as rows when their members number at
-# most the rows of the blocks it would build (see _grid_segments), with no
-# constant: on 55 peaked 12 x 1000 queries, each path forced, a fit gave
-# 0.62 us per gathered member row plus 0.50 us per scored row, against
-# 1.08 us per built block row (2-CPU host, numpy 2.4).
+# most the whole grid's 2**m rows, and builds the whole grid otherwise (see
+# _grid_segments), with no constant: on 55 peaked 12 x 1000 queries, each
+# path forced, a fit gave 0.62 us per gathered member row plus 0.50 us per
+# scored row, against 1.08 us per built block row (2-CPU host, numpy 2.4).
 _CHUNK = 32
 _MAX_CHUNKS = 64
 
@@ -355,13 +364,15 @@ def select_best_subset(
     then the others added in place in ascending order, which is the grid's
     sum bit for bit (its rows are a parent plus a member, and IEEE addition
     commutes), and scored by the same two steps. Only when their member
-    count exceeds the rows of the blocks that hold them (those blocks and
-    the parents they extend: 2**k rows each) are the blocks built and
-    scored instead, skipping every block without a survivor.
+    count exceeds the whole grid's 2**m rows is the whole grid built and
+    scored instead, as for a query that prunes nothing; the dropped
+    subsets are then scored too, but left out of the pick. Non-finite
+    entries are a ValueError.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
-    if normalized.ndim != 2 or normalized.shape[1] < 2:
-        raise ValueError("select_best_subset needs an N x D array with D >= 2")
+    if (normalized.ndim != 2 or normalized.shape[1] < 2
+            or not _all_finite(normalized)):
+        raise ValueError("select_best_subset needs a finite N x D array with D >= 2")
     available = _available_techniques(
         len(normalized), config.min_subset_size,
         config.resolved_max_subset_size(len(normalized)), degenerate)
@@ -558,9 +569,11 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
     select_best_subset): (r, (queries, 2**m) argmaxes, (queries, 2**m, 3)
     segment maxima, zero where not scored, and _live_subsets' per-query
     masks of the subsets that may win, or None for a grid of one block).
-    A pruned query's survivors are scored as rows (see _score_rows) unless
-    their members outnumber the rows of the blocks that hold them. The
-    scratch, cut table and tiles live only here."""
+    A pruned query takes one of two paths: if its survivors hold no more
+    members than the whole grid has rows (2**m), they are scored as rows
+    (see _score_rows); otherwise its whole grid is built and scored, as an
+    unpruned query's is. The scratch, cut table and tiles live only
+    here."""
     m, d = len(available), normalized.shape[2]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
@@ -579,7 +592,6 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
         live = _live_subsets(normalized, peaks, available, qs, usable, config, scorer,
                              techs, blocks.reshape(-1))
         sizes = _popcounts(m)
-        highs = [at.start >> k for at, _, _, _ in steps]
     base[0] = 0.0
     best = np.zeros((len(qs), 1 << m), dtype=np.intp)
     seg = np.zeros((len(qs), 1 << m, 3))
@@ -589,16 +601,12 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
     tiles = np.empty((m - k, tall * d)) if tall > 1 and k < m else None
     base_tiles, work_tiles = (b.reshape(-1, tall * d) for b in (base, work))
     for i, q in enumerate(qs):
-        todo = steps
         if live is not None and live[i] is not None:
-            # score the survivors as rows unless their members outnumber
-            # the rows of the blocks _pruned_steps builds, which include
-            # every block holding a survivor
+            # summing the survivors takes no more row additions than the
+            # whole grid has rows; otherwise the whole grid is built, and
+            # _search_batch leaves the pruned subsets out of the pick
             survivors = np.flatnonzero(live[i])
-            cost = int(sizes[survivors].sum())
-            flags = live[i].reshape(-1, 1 << k).any(axis=1)[highs].tolist()
-            todo = None if cost <= sum(flags) << k else _pruned_steps(steps, flags)
-            if todo is None or cost <= len(todo) << k:
+            if int(sizes[survivors].sum()) <= 1 << m:
                 for part, *step_one in _score_rows(scorer, techs[i], survivors):
                     best[i, part], seg[i, part] = step_one
                 base[0] = 0.0
@@ -616,7 +624,7 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
             high = tiles
             for tile, vector in zip(tiles, vectors[k:]):
                 tile.reshape(tall, d)[...] = vector
-        for at, extend, bits, scoring in todo:
+        for at, extend, bits, scoring in steps:
             if extend:
                 np.add(work_tiles, high[bits[-1]], out=work_tiles)
             elif bits:
@@ -627,25 +635,6 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
                 _segment_maxima(work if bits else base, r, cuts, lower, upper,
                                 best[i, at], seg[i, at])
     return r, best, seg, live
-
-
-def _pruned_steps(steps, live):
-    """The plan's ``steps`` that one query's grid builds, with whether each
-    is scored, given ``live``, whether each step's block holds a subset
-    that _live_subsets keeps: a block is scored if it is admissible and
-    live, and built if it is scored or is the parent the next built step
-    extends."""
-    todo = []
-    needed = False  # the step after this one extends it and is built
-    for (at, extend, bits, admissible), flag in zip(reversed(steps), reversed(live)):
-        scoring = admissible and flag
-        if scoring or needed:
-            todo.append((at, extend, bits, scoring))
-            needed = extend
-        else:
-            needed = False
-    todo.reverse()
-    return todo
 
 
 def select_best_subsets(
@@ -669,7 +658,10 @@ def select_best_subsets(
     technique's argmax on every query is taken once for the chunk, when a
     batch's grid has more than one block; such a batch takes all its
     queries' bounds in its scratch before it scores their survivors or
-    builds their grids.
+    builds their grids. Unlike select_best_subset it does not check that
+    the chunk is finite: the engine hands it normalized slices of a
+    SimilarityTensor, which is checked finite when it is built, so a pass
+    here would only repeat that.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     constant = np.asarray(constant, dtype=bool)
@@ -756,11 +748,13 @@ def technique_weights(
     A sharply peaked member earns a large weight; an ambiguous one weighs
     near 1. An all-zero (degenerate) member naturally weighs 0 because its
     best score is 0. The first member, in subset order, whose window covers
-    the whole vector raises WindowCoversAllError.
+    the whole vector raises WindowCoversAllError, and a non-finite entry a
+    ValueError.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
-    if normalized.ndim != 2 or normalized.shape[1] < 2:
-        raise ValueError("technique_weights needs an N x D array with D >= 2")
+    if (normalized.ndim != 2 or normalized.shape[1] < 2
+            or not _all_finite(normalized)):
+        raise ValueError("technique_weights needs a finite N x D array with D >= 2")
     members = [int(m) for m in subset]
     ratios, best, covered = ratio_rows(
         normalized[members], config.r_window, config.epsilon

@@ -38,3 +38,15 @@ def test_compares_two_checkouts_in_one_process_and_stops_on_a_difference(tmp_pat
     done = fuse_timing("--against", str(other), "--spec", str(spec), "--rounds", "1")
     assert done.returncode == 1
     assert "differ" in done.stderr and done.stdout == ""
+
+
+def test_each_spec_gets_a_line_named_by_its_stem(tmp_path):
+    paths = []
+    for stem, size in (("small", 30), ("wide", 50)):
+        paths += ["--spec", str(tmp_path / f"{stem}.json")]
+        (tmp_path / f"{stem}.json").write_text(json.dumps({**TINY, "database_size": size}))
+    done = fuse_timing("--against", str(REPO), *paths, "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(text) for text in done.stdout.splitlines()]
+    assert [(line["workload"], line["rounds"]) for line in lines] == [("small", 1),
+                                                                       ("wide", 1)]

@@ -99,6 +99,39 @@ class TestWindowValidation:
         assert ratio_score(self.VECTOR, np.int64(1)) == ratio_score(self.VECTOR, 1)
 
 
+class TestFiniteInput:
+    """Every public scorer rejects a non-finite entry, as
+    normalize_query_slices does."""
+
+    VALUES = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_ratio_score(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            ratio_score([value, 1.0, 2.0], 0)
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_technique_weights(self, rng, value):
+        normalized = rng.random((4, 50))
+        normalized[2, 17] = value
+        with pytest.raises(ValueError, match="finite"):
+            technique_weights(normalized, (0, 1, 2), FusionConfig(r_window=1))
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_select_best_subset(self, rng, value):
+        normalized = rng.random((4, 50))
+        normalized[2, 17] = value
+        with pytest.raises(ValueError, match="finite"):
+            select_best_subset(normalized, FusionConfig(r_window=1))
+
+    def test_large_finite_entries_are_not_rejected(self, rng):
+        # their squares overflow, which the fast test cannot tell from inf
+        normalized = rng.random((4, 50)) * 1e200
+        config = FusionConfig(r_window=1)
+        assert np.isfinite(select_best_subset(normalized, config).score)
+        assert all(np.isfinite(list(technique_weights(normalized, (0, 1), config).values())))
+
+
 class TestEnumerateSubsets:
     def test_three_techniques(self):
         subsets = list(enumerate_subsets(3, 2, 3))
@@ -761,10 +794,13 @@ class TestBoundAndPrune:
             assert seg[1].tobytes() == grid_seg[0, -1, 1].tobytes()
             assert ratio.tobytes() == grid[0].tobytes()
             others = [t for t in range(n) if t not in members]
-            if covered:
+            if not np.isfinite(normalized).all():
+                with pytest.raises(ValueError, match="finite"):
+                    select_best_subset(normalized, config, others)
+            elif covered:
                 with pytest.raises(WindowCoversAllError):
                     select_best_subset(normalized, config, others)
-            elif not np.isnan(ratio):  # a NaN score has no winner
+            else:
                 got = select_best_subset(normalized, config, others)
                 assert got.subset == tuple(members)
                 assert got.score.hex() == float(ratio).hex()
@@ -798,7 +834,7 @@ class TestBoundAndPrune:
                                    wraps=fusion._segment_maxima) as spy:
                 got = select_best_subset(normalized, config, degenerate)
         assert (k, admissible) == (4, 16)
-        # one call scores the seeds, one each block not pruned
+        # one call scores the seeds, one each pass of the survivors' rows
         assert spy.call_count < admissible / 2
         assert (got.subset, got.score) == expected == ((0, 1), expected[1])
 
@@ -835,11 +871,10 @@ class TestBoundAndPrune:
         assert survivors[0] < 1 << k and survivors[1] == d
         assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
 
-    def test_costly_survivors_go_through_the_pruned_blocks(self, rng):
+    def test_costly_survivors_go_through_the_whole_grid(self, rng):
         # seven near-copies of one peaked vector and one that peaks
         # elsewhere: the one seed is the seven, and most subsets bound at
-        # or above its score; their members outnumber the rows of their
-        # blocks
+        # or above its score; their members outnumber the grid's rows
         n, d = 8, 300
         raw = rng.random(d) * 0.3 + rng.random((n, d)) * 0.01
         raw[:7, 100] = 1.0
@@ -847,16 +882,15 @@ class TestBoundAndPrune:
         normalized, degenerate = normalize_query_slices(raw)
         config = FusionConfig(r_window=2)
         with mock.patch.object(core, "WORK_BYTES", 2 * 8 * d * 16), \
-                mock.patch.object(fusion, "_pruned_steps",
-                                  wraps=fusion._pruned_steps) as pruned, \
-                mock.patch.object(fusion, "_score_rows",
-                                  wraps=fusion._score_rows) as scorer:
+                mock.patch.object(fusion, "_segment_maxima",
+                                  wraps=fusion._segment_maxima) as spy:
             k = fusion._low_bits(n, d)
+            admissible = sum(step[3] for step in fusion._plan(n, k, 2, n)[1])
             got = select_best_subset(normalized, config, degenerate)
         assert k == 4
-        (steps, flags), = (call.args for call in pruned.call_args_list)
-        assert not all(flags)  # some block is pruned
-        assert scorer.call_count == 1  # the seed alone
+        # the seed's row, then every admissible block, and no survivors' rows
+        shapes = [call.args[0].shape for call in spy.call_args_list]
+        assert shapes == [(1, d)] + [(1 << k, d)] * admissible
         assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
 
 
