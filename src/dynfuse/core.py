@@ -418,12 +418,19 @@ class GroundTruth:
         Query q accepts every database index within ``tolerance`` of
         ``indices[q]``, clipped to [0, database_size). The same tolerance is
         the natural default for FusionConfig.r_window: the ratio's exclusion
-        window should cover the region already considered self-similar.
+        window should cover the region already considered self-similar. An
+        index outside [0, database_size) or not an integer (a float or a
+        bool too) is a ValueError.
         """
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         sets = []
-        for idx in indices:
+        for q, idx in enumerate(indices):
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+                raise ValueError(f"ground truth index {idx!r} for query {q} is not an integer")
+            if not 0 <= idx < database_size:
+                raise ValueError(f"ground truth index {idx} for query {q} lies outside "
+                                 f"[0, {database_size})")
             lo = max(0, int(idx) - tolerance)
             hi = min(database_size, int(idx) + tolerance + 1)
             sets.append(frozenset(range(lo, hi)))

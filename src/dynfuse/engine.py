@@ -346,6 +346,9 @@ def run_static_subset(
     """Sum a fixed subset every query; a singleton is a single-technique run."""
     n, queries, d = tensor.data.shape
     config.validate(n, d, require_subsets=False)
+    subset = tuple(subset)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in subset):
+        raise ConfigError("static subset members must be integers", field="subset")
     subset = tuple(sorted(int(i) for i in subset))
     if len(subset) == 0:
         raise ConfigError("static subset must be non-empty", field="subset")

@@ -373,11 +373,10 @@ def select_best_subset(
     if (normalized.ndim != 2 or normalized.shape[1] < 2
             or not _all_finite(normalized)):
         raise ValueError("select_best_subset needs a finite N x D array with D >= 2")
-    available = _available_techniques(
-        len(normalized), config.min_subset_size,
-        config.resolved_max_subset_size(len(normalized)), degenerate)
-    result, = _search_batch(normalized[:, None], available, [0], config)
-    if isinstance(result, WindowCoversAllError):
+    degenerate = frozenset(degenerate)
+    constant = np.array([t in degenerate for t in range(len(normalized))], dtype=bool)
+    result, = select_best_subsets(normalized[:, None], constant[:, None], config)
+    if not isinstance(result, SubsetScore):
         raise result
     return result
 
@@ -692,23 +691,21 @@ def select_best_subsets(
         cap = _batch_queries(m, k, d)
         for at in range(0, len(qs), cap):
             batch = qs[at:at + cap]
-            for q, result in zip(batch, _search_batch(normalized, available, batch,
+            for q, result in zip(batch, _search_batch(normalized, available, batch, k,
                                                       config, peaks)):
                 results[q] = result
     return results
 
 
-def _search_batch(normalized, available, qs, config, peaks=None):
+def _search_batch(normalized, available, qs, k, config, peaks):
     """The results of the queries ``qs`` of an (N, B, D) ``normalized``
-    chunk, which share their ``available`` techniques: step one per grid,
-    then step two and the winner's pick once over the batch. ``peaks`` lists
-    each query's argmax of every technique, taken here if None and needed."""
-    m, d = len(available), normalized.shape[2]
-    k = _low_bits(m, d)
-    usable, steps = _plan(m, k, config.min_subset_size,
+    chunk, which share their ``available`` techniques and base block of
+    ``k`` of them: step one per grid, then step two and the winner's pick
+    once over the batch. ``peaks`` lists each query's argmax of every
+    technique; it may be None when the grid is one block."""
+    d = normalized.shape[2]
+    usable, steps = _plan(len(available), k, config.min_subset_size,
                           config.resolved_max_subset_size(len(normalized)))
-    if peaks is None and k < m:
-        peaks = normalized.argmax(axis=2).T.tolist()
     r, best, seg, live = _grid_segments(normalized, peaks, available, qs, k, usable,
                                         steps, config)
     ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)

@@ -462,6 +462,17 @@ class TestGroundTruth:
         assert gt.acceptable[1] == frozenset({2, 3, 4, 5, 6})
         assert gt.acceptable[2] == frozenset({7, 8, 9})
 
+    @pytest.mark.parametrize("index, message", [
+        (5000, "outside"), (-7, "outside"), (10, "outside"), (4.0, "not an integer"),
+        (True, "not an integer"),
+    ])
+    def test_index_outside_database_or_not_an_integer_rejected(self, index, message):
+        # such an index would leave its query no acceptable match, and
+        # take it out of the Recall denominator unseen
+        with pytest.raises(ValueError, match=f"query 1 .*{message}"):
+            GroundTruth.from_indices([5, index], tolerance=2, database_size=10)
+        assert GroundTruth.from_indices([np.int64(9)], 0, 10).acceptable == (frozenset({9}),)
+
     def test_hits_broadcast_queries_against_matches(self):
         gt = GroundTruth.from_lists([[0, 1], [3], []], database_size=4)
         hits = gt.hits(np.array([0, 1, 2])[:, None], np.array([[1, 2], [0, 3], [0, 3]]))

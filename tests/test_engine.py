@@ -904,6 +904,15 @@ class TestStaticSubset:
         with pytest.raises(ConfigError):
             run_static_subset(tensor, FusionConfig(r_window=1), ())
 
+    @pytest.mark.parametrize("member", [1.7, 1.0, np.float64(1.0), True])
+    def test_non_integer_member_rejected(self, rng, member):
+        # int() would run (0, 1.7) as (0, 1) and (0, True) as (0, 1)
+        tensor = make_tensor(random_tensor_data(rng, 3, 4, 10))
+        with pytest.raises(ConfigError, match="integers") as raised:
+            run_static_subset(tensor, FusionConfig(r_window=1), (0, member))
+        assert raised.value.field == "subset"
+        assert run_static_subset(tensor, FusionConfig(r_window=1), (0, np.int64(2))).records
+
 
 class TestOracles:
     def test_perfect_technique_wins(self, rng):
