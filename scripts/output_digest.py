@@ -33,6 +33,12 @@ Output sets:
               echo on some techniques, never or always shared distractors
               on others, failure schedules, drift and a query count that
               is not a multiple of the generator's noise chunk
+  run-wide-F1 ``dynfuse run`` as run-F1 on a 10 x 1000 spec with drift and
+              a failure block, whose subset search grid is 16 blocks, so
+              dyn-mpf's search takes the bound: of its 60 queries, 52
+              score their survivors as rows, 3 have survivors that cost
+              more than the whole grid, which they build, and 5 have no
+              seed and build the whole grid
 
 The inputs come from ``dynfuse synth`` with a fixed seed and noise on every
 vector, and the script stops if any (technique, query) vector is constant,
@@ -79,6 +85,14 @@ EDGE_SPEC = {
     "noise_sigma": [0.3, 0.1, 0.2, 0.3, 0.05, 0.25],
     "failure_schedule": [[[0, 10]], [], [[50, 60], [90, 100]], [], [], [[20, 30]]],
     "drift_period": 7, "r_window": 0, "gt_tolerance": 1, "seed": 23,
+}
+# the benchmark's dyn-wide inputs, at a seed with all three kinds of query
+WIDE_SPEC = {
+    "n_techniques": 10, "queries": 60, "database_size": 1000,
+    "peak_strength": 1.0, "alias_strength": 0.65, "alias_secondary": 0.5,
+    "alias_correlation": 0.05, "noise_sigma": 0.3, "drift_period": 6,
+    "failure_schedule": [[[27, 33]]] * 10, "r_window": 2, "gt_tolerance": 2,
+    "seed": 11,
 }
 STRATEGIES = {
     "best-single-oracle": {},
@@ -185,7 +199,7 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
     """Run every output set on ``repo``'s code under the empty directory
     ``work``; return {set name: SHA-256}. ``demos=False`` leaves out the
     unordered sweep, the drifting run, the descriptor run, the small-K run,
-    both demo scripts and synth-edges, for a quicker run."""
+    both demo scripts, synth-edges and the wide run, for a quicker run."""
     repo, work = repo.resolve(), work.resolve()
     digests = {"synth": _synth(repo, work, spec, "spec.json", "data")}
     for f in f_values:
@@ -221,6 +235,9 @@ def output_digests(repo: Path, work: Path, spec: dict = SPEC,
         digests["run-recall-k5"] = _run_set(repo, work, "data/recall-k5.json", 1,
                                             work / "run-recall-k5")
         digests["synth-edges"] = _synth(repo, work, EDGE_SPEC, "edges-spec.json", "edges")
+        _synth(repo, work, WIDE_SPEC, "wide-spec.json", "wide")
+        digests["run-wide-F1"] = _run_set(repo, work, "wide/manifest.json", 1,
+                                          work / "run-wide-F1")
     return digests
 
 

@@ -15,25 +15,27 @@ the same steps. Which blocks a search can build depends only on its shape,
 so each shape is planned once and a call does only numpy work.
 select_best_subsets searches a chunk of queries: those with the same
 constant techniques share a batch, which allocates once and finishes its
-ratios and picks its winners once, while each query's grid is still built
-and scored alone. select_best_subset is a batch of one.
+ratios and picks its winners once. On a grid of one block each query's
+grid is still built and scored alone.
 
 A grid of more than one block is also bounded, and stays exact (branch and
-bound). When some techniques' best matches agree, those subsets (the
-seeds) are scored first, each summed as its own row exactly as the grid
-sums it and scored by the grid's two steps. Every subset gets an upper
-bound on its ratio from its members' column-chunk maxima and its fused
-values at a few probe columns, built from rounded sums and quotients that
-can never round below the grid's own. A subset whose bound is below the
-best seed's score T can neither beat nor tie the winner: the winner's
-ratio is at least T, and any subset that ties or beats it has a bound at
-least its ratio. The usable subsets that survive are scored as rows of
-their own the same way, so no block is built, unless summing them takes
-more row additions (their total member count) than the whole grid has
-rows (2**m over m available techniques); then the whole grid is built and
-scored, as for a query that prunes nothing, and the dropped subsets are
-left out of the pick. Either way the winner, its score and every tie are
-among the subsets scored, with the grid's bits.
+bound), for the whole batch at once. When some techniques' best matches
+agree, those subsets (the seeds) are scored first, each summed as its own
+row exactly as the grid sums it and scored by the grid's two steps; the
+seeds of every query of the batch share one pass. Every subset gets an
+upper bound on its ratio from its members' column-chunk maxima and its
+fused values at a few probe columns, built from rounded sums and quotients
+that can never round below the grid's own, in tables of as many queries as
+the scratch holds. A subset whose bound is below the best seed's score T
+can neither beat nor tie the winner: the winner's ratio is at least T, and
+any subset that ties or beats it has a bound at least its ratio. The
+usable subsets that survive are scored as rows of their own the same way,
+every query's in one more pass, so no block is built, unless summing a
+query's survivors takes more row additions (their total member count)
+than its whole grid has rows (2**m over m available techniques); then its
+whole grid is built and scored, as for a query that prunes nothing (or has
+no seed), alone. Either way the winner, its score and every tie are among
+the subsets scored, with the grid's bits.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def normalize_query_slices(raw_slices: np.ndarray):
 # 3125, and 196 to 782 chunks 0.78 to 0.82 (paired in-process rounds). A
 # pruned query scores its survivors as rows when their members number at
 # most the whole grid's 2**m rows, and builds the whole grid otherwise (see
-# _grid_segments), with no constant: on 55 peaked 12 x 1000 queries, each
+# _live_subsets), with no constant: on 55 peaked 12 x 1000 queries, each
 # path forced, a fit gave 0.62 us per gathered member row plus 0.50 us per
 # scored row, against 1.08 us per built block row (2-CPU host, numpy 2.4).
 _CHUNK = 32
@@ -250,20 +252,16 @@ def _tile_rows(k: int, d: int) -> int:
 
 def _batch_queries(m: int, k: int, d: int) -> int:
     """How many queries over ``m`` available techniques one batch of
-    select_best_subsets searches: the most whose per-mask arrays (an argmax
-    and three segment maxima, 32 bytes a mask) fit in core.WORK_BYTES
-    beside the row blocks (the base block of 2**k rows of width ``d`` and,
-    unless it holds all m techniques, one working block), but at least
-    one. The bound's tables (see _live_subsets) fill the blocks before the
-    grids are built, and its per-mask arrays are freed before the per-mask
-    arrays here are made, so they add nothing. Beside the blocks the
-    pruned path then holds, per pruned query, a bool per mask for the
-    subsets that survive (1 byte a mask, not counted here), and while it
-    scores survivors as rows, in the blocks' two halves, its step one of a
-    block's rows (32 bytes a row) and each pass's sorted masks and member
-    table (a few KiB)."""
-    blocks = (1 if k == m else 2) * 8 * d << k
-    return rows_within(32 << m, beside=blocks)
+    select_best_subsets searches, at least one: the most whose 32 bytes a
+    mask fit in core.WORK_BYTES, on a grid of one block (k == m) beside
+    its 2**m rows of width ``d``. There they hold the per-mask arrays (an
+    argmax and three segment maxima). On a grid of more than one block the
+    blocks fill the budget and a whole grid is built one query at a time;
+    a query pruned to rows holds at most 2**(m-1) survivors (2**m members),
+    each with a key, step one and ratio (at most 64 bytes)."""
+    if k == m:
+        return rows_within(32 << m, beside=8 * d << m)
+    return rows_within(32 << m)
 
 
 def _high_masks(bits: int) -> Iterator[tuple[int, bool]]:
@@ -366,8 +364,8 @@ def select_best_subset(
     commutes), and scored by the same two steps. Only when their member
     count exceeds the whole grid's 2**m rows is the whole grid built and
     scored instead, as for a query that prunes nothing; the dropped
-    subsets are then scored too, but left out of the pick. Non-finite
-    entries are a ValueError.
+    subsets are then scored too, and as their ratios are below T they
+    neither win nor tie. Non-finite entries are a ValueError.
     """
     normalized = np.asarray(normalized, dtype=np.float64)
     if (normalized.ndim != 2 or normalized.shape[1] < 2
@@ -406,13 +404,15 @@ def _probes_and_seeds(tops: list[int], r: int, sizes: range):
 
 def _table_bounds(start, terms, chunks: int, epsilon: float, scratch, out) -> None:
     """The bound (see _live_subsets) of every subset of the rows of
-    ``terms``, each a technique's chunk maxima then probe values, added
-    left to right to the row ``start``, into ``out`` by bitmask (bit j is
-    row j). The sums fill ``scratch``: the low masks' by mask, made as the
-    grid's base block is, so each bit adds to rows apart from those it
-    reads; then every mask's as (high masks, columns, low masks), where
-    the columns reduce over rows of low masks and each high bit adds a
-    slab."""
+    ``terms``, added left to right to the row ``start``, into ``out`` by
+    bitmask (bit j is row j), for G queries at once: G is out.size over
+    2**len(terms), ``out`` is (G, 2**len(terms)) or, for G = 1, flat, and
+    each query's columns lie side by side in the rows, its chunk maxima then
+    its probe values. The sums fill ``scratch``: the low masks' by mask,
+    made as the grid's base block is, so each bit adds to rows apart from
+    those it reads; then every mask's as (high masks, columns, low masks),
+    where the columns reduce over rows of low masks and each high bit adds
+    a slab."""
     bits, cols = len(terms), len(start)
     low = min(bits, 8)
     sums = scratch[:cols << low].reshape(1 << low, cols)
@@ -428,12 +428,14 @@ def _table_bounds(start, terms, chunks: int, epsilon: float, scratch, out) -> No
         slab = table[1 << (bit - low):2 << (bit - low)]
         slab[...] = terms[bit][:, None]
         slab += table[:1 << (bit - low)]
-    grid = out.reshape(1 << (bits - low), 1 << low)
-    table[:, :chunks].max(axis=1, out=grid)
-    values = table[:, chunks:]
-    top = values.max(axis=1)
-    np.copyto(values, -np.inf, where=values >= top[:, None])
-    outside = values.max(axis=1)
+    # (high masks, queries, low masks), and the table's columns by query
+    grid = out.reshape(-1, 1 << (bits - low), 1 << low).transpose(1, 0, 2)
+    table = table.reshape(grid.shape[0], grid.shape[1], -1, grid.shape[2])
+    table[:, :, :chunks].max(axis=2, out=grid)
+    values = table[:, :, chunks:]
+    top = values.max(axis=2)
+    np.copyto(values, -np.inf, where=values >= top[:, :, None])
+    outside = values.max(axis=2)
     np.maximum(outside, epsilon, out=outside)
     np.divide(grid, outside, out=grid)
     np.maximum(grid, 0.0, out=grid)  # a negative peak has a ratio <= 0
@@ -451,31 +453,36 @@ def _flat_rows(normalized):
     return np.ascontiguousarray(normalized).reshape(-1, d), queries, 1
 
 
-def _score_rows(scorer, techs, masks):
-    """Step one of the subsets ``masks`` (an int array) of one query, each
-    summed into a row as the grid sums it: 0.0 plus its lowest member, then
-    each other member added in place in ascending order. ``scorer`` is
-    (the chunk's vectors as rows (see _flat_rows), a window cut table,
-    rows, a gather buffer, argmaxes, segment maxima), the last five for as
-    many rows as ``rows`` holds (see _grid_segments), and bit j of a mask
-    is row techs[j] of the vectors. Within a pass larger subsets go first,
-    so each member step adds to a leading run of rows, after gathering its
+def _score_rows(scorer, techs, keys, offsets):
+    """Step one of the subsets ``keys`` (an int array) of a batch's
+    queries, each summed into a row as the grid sums it: 0.0 plus its
+    lowest member, then each other member added in place in ascending
+    order. A key is a query's place i in ``offsets`` above an m-bit mask
+    (i << m | mask, m = len(techs)), and bit j of the mask is row
+    techs[j] + offsets[i] of the chunk's vectors as rows (see _flat_rows);
+    both are int arrays.
+    ``scorer`` is (those rows, a window cut table, rows, a gather buffer,
+    argmaxes, segment maxima), the last five for as many rows as ``rows``
+    holds (see _row_results). Within a pass larger subsets go first, so
+    each member step adds to a leading run of rows, after gathering its
     members' rows into the buffer; long rows, or one row a pass, take each
     member straight from the vectors instead. Yields per pass of up to
-    len(rows) subsets (its masks, their argmaxes, their segment maxima),
+    len(rows) subsets (their keys, their argmaxes, their segment maxima),
     the last two views valid until the next pass."""
     flat, (r, cuts, lower, upper), rows, gather, best, seg = scorer
-    sizes = _popcounts(len(techs))[masks]
-    bits = 1 << np.arange(len(techs))
+    m = len(techs)
+    sizes = _popcounts(m)[keys & ((1 << m) - 1)]
+    bits = 1 << np.arange(m)
     # rows of more than 4096 entries need no tiles (see _tile_rows), and
     # one row at a time needs no gather
     one_by_one = len(rows) == 1 or flat.shape[1] > 4096
-    for at in range(0, len(masks), len(rows)):
+    for at in range(0, len(keys), len(rows)):
         order = np.argsort(sizes[at:at + len(rows)])[::-1] + at
-        part, count = masks[order], sizes[order].tolist()
+        part, count = keys[order], sizes[order].tolist()
         c = taken = len(part)
-        # each row's members first, in ascending order
+        # each row's members first, in ascending order, as rows of the chunk
         members = techs[((part[:, None] & bits) == 0).argsort(axis=1, kind="stable")]
+        members += offsets[part >> m, None]
         if one_by_one:
             for row, row_members, size in zip(rows, members.tolist(), count):
                 np.add(0.0, flat[row_members[0]], out=row)
@@ -496,19 +503,19 @@ def _score_rows(scorer, techs, masks):
         yield part, best[:c], seg[:c]
 
 
-def _live_subsets(normalized, peaks, available, qs, usable, config, scorer, techs,
-                  scratch):
-    """Which subsets of each query's grid can hold its winner: per query of
-    ``qs``, a mask over subsets by bitmask, True for the usable subsets
-    whose bound is not below an exact score, or None where no subset is
-    pruned. ``peaks`` lists each query's argmaxes and ``usable`` flags the
-    subsets by bitmask (see _plan). The seeds are scored by ``scorer``, with
-    ``techs`` the rows of each query's techniques (see _score_rows), and
-    the bound's arrays then fill the flat float64 ``scratch``, which holds
-    the scorer's rows and gather buffer (the grid's blocks, before they
-    are built).
+def _live_subsets(normalized, rows, available, qs, usable, config, scorer, scratch):
+    """Which subsets can hold each query's winner, for the queries of a
+    batch: per query, the usable subsets whose bound is not below an exact
+    score, as an array of masks, when they hold no more members than the
+    whole grid has rows (2**m); otherwise None, and the query's whole grid
+    is to be built. ``rows`` holds the chunk's vectors as rows and their
+    argmaxes (see _search_batch), and ``usable`` flags the subsets by
+    bitmask (see _plan). The seeds of every query are scored in one pass of
+    ``scorer`` (see _score_rows), and the bound's arrays then fill the flat
+    float64 ``scratch``, which holds the scorer's rows and gather buffer,
+    with the tables of as many queries at once as it holds.
 
-    The exact score is the best of the seeds (see _probes_and_seeds),
+    The exact score is the best of a query's seeds (see _probes_and_seeds),
     summed and scored by _score_rows as the grid sums and scores them. A
     query without a seed, or whose seeds' windows all cover their vectors,
     prunes nothing.
@@ -523,74 +530,69 @@ def _live_subsets(normalized, peaks, available, qs, usable, config, scorer, tech
     quotient then rounds to at least the row's ratio, so a pruned subset
     can neither beat nor tie the winner. A NaN bound prunes nothing."""
     n, _, d = normalized.shape
-    m = len(available)
+    flat, t_step, q_step, tops = rows
+    m, available, qs = len(available), np.array(available), np.array(qs)
+    techs, offsets = available * t_step, qs * q_step
     r = min(config.r_window, d)
     span = range(config.min_subset_size, config.resolved_max_subset_size(n) + 1)
     # the scratch holds each technique's chunk maxima and probe values,
     # then _table_bounds' sums
     room = scratch.size // (n + (1 << min(m, 8)) + (1 << m))
-    live = [None] * len(qs)
-    bound = None
-    for i, q in enumerate(qs):
-        probes, seeds = _probes_and_seeds([peaks[q][t] for t in available], r, span)
-        del probes[room // 2:]
-        if len(probes) < 2 or not seeds:
-            continue
-        tops = []
-        for _, best, seg in _score_rows(scorer, techs[i], np.array(seeds)):
-            ratios, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
-            if not covered.all():
-                tops.append(ratios[~covered].max())
-        if not tops:
-            continue
-        threshold = np.max(tops)
-        width = _CHUNK
-        while -(-d // width) > min(_MAX_CHUNKS, room - len(probes)):
-            width *= 2
-        chunks = -(-d // width)
-        cols = chunks + len(probes)
-        terms = scratch[:n * cols].reshape(n, cols)
-        vectors = normalized[:, q]
-        np.maximum.reduceat(vectors, np.arange(0, d, width), axis=1,
-                            out=terms[:, :chunks])
-        terms[:, chunks:] = vectors[:, probes]
-        if bound is None:
-            bound = np.empty(1 << m)
-        _table_bounds(np.zeros(cols), [terms[t] for t in available], chunks,
-                      config.epsilon, scratch[n * cols:], bound)
-        live[i] = np.greater(usable, bound < threshold)  # usable and not below
+    live, probes, keys = [None] * len(offsets), [], []
+    for i, peaks in enumerate(tops[offsets[:, None] + techs].tolist()):
+        found, seeds = _probes_and_seeds(peaks, r, span)
+        del found[room // 2:]
+        probes.append(found)
+        if len(found) > 1:
+            keys += [i << m | mask for mask in seeds]
+    if not keys:
+        return live
+    threshold = np.full(len(offsets), -np.inf)
+    for part, best, seg in _score_rows(scorer, techs, np.array(keys), offsets):
+        ratios, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
+        np.maximum.at(threshold, part[~covered] >> m, ratios[~covered])
+    pruned = np.flatnonzero(threshold > -np.inf).tolist()
+    most = max((len(probes[i]) for i in pruned), default=0)
+    width = _CHUNK
+    while -(-d // width) > min(_MAX_CHUNKS, room - most):
+        width *= 2
+    chunks = -(-d // width)
+    cols = chunks + most  # per query; fewer probes repeat their last, which moves no O
+    group, starts = room // cols, np.arange(0, d, width)
+    bound, sizes = np.empty((min(group, len(pruned)), 1 << m)), _popcounts(m)
+    for at in range(0, len(pruned), group):
+        part = pruned[at:at + group]
+        # the chunk maxima of the chunk's queries from the group's first to
+        # its last, every technique's
+        first = qs[part[0]]
+        maxima = np.maximum.reduceat(normalized[:, first:qs[part[-1]] + 1], starts, axis=2)
+        terms = scratch[:m * len(part) * cols].reshape(m, len(part), cols)
+        terms[:, :, :chunks] = maxima[available[:, None], qs[part] - first]
+        terms[:, :, chunks:] = flat[techs[:, None, None] + offsets[part][:, None],
+                                    [probes[i] + probes[i][-1:] * (most - len(probes[i]))
+                                     for i in part]]
+        _table_bounds(np.zeros(len(part) * cols), terms.reshape(m, -1), chunks,
+                      config.epsilon, scratch[terms.size:], bound[:len(part)])
+        for j, i in enumerate(part):
+            survivors = np.flatnonzero(np.greater(usable, bound[j] < threshold[i]))
+            # summing them takes no more row additions than the grid has rows
+            if int(sizes[survivors].sum()) <= 1 << m:
+                live[i] = survivors
     return live
 
 
-def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
-    """Step one of every subset of every query in ``qs`` that can hold the
-    query's winner, one query at a time in the same scratch (see
-    select_best_subset): (r, (queries, 2**m) argmaxes, (queries, 2**m, 3)
-    segment maxima, zero where not scored, and _live_subsets' per-query
-    masks of the subsets that may win, or None for a grid of one block).
-    A pruned query takes one of two paths: if its survivors hold no more
-    members than the whole grid has rows (2**m), they are scored as rows
-    (see _score_rows); otherwise its whole grid is built and scored, as an
-    unpruned query's is. The scratch, cut table and tiles live only
-    here."""
+def _grid_segments(normalized, available, qs, k, steps, cut):
+    """Step one of every subset of every query in ``qs``, each query's
+    whole grid built in turn in the same blocks (see select_best_subset)
+    and scored with ``cut``, their _window_cuts: ((queries, 2**m)
+    argmaxes, (queries, 2**m, 3) segment maxima), zero where no block is
+    admissible. The blocks and tiles live only here."""
     m, d = len(available), normalized.shape[2]
     # one array for both blocks: two separate ones fault in their pages
     # again on every call
     blocks = np.empty((1 if k == m else 2, 1 << k, d))
     base, work = blocks[0], blocks[-1]
-    cut = r, cuts, lower, upper = _window_cuts(1 << k, d, config.r_window)
-    live = None
-    if k < m:  # a grid of one block has nothing to skip
-        # a pruned query's rows and gather buffer, in the blocks; every
-        # query's bound is taken there first, before the arrays below
-        # take their memory
-        flat, t_step, q_step = _flat_rows(normalized)
-        scorer = (flat, cut, base, work, np.empty(1 << k, dtype=np.intp),
-                  np.empty((1 << k, 3)))
-        techs = [np.array(available) * t_step + q * q_step for q in qs]
-        live = _live_subsets(normalized, peaks, available, qs, usable, config, scorer,
-                             techs, blocks.reshape(-1))
-        sizes = _popcounts(m)
+    r, cuts, lower, upper = cut
     base[0] = 0.0
     best = np.zeros((len(qs), 1 << m), dtype=np.intp)
     seg = np.zeros((len(qs), 1 << m, 3))
@@ -600,16 +602,6 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
     tiles = np.empty((m - k, tall * d)) if tall > 1 and k < m else None
     base_tiles, work_tiles = (b.reshape(-1, tall * d) for b in (base, work))
     for i, q in enumerate(qs):
-        if live is not None and live[i] is not None:
-            # summing the survivors takes no more row additions than the
-            # whole grid has rows; otherwise the whole grid is built, and
-            # _search_batch leaves the pruned subsets out of the pick
-            survivors = np.flatnonzero(live[i])
-            if int(sizes[survivors].sum()) <= 1 << m:
-                for part, *step_one in _score_rows(scorer, techs[i], survivors):
-                    best[i, part], seg[i, part] = step_one
-                base[0] = 0.0
-                continue
         vectors = [normalized[t, q] for t in available]
         for bit in range(k):
             # copy, then add the parent rows in place: the parent plus the
@@ -633,7 +625,7 @@ def _grid_segments(normalized, peaks, available, qs, k, usable, steps, config):
             if scoring:
                 _segment_maxima(work if bits else base, r, cuts, lower, upper,
                                 best[i, at], seg[i, at])
-    return r, best, seg, live
+    return best, seg
 
 
 def select_best_subsets(
@@ -650,15 +642,21 @@ def select_best_subsets(
     equal select_best_subset's bit for bit.
 
     Queries with the same constant techniques form batches of at most
-    _batch_queries queries. A batch looks up its plan and allocates its
-    scratch, cut table, tiles and per-mask arrays once; each query's grid
-    is then built and gets step one alone, as select_best_subset describes,
-    and step two and the winner's pick run once over the batch. Every
-    technique's argmax on every query is taken once for the chunk, when a
-    batch's grid has more than one block; such a batch takes all its
-    queries' bounds in its scratch before it scores their survivors or
-    builds their grids. Unlike select_best_subset it does not check that
-    the chunk is finite: the engine hands it normalized slices of a
+    _batch_queries queries, which look up their plan and cut table once.
+    On a grid of one block a batch allocates its scratch and per-mask
+    arrays once; every query's grid is built and gets step one alone, as
+    select_best_subset describes, and step two and the winner's pick run
+    once over the batch. On a grid of more than one block every
+    technique's argmax on every query is taken once for the chunk, from its
+    vectors as rows (see _flat_rows), so a chunk laid out (B, N, D), as
+    run_dyn_mpf's is, is not copied. A batch then scores all its queries'
+    seeds in one pass, takes their thresholds in one reduction and their
+    bounds in tables of as many queries as its scratch holds (see
+    _live_subsets), and scores the survivors of every query whose
+    survivors hold at most 2**m members in one more pass, with step two
+    and the pick once for them all. Each other query has its whole grid
+    built and scored alone. Unlike select_best_subset it does not check
+    that the chunk is finite: the engine hands it normalized slices of a
     SimilarityTensor, which is checked finite when it is built, so a pass
     here would only repeat that.
     """
@@ -674,7 +672,7 @@ def select_best_subsets(
     for q, flags in enumerate(constant.T.tolist()):
         batches.setdefault(tuple(flags), []).append(q)
     results: list = [None] * queries
-    peaks = None  # each query's argmax of every technique, once needed
+    rows = None  # the chunk's vectors as rows and each one's argmax, once needed
     for flags, qs in batches.items():
         degenerate = [t for t, flag in enumerate(flags) if flag]
         try:
@@ -686,53 +684,95 @@ def select_best_subsets(
             continue
         m = len(available)
         k = _low_bits(m, d)
-        if peaks is None and k < m:
-            peaks = normalized.argmax(axis=2).T.tolist()
+        if rows is None and k < m:
+            flat, t_step, q_step = _flat_rows(normalized)
+            rows = flat, t_step, q_step, flat.argmax(axis=1)
         cap = _batch_queries(m, k, d)
         for at in range(0, len(qs), cap):
             batch = qs[at:at + cap]
             for q, result in zip(batch, _search_batch(normalized, available, batch, k,
-                                                      config, peaks)):
+                                                      config, rows)):
                 results[q] = result
     return results
 
 
-def _search_batch(normalized, available, qs, k, config, peaks):
+def _pick(available, config, masks: list[int], best_score: float):
+    """The winner among one query's tied subsets ``masks`` (bit j is
+    available[j]), whose ratio is ``best_score``, by config.tie_break; with
+    no subset, the WindowCoversAllError select_best_subset raises."""
+    if not masks:
+        return WindowCoversAllError(
+            "every candidate subset's exclusion window covered the whole vector")
+    subsets = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
+               for mask in masks]
+    smallest = config.tie_break == TIE_BREAK_SMALLEST_SUBSET
+    subset = min(subsets, key=(lambda s: (len(s), s)) if smallest else None)
+    return SubsetScore(subset=subset, score=best_score)
+
+
+def _row_results(normalized, available, qs, k, usable, config, rows, cut, results):
+    """The queries of ``qs`` whose whole grid is to be built; the others'
+    survivors of the bound (see _live_subsets) are scored as rows in one
+    pass, and their results, from one step two and pick, go into
+    ``results``. The bound and the rows use scratch the size of the
+    grid's blocks, which lives only here."""
+    d, m = normalized.shape[2], len(available)
+    flat, t_step, q_step, _ = rows
+    scratch = np.empty((2, 1 << k, d))
+    scorer = (flat, cut, scratch[0], scratch[1], np.empty(1 << k, dtype=np.intp),
+              np.empty((1 << k, 3)))
+    techs, offsets = np.array(available) * t_step, np.array(qs) * q_step
+    live = _live_subsets(normalized, rows, available, qs, usable, config, scorer,
+                         scratch.reshape(-1))
+    cheap = [i for i, keep in enumerate(live) if keep is not None]
+    if cheap:
+        keys = np.concatenate([i << m | live[i] for i in cheap])
+        best, seg = np.empty(len(keys), dtype=np.intp), np.empty((len(keys), 3))
+        at = 0
+        for part, *step_one in _score_rows(scorer, techs, keys, offsets):
+            keys[at:at + len(part)] = part  # the pass's own keys, reordered
+            best[at:at + len(part)], seg[at:at + len(part)] = step_one
+            at += len(part)
+        ratio, _, covered = _finish_ratios(best, seg, d, cut[0], config.epsilon)
+        scores = np.where(covered, -np.inf, ratio)
+        which = keys >> m
+        top = np.full(len(qs), -np.inf)
+        np.maximum.at(top, which, scores)
+        tied = {}
+        for key in keys[(scores == top[which]) & ~covered].tolist():
+            tied.setdefault(key >> m, []).append(key & ((1 << m) - 1))
+        for i in cheap:
+            results[qs[i]] = _pick(available, config, tied.get(i, []), float(top[i]))
+    return [q for q, keep in zip(qs, live) if keep is None]
+
+
+def _search_batch(normalized, available, qs, k, config, rows):
     """The results of the queries ``qs`` of an (N, B, D) ``normalized``
     chunk, which share their ``available`` techniques and base block of
-    ``k`` of them: step one per grid, then step two and the winner's pick
-    once over the batch. ``peaks`` lists each query's argmax of every
-    technique; it may be None when the grid is one block."""
-    d = normalized.shape[2]
-    usable, steps = _plan(len(available), k, config.min_subset_size,
-                          config.resolved_max_subset_size(len(normalized)))
-    r, best, seg, live = _grid_segments(normalized, peaks, available, qs, k, usable,
-                                        steps, config)
-    ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
-    scored = np.greater(usable, covered)  # usable and not covered
-    if live is not None:
-        for row, keep in zip(scored, live):
-            if keep is not None:
-                row &= keep  # and not pruned
-    scores = np.where(scored, ratio, -np.inf)
-    tops = np.maximum.reduce(scores, axis=1)
-    results = []
-    for i, (tied, best_score) in enumerate(zip(scores == tops[:, None], tops.tolist())):
-        if best_score == -np.inf:  # -inf also marks the subsets not scored
-            tied &= scored[i]
-            if not tied.any():
-                results.append(WindowCoversAllError(
-                    "every candidate subset's exclusion window covered the whole vector"
-                ))
-                continue
-        subsets = [tuple(t for bit, t in enumerate(available) if mask >> bit & 1)
-                   for mask in tied.nonzero()[0].tolist()]
-        if config.tie_break == TIE_BREAK_SMALLEST_SUBSET:
-            subset = min(subsets, key=lambda s: (len(s), s))
-        else:
-            subset = min(subsets)
-        results.append(SubsetScore(subset=subset, score=best_score))
-    return results
+    ``k`` of them (see select_best_subsets). ``rows`` is (the chunk's
+    vectors as rows, their technique and query steps, each row's argmax;
+    see _flat_rows); it may be None when the grid is one block."""
+    n, _, d = normalized.shape
+    m = len(available)
+    usable, steps = _plan(m, k, config.min_subset_size,
+                          config.resolved_max_subset_size(n))
+    cut = r, *_ = _window_cuts(1 << k, d, config.r_window)
+    results, grids = {}, [qs]
+    if k < m:  # a grid of one block has nothing to skip
+        grids = [[q] for q in _row_results(normalized, available, qs, k, usable, config,
+                                           rows, cut, results)]
+    for part in grids:
+        best, seg = _grid_segments(normalized, available, part, k, steps, cut)
+        ratio, _, covered = _finish_ratios(best, seg, d, r, config.epsilon)
+        scored = np.greater(usable, covered)  # usable and not covered
+        scores = np.where(scored, ratio, -np.inf)
+        tops = np.maximum.reduce(scores, axis=1)
+        for q, tied, ok, top in zip(part, scores == tops[:, None], scored, tops.tolist()):
+            if top == -np.inf:  # -inf also marks the subsets not scored
+                tied &= ok
+            results[q] = _pick(available, config, tied.nonzero()[0].tolist(), top)
+        del best, seg, ratio, scores  # before the next grid's arrays
+    return [results[q] for q in qs]
 
 
 def technique_weights(

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -615,12 +616,15 @@ class TestChunkedSearch:
     @pytest.mark.parametrize("n, d", [(12, 1000), (12, 30), (8, 300), (10, 4000),
                                       (4, 100_000)])
     def test_batch_fits_beside_the_blocks(self, n, d):
+        # one block: the batch's per-mask arrays fit beside it; more blocks
+        # fill the budget, and the batch's survivors scored as rows (32
+        # bytes a mask per query at most) fit in a budget beside them
         k = fusion._low_bits(n, d)
         batch = fusion._batch_queries(n, k, d)
-        blocks = (1 if k == n else 2) * 8 * d << k
+        beside = 8 * d << n if k == n else 0
         assert batch >= 1
-        assert batch == 1 or blocks + batch * (32 << n) <= core.WORK_BYTES
-        assert blocks + (batch + 1) * (32 << n) > core.WORK_BYTES
+        assert batch == 1 or beside + batch * (32 << n) <= core.WORK_BYTES
+        assert beside + (batch + 1) * (32 << n) > core.WORK_BYTES
 
     def test_per_mask_arrays_at_twelve_techniques_stay_bounded(self, rng):
         # a chunk of 8 queries holds no more than one query's search does
@@ -647,7 +651,9 @@ def structured_query(rng, n, d, kind):
     "peaked", where techniques 0 and 1 share a peak and each other one
     peaks alone; "aliased", where every technique also has a rival peak
     at one shared column; "duplicated", where every technique repeats
-    technique 0 or 1; "identical", where the subsets of each size tie."""
+    technique 0 or 1; "identical", where the subsets of each size tie;
+    "copies", near-copies of one vector where all but the last technique
+    share a peak, so most subsets bound at or above the seed's score."""
     raw = rng.random((n, d)) * 0.3
     if kind == "random":
         return rng.random((n, d))
@@ -660,6 +666,10 @@ def structured_query(rng, n, d, kind):
         raw = raw[rng.integers(0, 2, n)]
     elif kind == "identical":
         raw = raw[np.zeros(n, dtype=int)]
+    elif kind == "copies":
+        raw = rng.random(d) * 0.3 + raw * 0.03
+        raw[:-1, sites[0]] = 1.0
+        raw[-1, sites[-1]] = 1.0
     return raw
 
 
@@ -729,6 +739,37 @@ def row_scorer_cases(draw):
             draw(st.integers(0, d - 1)), draw(st.sampled_from([1e-12, 0.5])))
 
 
+@st.composite
+def batch_cases(draw):
+    """A chunk of 1 to 8 structured queries (see structured_query) over 5
+    to 7 techniques at D of 40 to 160, float32-origin or not, with one
+    technique constant on some queries, so they form a batch of their own;
+    any window and size bounds, and a budget that splits the grid into 4 or
+    8 blocks, with room for the bound, and batches into several queries
+    each, so one batch holds queries pruned to rows, costly survivors and
+    queries with no seed."""
+    n = draw(st.integers(5, 7))
+    d = draw(st.integers(40, 160))
+    queries = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "peaked", "peaked", "copies",
+                                           "aliased", "duplicated", "identical"]),
+                          min_size=queries, max_size=queries))
+    chunk = np.stack([structured_query(rng, n, d, kind) for kind in kinds], axis=1)
+    if draw(st.booleans()):
+        chunk = chunk.astype(np.float32)
+    constant = np.zeros((n, queries), dtype=bool)
+    constant[rng.integers(n), rng.random(queries) < 0.3] = True
+    chunk[constant] = 0.5
+    low = draw(st.integers(2, n))
+    config = FusionConfig(
+        r_window=draw(st.one_of(st.integers(0, 3), st.integers(0, d - 1))),
+        min_subset_size=low, max_subset_size=draw(st.one_of(st.none(), st.integers(low, n))),
+        tie_break=draw(st.sampled_from(TIE_BREAKS)))
+    normalized, constant = minmax_rows(chunk)
+    return normalized, constant, config, 2 * 8 * d << draw(st.integers(n - 3, n - 2))
+
+
 class TestBoundAndPrune:
     """The subset search's bound, its seeds and its pruning."""
 
@@ -774,7 +815,7 @@ class TestBoundAndPrune:
                   np.empty((height, 3)))
         rows = {}
         for part, best, seg in fusion._score_rows(scorer, np.arange(n) * t_step,
-                                                  np.array(masks)):
+                                                  np.array(masks), np.zeros(1, dtype=int)):
             assert len(part) <= height
             rows.update(zip(part.tolist(), zip(best.tolist(), seg.copy())))
         assert sorted(rows) == sorted(masks)
@@ -784,9 +825,10 @@ class TestBoundAndPrune:
                                   max_subset_size=len(members), epsilon=epsilon)
             m = len(members)
             k = fusion._low_bits(m, d)
-            usable, steps = fusion._plan(m, k, m, m)
-            r, grid_best, grid_seg, _ = fusion._grid_segments(
-                normalized[:, None], None, members, [0], k, usable, steps, config)
+            _, steps = fusion._plan(m, k, m, m)
+            cut = r, *_ = fusion._window_cuts(1 << k, d, r_window)
+            grid_best, grid_seg = fusion._grid_segments(normalized[:, None], members, [0],
+                                                        k, steps, cut)
             # a segment beside an empty side of the window is meaningless
             ratio, _, covered = fusion._finish_ratios(np.array(best), seg, d, r, epsilon)
             grid = fusion._finish_ratios(grid_best[0, -1], grid_seg[0, -1], d, r, epsilon)
@@ -892,6 +934,110 @@ class TestBoundAndPrune:
         shapes = [call.args[0].shape for call in spy.call_args_list]
         assert shapes == [(1, d)] + [(1 << k, d)] * admissible
         assert (got.subset, got.score) == naive_outcome(normalized, degenerate, config)
+
+
+class TestBatchedBound:
+    """A batch of a multi-block grid bounds and scores its queries together."""
+
+    def test_a_batch_shares_its_passes_and_tables(self, rng):
+        # six peaked 10 x 1000 queries, a grid of 16 blocks: at 1 MiB the
+        # scratch holds two queries' tables
+        queries = 6
+        chunk, constant = minmax_rows(np.stack([structured_query(rng, 10, 1000, "peaked")
+                                                for _ in range(queries)], axis=1))
+        config = FusionConfig(r_window=2)
+        spies = [mock.patch.object(fusion, name, wraps=getattr(fusion, name)) for name in
+                 ("_search_batch", "_score_rows", "_table_bounds", "_grid_segments")]
+        with contextlib.ExitStack() as stack:
+            batches, scorer, tables, grids = map(stack.enter_context, spies)
+            got = select_best_subsets(chunk, constant, config)
+        # one batch: one pass of the seeds, then one of every query's survivors
+        assert batches.call_count == 1 and scorer.call_count == 2
+        assert grids.call_count == 0
+        assert tables.call_count <= -(-queries // 2)
+        assert sum(len(call.args[5]) for call in tables.call_args_list) == queries
+        # the same winners and bits as every whole grid built
+        with mock.patch.object(fusion, "_live_subsets", return_value=[None] * queries):
+            assert got == select_best_subsets(chunk, constant, config)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_chunk_matches_naive(self, rng, dtype):
+        # at 8 x 300 and this budget the grid is 16 blocks of 2**4 rows
+        n, d = 8, 300
+        config = FusionConfig(r_window=2)
+        kinds = ["peaked", "copies", "random", "peaked", "peaked", "copies"]
+        raw = np.stack([structured_query(rng, n, d, kind) for kind in kinds], axis=1)
+        # no two argmaxes within the window: no seed
+        raw[:, 2] = rng.random((n, d)) * 0.3
+        raw[np.arange(n), 2, [10, 45, 80, 115, 150, 185, 220, 255]] = 1.0
+        constant = np.zeros((n, len(kinds)), dtype=bool)
+        constant[2, [3, 5]] = True  # one more pattern, a batch of its own
+        chunk, constant = minmax_rows(np.where(constant[..., None], 0.5, raw).astype(dtype))
+        budget = mock.patch.object(core, "WORK_BYTES", 2 * 8 * d << 4)
+        lives, real = [], fusion._live_subsets
+
+        def live_subsets(*args):
+            lives.append(real(*args))
+            return lives[-1]
+        spies = [budget, mock.patch.object(fusion, "_live_subsets", live_subsets)] + [
+            mock.patch.object(fusion, name, wraps=getattr(fusion, name))
+            for name in ("_table_bounds", "_grid_segments")]
+        with contextlib.ExitStack() as stack:
+            *_, tables, grids = map(stack.enter_context, spies)
+            select_best_subsets(chunk, constant, config)
+        # batches 0, 1, 2, 4 and 3, 5: every query but 2 has a seed and is
+        # bounded; the survivors of the copies cost more than their grid
+        assert [[keep is not None for keep in live] for live in lives] == [
+            [True, False, False, True], [True, False]]
+        assert sum(len(call.args[5]) for call in tables.call_args_list) == 5
+        assert [call.args[2] for call in grids.call_args_list] == [[1], [2], [5]]
+        with budget:
+            got = chunk_outcomes(chunk, constant, config)
+        assert got == [naive_outcome(chunk[:, q], np.flatnonzero(constant[:, q]), config)
+                       for q in range(len(kinds))]
+
+    def test_windows_that_cover_the_vector(self, rng):
+        # a seed's window can cover its vector only where D <= 2r + 1, where
+        # no two probes fit: such queries build their whole grid. Query 0's
+        # techniques all peak at the middle column, whose window covers
+        # all 7; query 1's first four peak at column 0, whose window does not
+        n, d, r = 8, 7, 3
+        raw = rng.random((n, 3, d)) * 0.3
+        raw[:, 0, 3] = 1.0
+        raw[:4, 1, 0] = 1.0
+        raw[4:, 1, 3] = 1.0
+        raw[:, 2] = raw[:, 2].astype(np.float32)
+        chunk, constant = minmax_rows(raw)
+        config = FusionConfig(r_window=r)
+        with mock.patch.object(core, "WORK_BYTES", 2 * 8 * d << 3):
+            assert fusion._low_bits(n, d) < n
+            got = chunk_outcomes(chunk, constant, config)
+        assert got == [naive_outcome(chunk[:, q], [], config) for q in range(3)]
+        assert got[0] is WindowCoversAllError and got[1] is not WindowCoversAllError
+
+    def test_peaks_take_no_copy_of_a_chunk_laid_out_queries_first(self, rng):
+        # run_dyn_mpf's chunks are laid out (B, N, D), where an argmax over
+        # the last axis copies the whole chunk
+        raw = np.stack([structured_query(rng, 10, 1000, kind)
+                        for kind in ["peaked", "random"] * 30])
+        chunk, constant = minmax_rows(raw)
+        chunk, constant = chunk.transpose(1, 0, 2), constant.T
+        assert chunk.shape == (10, 60, 1000) and not chunk.flags.c_contiguous
+        config = FusionConfig(r_window=2)
+        fusion._plan.cache_clear()
+        got, _, peak = traced(lambda: select_best_subsets(chunk, constant, config))
+        assert peak < chunk.nbytes / 2
+        assert got == select_best_subsets(np.ascontiguousarray(chunk), constant, config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch_cases())
+    def test_batched_chunks_match_naive(self, case):
+        normalized, constant, config, scratch_bytes = case
+        # the budget sizes the row blocks and the batches
+        with mock.patch.object(core, "WORK_BYTES", scratch_bytes):
+            got = chunk_outcomes(normalized, constant, config)
+        assert got == [naive_outcome(normalized[:, q], np.flatnonzero(constant[:, q]),
+                                     config) for q in range(normalized.shape[1])]
 
 
 class TestTechniqueWeights:
